@@ -6,9 +6,11 @@ the inner width, and a 1x1 conv expanding back.  Growing the inner width
 replicates the first stage's output channels circularly (BatchNorm
 statistics are per channel, so replicated channels normalize
 identically) and splits the in-channel weights of the later stages so
-each group of replicated channels sums back to the original kernel,
-with distinct entries per replica to break symmetry.  The block output
-is unchanged.
+each group of replicated channels sums back to the original kernel.
+The split is the Transformer path's ``lemon`` column split, so every
+entry of every pair of replica kernels differs by more than
+``expander.MIN_SEPARATION`` times the noise scale, which breaks
+symmetry.  The block output is unchanged.
 
 BatchNorm is inference-mode throughout: fixed running statistics, no
 batch reductions.  Convolutions are direct (im2col + the package
@@ -23,9 +25,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeError
-from .expand_ops import _check_extents
-
-MIN_SEPARATION = 1e-6
+from .expand_ops import expand_matrix_cols
+from .expander import column_split
 
 
 @dataclass
@@ -114,44 +115,8 @@ def bottleneck_forward(x: np.ndarray, w: BottleneckWeights) -> np.ndarray:
     return _relu(r + x)
 
 
-def _circ(a: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
-    idx = np.arange(n) % a.shape[axis]
-    return np.take(a, idx, axis=axis)
-
-
-def _bn_circ(bn: BatchNormParams, n: int) -> BatchNormParams:
-    return BatchNormParams(_circ(bn.gamma, n), _circ(bn.beta, n),
-                           _circ(bn.mean, n), _circ(bn.var, n), bn.eps)
-
-
-def _split_in_channels(w: np.ndarray, d_t: int, rng: np.random.Generator,
-                       noise_scale: float) -> np.ndarray:
-    """Expand in-channels so replicated-channel kernels sum to the source.
-
-    Replicas get pairwise-distinct entries (equal share plus zero-sum
-    noise); a channel with a single copy keeps the exact source kernel.
-    """
-    c_out, d_s, kh, kw = w.shape
-    k, r = _check_extents(d_s, d_t)
-    out = np.empty((c_out, d_t, kh, kw), dtype=w.dtype)
-    for z in range(d_s):
-        copies = [z + i * d_s for i in range(k + (1 if z < r else 0))]
-        if len(copies) == 1:
-            out[:, z] = w[:, z]
-            continue
-        shape = (c_out, kh, kw)
-        for _ in range(64):
-            noise = [rng.normal(0.0, noise_scale, size=shape) for _ in copies[:-1]]
-            noise.append(-sum(noise))
-            sep = min(np.abs(a - b).min() for i, a in enumerate(noise)
-                      for b in noise[i + 1:])
-            if sep > MIN_SEPARATION * noise_scale:
-                break
-        parts = [w[:, z] / len(copies) + n for n in noise[:-1]]
-        parts.append(w[:, z] - sum(parts))
-        for j, tgt in enumerate(copies):
-            out[:, tgt] = parts[j]
-    return out
+def _bn_take(bn: BatchNormParams, idx: np.ndarray) -> BatchNormParams:
+    return BatchNormParams(bn.gamma[idx], bn.beta[idx], bn.mean[idx], bn.var[idx], bn.eps)
 
 
 def expand_cnn_bottleneck(w: BottleneckWeights, d_t: int,
@@ -166,22 +131,30 @@ def expand_cnn_bottleneck(w: BottleneckWeights, d_t: int,
     drawn once per source channel and tiled, so replicated outputs stay
     bitwise identical); stage 3 splits its in-channels and keeps its
     outputs untouched.
+
+    An in-channel split is the circular ``lemon`` column split of the
+    kernel viewed as a ``(c_out*kh*kw, d_s)`` matrix, drawn in float64
+    and cast back to the weight's dtype.
     """
     d_s = w.conv1.weight.shape[0]
-    _check_extents(d_s, d_t)
-    out = w.copy()
 
-    out.conv1.weight = _circ(w.conv1.weight, d_t)
-    out.conv1.bias = _circ(w.conv1.bias, d_t)
-    out.bn1 = _bn_circ(w.bn1, d_t)
+    def split_in_channels(weight: np.ndarray) -> np.ndarray:
+        c_out, c_in, kh, kw = weight.shape
+        m = weight.transpose(0, 2, 3, 1).reshape(-1, c_in).astype(np.float64, copy=False)
+        split = column_split(m, d_t, "circ", "lemon", rng, noise_scale)
+        grown = expand_matrix_cols(m, d_t, "circ", split)
+        return np.ascontiguousarray(
+            grown.reshape(c_out, kh, kw, d_t).transpose(0, 3, 1, 2), dtype=weight.dtype)
 
-    mid = _split_in_channels(w.conv2.weight, d_t, rng, noise_scale)
-    out.conv2.weight = _circ(mid, d_t, axis=0)
-    out.conv2.bias = _circ(w.conv2.bias, d_t)
-    out.bn2 = _bn_circ(w.bn2, d_t)
-
-    out.conv3.weight = _split_in_channels(w.conv3.weight, d_t, rng, noise_scale)
-    return out
+    circ = np.arange(d_t) % d_s  # source channel of each grown inner channel
+    mid = split_in_channels(w.conv2.weight)
+    return BottleneckWeights(
+        ConvWeights(w.conv1.weight[circ], w.conv1.bias[circ], w.conv1.padding),
+        _bn_take(w.bn1, circ),
+        ConvWeights(mid[circ], w.conv2.bias[circ], w.conv2.padding),
+        _bn_take(w.bn2, circ),
+        ConvWeights(split_in_channels(w.conv3.weight), w.conv3.bias.copy(), w.conv3.padding),
+        w.bn3.copy())
 
 
 def random_bottleneck(outer: int, inner: int, kernel: int,

@@ -1,4 +1,4 @@
-"""Bit-exact single-file checkpoint container, plus plan/config JSON parsing.
+"""Bit-exact single-file checkpoint container, plus model-config JSON parsing.
 
 File layout (all integers little-endian)::
 
@@ -327,7 +327,7 @@ def read_checkpoint(path) -> tuple[ModelWeights, ModelSpec]:
 
 
 # ---------------------------------------------------------------------------
-# plan / config JSON
+# model-config JSON
 
 
 def _load_json(path) -> dict:
@@ -349,12 +349,6 @@ def _from_fields(cls, data: dict, path) -> object:
         raise PlanError(f"{path}: {exc}") from exc
 
 
-def load_plan(path):
-    """Read an expansion plan from JSON mirroring ExpansionPlan fields."""
-    from .expander import ExpansionPlan
-    return _from_fields(ExpansionPlan, _load_json(path), path)
-
-
 def load_model_config(path) -> tuple[ModelSpec, np.dtype]:
     """Read a model spec (plus optional ``dtype``) from JSON."""
     data = _load_json(path)
@@ -367,10 +361,3 @@ def load_model_config(path) -> tuple[ModelSpec, np.dtype]:
     except PlanError as exc:
         raise PlanError(f"{path}: {exc}") from exc
     return spec, np.dtype(name)
-
-
-def load_schedule_spec(path):
-    """Read a schedule spec from JSON mirroring ScheduleSpec fields."""
-    from .schedule import ScheduleSpec
-    spec = _from_fields(ScheduleSpec, _load_json(path), path)
-    return spec.validate()

@@ -24,6 +24,7 @@ explicit arguments; no operator draws randomness internally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -140,8 +141,12 @@ class ColumnSplit:
 
 
 def _split_close(actual: np.ndarray, target: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(target).max()) if target.size else 1.0)
-    return bool(np.abs(actual - target).max(initial=0.0) <= SPLIT_TOL * scale)
+    if not target.size:
+        return True
+    # max(x.max(), -x.min()) is abs(x).max() without an abs temporary
+    err = actual - target
+    scale = max(1.0, float(target.max()), -float(target.min()))
+    return bool(max(float(err.max()), -float(err.min())) <= SPLIT_TOL * scale)
 
 
 def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
@@ -167,9 +172,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
     for i, part in enumerate(split.parts):
         if np.asarray(part).shape != (p, d_s):
             raise SplitError(f"part {i} has shape {np.asarray(part).shape}, want {(p, d_s)}")
-    total = np.zeros_like(m)
-    for part in split.parts:
-        total = total + part
+    total = np.asarray(functools.reduce(np.add, split.parts))
     if mode == "rand":
         if not _split_close(total, m):
             raise SplitError("rand split parts do not sum to the source matrix")

@@ -42,14 +42,15 @@ the way in and cast back on the way out.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PlanError
-from .expand_ops import (ColumnSplit, expand_bias, expand_layernorm,
-                         expand_matrix_cols, expand_matrix_rows,
-                         expand_rmsnorm, expand_vector)
+from .expand_ops import (ColumnSplit, _check_extents, expand_bias,
+                         expand_layernorm, expand_matrix_cols,
+                         expand_matrix_rows, expand_rmsnorm, expand_vector)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
                     NormParams, spec_with, validate_weights)
@@ -115,17 +116,41 @@ class ExpansionPlan:
 # policy-driven column splits
 
 
-def _zero_sum_noise(rng: np.random.Generator, shape: tuple[int, ...], count: int,
-                    scale: float) -> list[np.ndarray]:
-    """``count`` noise blocks summing to zero, pairwise separated entries."""
+def _split_copies(m: np.ndarray, copies: int, policy: str,
+                  rng: np.random.Generator, noise_scale: float) -> np.ndarray:
+    """Split ``m`` into ``copies`` replicas summing to ``m``, as one
+    ``(copies, p, n)`` array.
+
+    ``net2net_equal`` gives every replica an equal share and
+    ``zero_tail`` gives the first replica all of ``m`` and the rest
+    zeros.  ``lemon`` adds N(0, noise_scale^2) noise to the equal shares
+    and lets the last replica close the sum.  Every entry of every pair
+    of lemon replicas must differ by more than ``MIN_SEPARATION *
+    noise_scale``; the columns that miss it are redrawn, and
+    :class:`PlanError` is raised if any still do after 64 attempts.
+    """
+    if copies == 1 or policy == "zero_tail":
+        out = np.zeros((copies,) + m.shape, dtype=m.dtype)
+        out[0] = m
+        return out
+    if policy == "net2net_equal":
+        return np.repeat((m / copies)[None], copies, axis=0)
+    out = np.empty((copies,) + m.shape)
+    cols = np.arange(m.shape[1])
+    todo = slice(None)  # columns still to draw: all of them, then the close ones
     for _ in range(64):
-        draws = [rng.normal(0.0, scale, size=shape) for _ in range(count - 1)]
-        draws.append(-sum(draws))
-        sep = min(np.abs(a - b).max() for i, a in enumerate(draws)
-                  for b in draws[i + 1:])
-        if sep > MIN_SEPARATION * scale:
-            return draws
-    raise PlanError("could not draw separated split noise")  # pragma: no cover
+        sub = m[:, todo]
+        parts = rng.normal(0.0, noise_scale, size=(copies - 1,) + sub.shape)
+        parts += sub / copies
+        out[:-1, :, todo] = parts
+        out[-1][:, todo] = sub - parts.sum(axis=0)
+        close = np.zeros(sub.shape[1], dtype=bool)
+        for a, b in itertools.combinations(out[:, :, todo], 2):
+            close |= (np.abs(a - b) <= MIN_SEPARATION * noise_scale).any(axis=0)
+        todo = cols[todo][close]
+        if not todo.size:
+            return out
+    raise PlanError("could not draw separated split noise in 64 attempts")
 
 
 def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
@@ -141,58 +166,29 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
         raise PlanError(f"unknown policy {policy!r}")
     m = np.asarray(m)
     p, d_s = m.shape
-    k, r = d_t // d_s, d_t % d_s
-    empty = np.zeros((p, 0), dtype=m.dtype)
+    k, r = _check_extents(d_s, d_t)
     if k == 1 and r == 0:
         return ColumnSplit.identity(m)
 
     if mode == "rand":
-        if k == 1:
-            parts = [m.copy()]
-        elif policy == "net2net_equal":
-            base = m / k
-            parts = [base.copy() for _ in range(k)]
-        elif policy == "zero_tail":
-            parts = [m.copy()] + [np.zeros_like(m) for _ in range(k - 1)]
-        else:  # lemon
-            noise = _zero_sum_noise(rng, m.shape, k, noise_scale)
-            parts = [m / k + n for n in noise[:-1]]
-            parts.append(m - sum(parts))
-        if r == 0:
-            tail = empty
-        elif policy == "lemon":
+        parts = _split_copies(m, k, policy, rng, noise_scale)
+        if policy == "lemon":
             tail = rng.normal(0.0, noise_scale, size=(p, r))
         elif policy == "zero_tail":
             tail = np.zeros((p, r), dtype=m.dtype)
         else:
             tail = m[:, :r].copy()  # circular wrap keeps replicas identical
-        return ColumnSplit(parts=[np.asarray(q, dtype=m.dtype) for q in parts],
+        return ColumnSplit(parts=list(parts.astype(m.dtype, copy=False)),
                            tail=np.asarray(tail, dtype=m.dtype))
 
     if mode != "circ":
         raise PlanError(f"unknown column mode {mode!r}")
-    parts = [np.zeros_like(m) for _ in range(k)]
-    residual = np.zeros((p, r), dtype=m.dtype)
-    for z in range(d_s):
-        copies = k + (1 if z < r else 0)
-        col = m[:, z]
-        if copies == 1:
-            parts[0][:, z] = col
-            continue
-        if policy == "net2net_equal":
-            share = col / copies
-            blocks = [share.copy() for _ in range(copies)]
-        elif policy == "zero_tail":
-            blocks = [col.copy()] + [np.zeros_like(col) for _ in range(copies - 1)]
-        else:  # lemon: equal base + zero-sum noise, last copy closes the sum
-            noise = _zero_sum_noise(rng, col.shape, copies, noise_scale)
-            blocks = [col / copies + n for n in noise[:-1]]
-            blocks.append(col - sum(blocks))
-        for i in range(k):
-            parts[i][:, z] = blocks[i]
-        if z < r:
-            residual[:, z] = blocks[k]
-    return ColumnSplit(parts=parts, tail=None, residual=residual)
+    # the leading r columns wrap around, so they are consumed k+1 times
+    wrapped = _split_copies(m[:, :r], k + 1, policy, rng, noise_scale)
+    rest = _split_copies(m[:, r:], k, policy, rng, noise_scale)
+    parts = np.concatenate([wrapped[:k], rest], axis=2).astype(m.dtype, copy=False)
+    return ColumnSplit(parts=list(parts), tail=None,
+                       residual=wrapped[k].astype(m.dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +328,6 @@ def layer_multiplicities(l_s: int, l_t: int) -> list[int]:
 # depth expansion
 
 
-def _nonzero_normal(rng: np.random.Generator, scale: float) -> float:
-    for _ in range(64):
-        a = float(rng.normal(0.0, scale))
-        if abs(a) > MIN_SEPARATION * scale:
-            return a
-    raise PlanError("could not draw a nonzero coefficient")  # pragma: no cover
-
-
 def _zero_output_block(donor: BlockWeights) -> BlockWeights:
     """type1: copy the donor and zero both output projections."""
     blk = donor.copy()
@@ -371,14 +359,14 @@ def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
     heads = [base_heads[m % h_s].copy() for m in range(h_t)]
 
     wo = np.zeros((h_t * hd, d_t), dtype=src.attn.wo.dtype)
-    paired_heads = [s for s in range(h_s) if s + h_s < h_t]
-    if paired_heads:
-        for col in range(d_t):
-            s = paired_heads[col % len(paired_heads)]
-            off = col % hd
-            a = _nonzero_normal(rng, noise_scale)
-            wo[s * hd + off, col] = a
-            wo[(s + h_s) * hd + off, col] = -a
+    cols = np.arange(d_t)
+    paired_heads = min(h_s, h_t - h_s)  # head s pairs with head s + h_s
+    if paired_heads > 0:
+        rows = (cols % paired_heads) * hd + cols % hd
+        # the lemon split of a zero row into two copies is exactly (a, -a)
+        plus, minus = _split_copies(np.zeros((1, d_t)), 2, "lemon", rng, noise_scale)[:, 0]
+        wo[rows, cols] = plus
+        wo[rows + h_s * hd, cols] = minus
     bo = np.zeros(d_t, dtype=src.attn.bo.dtype)
 
     split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale)
@@ -387,13 +375,12 @@ def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
     b1 = expand_bias(src.mlp.b1, hidden_t, "circ")
 
     w2 = np.zeros((d_t, hidden_t), dtype=src.mlp.w2.dtype)
-    paired_units = [z for z in range(hidden_s) if z + hidden_s < hidden_t]
-    if paired_units:
-        for row in range(d_t):
-            z = paired_units[row % len(paired_units)]
-            a = _nonzero_normal(rng, noise_scale)
-            w2[row, z] = a
-            w2[row, z + hidden_s] = -a
+    paired_units = min(hidden_s, hidden_t - hidden_s)  # unit z pairs with z + hidden_s
+    if paired_units > 0:
+        units = cols % paired_units
+        plus, minus = _split_copies(np.zeros((1, d_t)), 2, "lemon", rng, noise_scale)[:, 0]
+        w2[cols, units] = plus
+        w2[cols, units + hidden_s] = minus
     b2 = np.zeros(d_t, dtype=src.mlp.b2.dtype)
 
     return BlockWeights(wide.ln1.copy(),

@@ -28,9 +28,6 @@ from .errors import NumericsError, ShapeError
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
-#: relative tolerances customarily used in tests, per dtype
-DTYPE_TOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
-
 
 def _require_float(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x)

@@ -83,8 +83,13 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     Evaluation runs in float64 regardless of the stored dtype.  The
     report carries the per-sample worst logit positions; it is a pure
     function of (checkpoints, samples, seed), independent of the thread
-    count set via ``LEMON_THREADS``.
+    count set via ``LEMON_THREADS``.  Zero samples or a zero sequence
+    length would pass on no evidence, so both are rejected.
     """
+    if samples < 1:
+        raise PlanError(f"--samples must be at least 1, got {samples}")
+    if seq_len < 1:
+        raise PlanError(f"--seq-len must be at least 1, got {seq_len}")
     small_w, small_spec = read_checkpoint(small_path)
     big_w, big_spec = read_checkpoint(big_path)
     _compatible(small_spec, big_spec)
@@ -123,20 +128,27 @@ def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
     For MLP hidden units the fan-out is the unit's column of the second
     layer; for attention heads it is the head's row block of the output
     projection.  Groups expanded with equal splits report exactly 0;
-    symmetry-broken groups report a positive distance.
+    symmetry-broken groups report a positive distance.  A malformed map
+    (a block without a valid index, or a group that is not at least two
+    in-range replicas) raises :class:`PlanError`.
     """
     weights, spec = read_checkpoint(ckpt_path)
     if duplicate_map.get("version") != 1:
         raise PlanError("unsupported duplicate map version")
     hd = spec.head_dim
     entries: list[dict] = []
-    for blk_entry in duplicate_map.get("blocks", []):
-        bi = blk_entry["index"]
-        if not 0 <= bi < len(weights.blocks):
-            raise PlanError(f"duplicate map references missing block {bi}")
+    blocks = duplicate_map.get("blocks", [])
+    if not isinstance(blocks, list):
+        raise PlanError("duplicate map blocks must be a list")
+    for blk_entry in blocks:
+        bi = blk_entry.get("index") if isinstance(blk_entry, dict) else None
+        if not _is_index(bi, len(weights.blocks)):
+            raise PlanError(f"duplicate map references missing block {bi!r}")
         blk = weights.blocks[bi]
-        for kind, groups in (("attn_head", blk_entry.get("attn_head_groups", {})),
-                             ("mlp_hidden", blk_entry.get("mlp_hidden_groups", {}))):
+        for kind, units in (("attn_head", len(blk.attn.heads)),
+                            ("mlp_hidden", blk.mlp.w2.shape[1])):
+            groups = _checked_groups(blk_entry.get(f"{kind}_groups", {}), units,
+                                     f"block {bi} {kind}_groups")
             for src, members in groups.items():
                 if kind == "attn_head":
                     vecs = [blk.attn.wo[m * hd:(m + 1) * hd, :].ravel() for m in members]
@@ -147,6 +159,22 @@ def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
                 entries.append({"block": bi, "kind": kind, "source": int(src),
                                 "replicas": list(members), "min_distance": dist})
     return entries
+
+
+def _is_index(value, n: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n
+
+
+def _checked_groups(groups, units: int, where: str) -> dict:
+    """One block's replica groups, or PlanError if any group is malformed."""
+    if not isinstance(groups, dict):
+        raise PlanError(f"duplicate map {where} must be an object")
+    for src, members in groups.items():
+        if not (str(src).isdigit() and isinstance(members, list) and len(members) >= 2
+                and all(_is_index(m, units) for m in members)):
+            raise PlanError(f"duplicate map {where}[{src!r}] must list at least "
+                            f"2 replicas in [0, {units})")
+    return groups
 
 
 def load_duplicate_map(path) -> dict:

@@ -29,3 +29,23 @@ def toy_model(toy_spec):
         spec = toy_spec(**kw)
         return random_weights(spec, substream(seed, "toy")), spec
     return make
+
+
+class _ZeroNormal:
+    """Generator whose ``normal`` draws are all zero, so lemon replicas can
+    never separate; every other method is a real substream's."""
+
+    def __init__(self):
+        self._g = substream(0, "zero-normal")
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.zeros(() if size is None else size)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+@pytest.fixture
+def zero_normal():
+    """Factory for generators that can never draw separated split noise."""
+    return _ZeroNormal

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lemon import ShapeError
+from lemon import PlanError, ShapeError
 from lemon.cnn import (BatchNormParams, ConvWeights, batchnorm_infer,
                        bottleneck_forward, conv2d, expand_cnn_bottleneck,
                        random_bottleneck)
@@ -118,3 +118,18 @@ class TestBottleneckExpansion:
         w = random_bottleneck(outer=4, inner=3, kernel=3, rng=substream(16, "e"))
         with pytest.raises(ShapeError):
             expand_cnn_bottleneck(w, 2, substream(17, "e"))
+
+    def test_float32_keeps_dtype_and_stays_lossless(self):
+        w = random_bottleneck(outer=5, inner=3, kernel=3, rng=substream(18, "f"),
+                              dtype=np.float32)
+        big = expand_cnn_bottleneck(w, 7, substream(19, "f"))
+        for conv in (big.conv1, big.conv2, big.conv3):
+            assert conv.weight.dtype == np.float32 and conv.bias.dtype == np.float32
+        x = substream(20, "f").standard_normal((5, 4, 4)).astype(np.float32)
+        np.testing.assert_allclose(bottleneck_forward(x, big),
+                                   bottleneck_forward(x, w), rtol=0, atol=1e-5)
+
+    def test_unseparable_noise_rejected(self, zero_normal):
+        w = random_bottleneck(outer=4, inner=2, kernel=3, rng=substream(21, "z"))
+        with pytest.raises(PlanError):
+            expand_cnn_bottleneck(w, 5, zero_normal())

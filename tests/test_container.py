@@ -9,8 +9,7 @@ from lemon import (BadMagicError, MalformedHeaderError, ModelSpec, PlanError,
                    random_weights, read_checkpoint, validate_header,
                    write_checkpoint)
 from lemon.container import (ALIGNMENT, MAGIC, _PREFIX, load_model_config,
-                             load_plan, load_schedule_spec, named_tensors,
-                             read_header)
+                             named_tensors, read_header)
 from lemon.rng import substream
 
 
@@ -177,20 +176,6 @@ class TestCorruption:
 
 
 class TestConfigParsing:
-    def test_load_plan(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"target_width": 16, "target_depth": 4,
-                                    "policy": "net2net_equal", "seed": 9}))
-        plan = load_plan(path)
-        assert plan.target_width == 16 and plan.policy == "net2net_equal"
-
-    def test_load_plan_unknown_field(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"target_width": 16, "target_depth": 4,
-                                    "oops": 1}))
-        with pytest.raises(PlanError):
-            load_plan(path)
-
     def test_load_model_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"norm_style": "pre_ln", "depth": 1,
@@ -206,10 +191,3 @@ class TestConfigParsing:
                                     "vocab_or_classes": 5, "dtype": "float16"}))
         with pytest.raises(PlanError):
             load_model_config(path)
-
-    def test_load_schedule_spec(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({"max_lr": 1e-3, "min_lr": 1e-5,
-                                    "warmup": 5, "total": 300}))
-        spec = load_schedule_spec(path)
-        assert spec.total == 300

@@ -1,14 +1,20 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lemon import (ExpansionPlan, ModelSpec, PlanError, block_forward,
                    expand_mha, expand_mlp, expand_model, expand_vector,
                    mha_forward, mlp_forward, model_forward, random_weights,
                    toy_mlp_gradient_step, validate_weights)
 from lemon.container import named_tensors
-from lemon.expander import (column_split, expand_block_width,
-                            expand_decoder, expand_embeddings,
-                            layer_multiplicities, replica_groups)
+from lemon.expand_ops import expand_matrix_cols
+from lemon.expander import (MIN_SEPARATION, POLICIES, column_split,
+                            expand_block_width, expand_decoder,
+                            expand_embeddings, layer_multiplicities,
+                            replica_groups)
 from lemon import kernels
 from lemon.rng import substream
 
@@ -69,6 +75,45 @@ class TestColumnSplit:
         m = rng("s10").standard_normal((2, 3))
         split = column_split(m, 3, "circ", "lemon", rng("s11"), 0.02)
         np.testing.assert_array_equal(split.parts[0], m)
+
+
+class TestSplitProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 4), d_s=st.integers(1, 6), extra=st.integers(0, 13),
+           mode=st.sampled_from(("rand", "circ")), policy=st.sampled_from(POLICIES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_column_split_contract(self, p, d_s, extra, mode, policy, seed):
+        d_t = d_s + extra
+        m = substream(seed, "m").standard_normal((p, d_s))
+        split = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
+        expand_matrix_cols(m, d_t, mode, split)  # raises SplitError on a bad split
+        again = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
+        for a, b in zip(split.parts + [split.tail, split.residual],
+                        again.parts + [again.tail, again.residual]):
+            np.testing.assert_array_equal(a, b)
+        if policy != "lemon":
+            return
+        for z in range(d_s):
+            replicas = [part[:, z] for part in split.parts]
+            if mode == "circ" and z < d_t % d_s:
+                replicas.append(split.residual[:, z])
+            for a, b in combinations(replicas, 2):
+                assert np.abs(a - b).min() > MIN_SEPARATION * 0.02
+
+    @pytest.mark.parametrize("mode", ("rand", "circ"))
+    def test_unseparable_lemon_split_rejected(self, rng, zero_normal, mode):
+        m = rng("z1").standard_normal((3, 4))
+        with pytest.raises(PlanError):
+            column_split(m, 10, mode, "lemon", zero_normal(), 0.02)
+
+    def test_unseparable_type2_pairs_rejected(self, toy_model, zero_normal,
+                                              monkeypatch):
+        # net2net_equal draws no split noise, so only the ± pairs can fail
+        w, spec = toy_model(depth=1)
+        monkeypatch.setattr("lemon.expander.substream", lambda *tags: zero_normal())
+        plan = ExpansionPlan(16, 2, policy="net2net_equal", depth_mode="type2")
+        with pytest.raises(PlanError):
+            expand_model(w, spec, plan)
 
 
 class TestModuleExpansion:
@@ -267,6 +312,27 @@ class TestDepthExpansion:
         h = spec.hidden_dim
         sums = inserted.mlp.w2[:, :h] + inserted.mlp.w2[:, h:]
         np.testing.assert_array_equal(sums, np.zeros_like(sums))
+
+    def test_type2_pairs_follow_the_reference_layout(self, toy_model):
+        # d_t = 20: heads 2 -> 5 (heads 0, 1 paired), hidden 16 -> 40
+        w, spec = toy_model(depth=1)
+        big_w, _, _ = expand_model(w, spec, ExpansionPlan(20, 2, depth_mode="type2",
+                                                          seed=19))
+        blk = big_w.blocks[1]
+        hd, h_s, hidden_s = spec.head_dim, spec.n_heads, spec.hidden_dim
+        want_wo = np.zeros_like(blk.attn.wo)
+        for col in range(20):
+            row = (col % h_s) * hd + col % hd
+            a = blk.attn.wo[row, col]
+            assert abs(a) > 0
+            want_wo[row, col], want_wo[row + h_s * hd, col] = a, -a
+        np.testing.assert_array_equal(blk.attn.wo, want_wo)
+        want_w2 = np.zeros_like(blk.mlp.w2)
+        for row in range(20):
+            a = blk.mlp.w2[row, row % hidden_s]
+            assert abs(a) > 0
+            want_w2[row, row % hidden_s], want_w2[row, row % hidden_s + hidden_s] = a, -a
+        np.testing.assert_array_equal(blk.mlp.w2, want_w2)
 
     def test_type2_without_width_growth_degenerates_to_zero(self, toy_model):
         w, spec = toy_model(depth=1)

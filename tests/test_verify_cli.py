@@ -113,6 +113,15 @@ class TestVerify:
         _, _, small = workdir
         assert main(["verify", "--small", str(small), "--big", "/nope.lmn"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--samples", "--seq-len"])
+    def test_zero_size_run_usage_error(self, workdir, capsys, flag):
+        _, _, small = workdir
+        assert main(["verify", "--small", str(small), "--big", str(small),
+                     flag, "0"]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
 
 class TestSymmetryCommand:
     def test_lemon_groups_positive(self, workdir, capsys):
@@ -136,6 +145,20 @@ class TestSymmetryCommand:
         _, _, small = workdir
         assert main(["symmetry", "--ckpt", str(small)]) == 0
         assert "empty report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry", [
+        {"mlp_hidden_groups": {"0": [0, 16]}},
+        {"index": 0, "mlp_hidden_groups": {"0": [0, 999]}},
+        {"index": 0, "attn_head_groups": {"0": [0]}},
+    ], ids=["no-index", "member-out-of-range", "group-of-one"])
+    def test_malformed_map_usage_error(self, workdir, capsys, entry):
+        tmp_path, _, small = workdir
+        big = expand_cli(tmp_path, small)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "blocks": [entry]}))
+        assert main(["symmetry", "--ckpt", str(big), "--map", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate map") and err.count("\n") == 1
 
     def test_missing_map_is_io_error(self, workdir):
         _, _, small = workdir
