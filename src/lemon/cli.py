@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .container import (load_model_config, read_checkpoint, read_header,
-                        write_checkpoint)
+from .container import (_read_head, load_model_config, read_checkpoint,
+                        read_header, write_checkpoint)
 from .errors import ContainerError, LemonError, PlanError
 from .expander import DEPTH_MODES, ExpansionPlan, expand_model
 from .schedule import PRESETS, ScheduleSpec, write_schedule_csv
@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big", required=True)
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=None,
+                   help="max logit difference (default: 1e-10 for float64 "
+                        "checkpoints, 1e-5 if either stores float32)")
     p.add_argument("--seq-len", type=int, default=16)
 
     p = sub.add_parser("schedule", help="emit a warmup+cosine schedule as CSV")
@@ -121,8 +123,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_inspect(args) -> int:
     with open(args.file, "rb") as fh:
-        blob = fh.read()
-    spec_dict, table = read_header(blob)
+        spec_dict, table = read_header(*_read_head(fh))
     print(json.dumps(spec_dict, indent=1))
     total = 0
     for entry in table:

@@ -13,19 +13,29 @@ The header JSON holds the model spec and a tensor table of
 absolute, 64-byte aligned, non-overlapping, and in-bounds; scalar eps
 values travel as zero-dimensional float64 tensors.  Readers reject any
 file the validator rejects; nothing is partially loaded.
+
+Readers take the prefix and header first, checking ``header_len``
+against the file size before reading it, then read each tensor straight
+into its own array.  The file is never held whole in memory and never
+mapped: ``expand --out`` may truncate a file in place while another
+process reads it, and a mapped reader would then die of SIGBUS instead
+of raising :class:`TruncatedPayloadError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagicError, MalformedHeaderError, PlanError,
-                     TruncatedPayloadError, UnsupportedVersionError)
+from .errors import (BadMagicError, ContainerError, MalformedHeaderError,
+                     PlanError, TruncatedPayloadError, UnsupportedVersionError)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
                     NormParams, validate_weights)
@@ -98,6 +108,8 @@ def _spec_to_dict(spec: ModelSpec) -> dict:
 
 
 def _spec_from_dict(d: dict) -> ModelSpec:
+    if not isinstance(d, dict):
+        raise MalformedHeaderError("model spec must be a JSON object")
     fields = {f.name for f in dataclasses.fields(ModelSpec)}
     unknown = set(d) - fields
     if unknown:
@@ -105,7 +117,7 @@ def _spec_from_dict(d: dict) -> ModelSpec:
     try:
         spec = ModelSpec(**d)
         spec.validate()
-    except (TypeError, PlanError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedHeaderError(f"invalid model spec: {exc}") from exc
     return spec
 
@@ -211,7 +223,7 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
         if name in seen:
             diags.append(Diagnostic("malformed_header", f"duplicate tensor name {name!r}"))
             continue
-        if entry["dtype"] not in _DTYPES:
+        if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPES:
             diags.append(Diagnostic("malformed_header", f"{name}: unknown dtype {entry['dtype']!r}"))
             continue
         shape = entry["shape"]
@@ -223,8 +235,7 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
         if not isinstance(offset, int) or not isinstance(length, int):
             diags.append(Diagnostic("malformed_header", f"{name}: non-integer span"))
             continue
-        expect = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        expect *= _DTYPES[entry["dtype"]].itemsize
+        expect = math.prod(shape) * _DTYPES[entry["dtype"]].itemsize
         if length != expect:
             diags.append(Diagnostic("malformed_header",
                                     f"{name}: byte_length {length} != shape/dtype size {expect}"))
@@ -264,23 +275,38 @@ def read_header(blob: bytes, file_size: int | None = None) -> tuple[dict, list[d
     return header["model_spec"], header["tensors"]
 
 
-def _tensor_dict(blob: bytes, table: list[dict]) -> dict[str, np.ndarray]:
-    out = {}
-    for entry in table:
-        dtype = _DTYPES[entry["dtype"]]
-        arr = np.frombuffer(blob, dtype=dtype, count=entry["byte_length"] // dtype.itemsize,
-                            offset=entry["byte_offset"])
-        out[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return out
+def _read_head(fh) -> tuple[bytes, int]:
+    """The fixed prefix and JSON header of an open checkpoint, and the
+    file's size.  A ``header_len`` that runs past the end of the file is
+    not read; :func:`read_header` reports it.  Only regular files are
+    accepted: their size bounds every span, and tensors are read by
+    seeking."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise ContainerError(f"{fh.name}: not a regular file")
+    size = st.st_size
+    head = fh.read(_PREFIX.size)
+    if len(head) == _PREFIX.size:
+        header_len = _PREFIX.unpack(head)[2]
+        if _PREFIX.size + header_len <= size:
+            head += fh.read(header_len)
+    return head, size
+
+
+def _read_tensor(fh, entry: dict) -> np.ndarray:
+    arr = np.empty(entry["shape"], dtype=_DTYPES[entry["dtype"]])
+    fh.seek(entry["byte_offset"])
+    if fh.readinto(arr) != arr.nbytes:
+        raise TruncatedPayloadError(f"{entry['name']}: payload ends before its span")
+    return arr
 
 
 def read_checkpoint(path) -> tuple[ModelWeights, ModelSpec]:
     """Exact reconstruction of a written checkpoint."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    spec_dict, table = read_header(blob)
-    spec = _spec_from_dict(spec_dict)
-    tensors = _tensor_dict(blob, table)
+        spec_dict, table = read_header(*_read_head(fh))
+        spec = _spec_from_dict(spec_dict)
+        tensors = {entry["name"]: _read_tensor(fh, entry) for entry in table}
 
     def take(name: str) -> np.ndarray:
         try:

@@ -43,7 +43,7 @@ the way in and cast back on the way out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -473,34 +473,22 @@ def expand_depth(wide_blocks: list[BlockWeights], src_blocks: list[BlockWeights]
 
 
 def map_arrays(w: ModelWeights, fn) -> ModelWeights:
-    w = w.copy()
+    """A new weight structure holding ``fn(a)`` in place of every array.
 
-    def conv(a):
-        return None if a is None else fn(a)
+    Every dataclass and list is rebuilt, so the result shares no
+    structure with ``w``; it shares arrays only where ``fn`` returns its
+    argument.  ``w`` itself is left untouched.
+    """
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            return fn(obj)
+        if isinstance(obj, list):
+            return [walk(x) for x in obj]
+        if is_dataclass(obj):
+            return replace(obj, **{f.name: walk(getattr(obj, f.name)) for f in fields(obj)})
+        return obj  # None, or a norm's float eps
 
-    emb = w.embedding
-    emb.token_table = conv(emb.token_table)
-    emb.patch_weight = conv(emb.patch_weight)
-    emb.patch_bias = conv(emb.patch_bias)
-    emb.cls_token = conv(emb.cls_token)
-    emb.positions = conv(emb.positions)
-    for blk in w.blocks:
-        for ln in (blk.ln1, blk.ln2):
-            ln.mu = fn(ln.mu)
-            ln.beta = conv(ln.beta)
-        for h in blk.attn.heads:
-            for f in ("wq", "wk", "wv", "bq", "bk", "bv"):
-                setattr(h, f, fn(getattr(h, f)))
-        blk.attn.wo = fn(blk.attn.wo)
-        blk.attn.bo = fn(blk.attn.bo)
-        for f in ("w1", "b1", "w2", "b2"):
-            setattr(blk.mlp, f, fn(getattr(blk.mlp, f)))
-    if w.final_norm is not None:
-        w.final_norm.mu = fn(w.final_norm.mu)
-        w.final_norm.beta = conv(w.final_norm.beta)
-    w.dec_weight = conv(w.dec_weight)
-    w.dec_bias = fn(w.dec_bias)
-    return w
+    return walk(w)
 
 
 def _stream_mode(style: str) -> str:

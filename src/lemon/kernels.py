@@ -12,10 +12,15 @@ behaviour is pinned down deliberately:
   non-BLAS ``einsum`` loop honours both properties; if not, matmul falls
   back to rounding each product individually and accumulating with
   numpy's pairwise summation, which satisfies them by construction.
+* ``matmul`` takes its right operand as stored or as a transposed view
+  (``w.T`` of an (out, in) weight), so callers never copy a weight to
+  transpose it.  einsum walks a view in a different order than a
+  C-contiguous array, so the probe checks both properties in both
+  layouts.
 * ``layernorm`` uses the population variance (``ddof=0``).
 * ``gelu`` is the exact erf-based form, not the tanh approximation.
 
-Tensors are plain C-contiguous numpy arrays of dtype float32 or float64.
+Tensors are numpy arrays of dtype float32 or float64.
 Kernels raise :class:`NumericsError` rather than letting NaN/Inf escape.
 """
 
@@ -61,7 +66,8 @@ def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _einsum_is_trustworthy() -> bool:
     """Check the two accumulation properties matmul promises (see module
-    docstring) on this numpy build, across the k-slab boundary."""
+    docstring) on this numpy build, across the k-slab boundary, with the
+    right operand C-contiguous and as a transposed (Fortran-order) view."""
     g = np.random.Generator(np.random.Philox(key=[7, 11]))
     for k_half in (5, _CHUNK):
         h = g.standard_normal((3, 2 * k_half))
@@ -71,14 +77,16 @@ def _einsum_is_trustworthy() -> bool:
             z = t % k_half
             w[z, t] = 0.02 * (t + 1)
             w[z + k_half, t] = -w[z, t]
-        if not np.all(_einsum(h, w) == 0.0):
-            return False
         base = g.standard_normal((k_half, 7))
-        dup = np.ascontiguousarray(np.hstack([base, base, base[:, :2]]))
-        c = _einsum(g.standard_normal((3, k_half)), dup)
-        for j in range(dup.shape[1]):
-            if not np.array_equal(c[:, j], c[:, j % 7]):
+        dup = np.hstack([base, base, base[:, :2]])
+        lhs = g.standard_normal((3, k_half))
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            if not np.all(_einsum(h, layout(w)) == 0.0):
                 return False
+            c = _einsum(lhs, layout(dup))
+            for j in range(dup.shape[1]):
+                if not np.array_equal(c[:, j], c[:, j % 7]):
+                    return False
     return True
 
 

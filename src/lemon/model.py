@@ -271,17 +271,15 @@ def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec) -> np.nd
         q = kernels.matmul(x, head.wq) + head.bq
         k = kernels.matmul(x, head.wk) + head.bk
         v = kernels.matmul(x, head.wv) + head.bv
-        scores = kernels.matmul(q, np.ascontiguousarray(k.T)) * x.dtype.type(scale)
+        scores = kernels.matmul(q, k.T) * x.dtype.type(scale)
         outs.append(kernels.matmul(kernels.softmax_rows(scores), v))
-    concat = np.ascontiguousarray(np.hstack(outs))
-    return kernels.matmul(concat, attn.wo) + attn.bo
+    return kernels.matmul(np.hstack(outs), attn.wo) + attn.bo
 
 
 def mlp_forward(x: np.ndarray, mlp: MlpWeights, spec: ModelSpec) -> np.ndarray:
     """Per-token two-layer MLP: w2 @ act(w1 @ x + b1) + b2."""
-    hidden = kernels.activation(kernels.matmul(x, np.ascontiguousarray(mlp.w1.T)) + mlp.b1,
-                                spec.activation)
-    return kernels.matmul(hidden, np.ascontiguousarray(mlp.w2.T)) + mlp.b2
+    hidden = kernels.activation(kernels.matmul(x, mlp.w1.T) + mlp.b1, spec.activation)
+    return kernels.matmul(hidden, mlp.w2.T) + mlp.b2
 
 
 def block_forward(x: np.ndarray, block: BlockWeights, spec: ModelSpec) -> np.ndarray:
@@ -316,7 +314,7 @@ def embed(inputs: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.ndarray:
     if patches.ndim != 2 or patches.shape != (spec.num_patches, spec.patch_dim):
         raise ShapeError(f"patch input must have shape "
                          f"{(spec.num_patches, spec.patch_dim)}, got {patches.shape}")
-    x = kernels.matmul(patches, np.ascontiguousarray(emb.patch_weight.T)) + emb.patch_bias
+    x = kernels.matmul(patches, emb.patch_weight.T) + emb.patch_bias
     x = np.vstack([emb.cls_token[None, :], x])
     return x + emb.positions
 
@@ -333,7 +331,7 @@ def model_forward(inputs: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.nd
     if w.final_norm is not None:
         x = apply_norm(x, w.final_norm, spec)
     table = w.embedding.token_table if spec.tied_decoder else w.dec_weight
-    logits = kernels.matmul(x, np.ascontiguousarray(table.T)) + w.dec_bias
+    logits = kernels.matmul(x, table.T) + w.dec_bias
     if spec.input_kind == "vision":
         return logits[0]
     return logits

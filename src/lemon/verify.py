@@ -20,13 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .container import read_checkpoint, write_checkpoint
+from .container import named_tensors, read_checkpoint, write_checkpoint
 from .errors import PlanError
 from .model import ModelSpec, model_forward, random_weights
 from .rng import substream
 
 #: environment variable capping verification parallelism
 THREADS_ENV = "LEMON_THREADS"
+
+#: default tolerance per stored dtype; one float32 tensor in either
+#: checkpoint gives the pair the float32 value
+DEFAULT_TOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-5}
 
 
 def _thread_count() -> int:
@@ -77,10 +81,13 @@ def _draw_input(spec: ModelSpec, rng: np.random.Generator, seq_len: int):
 
 
 def verify_lossless(small_path, big_path, samples: int, seed: int,
-                    tol: float, seq_len: int = 16) -> VerifyReport:
+                    tol: float | None, seq_len: int = 16) -> VerifyReport:
     """Compare two checkpoints on ``samples`` seeded random inputs.
 
-    Evaluation runs in float64 regardless of the stored dtype.  The
+    Evaluation runs in float64 regardless of the stored dtype.  A ``tol``
+    of None takes :data:`DEFAULT_TOL` of the stored dtypes: 1e-10 when
+    every tensor of both checkpoints is float64, 1e-5 once any is
+    float32, whose expansions agree only to float32 resolution.  The
     report carries the per-sample worst logit positions; it is a pure
     function of (checkpoints, samples, seed), independent of the thread
     count set via ``LEMON_THREADS``.  Zero samples or a zero sequence
@@ -93,6 +100,10 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     small_w, small_spec = read_checkpoint(small_path)
     big_w, big_spec = read_checkpoint(big_path)
     _compatible(small_spec, big_spec)
+    if tol is None:
+        tol = max(DEFAULT_TOL[a.dtype]
+                  for w, spec in ((small_w, small_spec), (big_w, big_spec))
+                  for _, a in named_tensors(w, spec))
     small64 = _as64(small_w)
     big64 = _as64(big_w)
 
@@ -114,8 +125,9 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
 
 
 def _as64(w):
+    """The weights in float64; float64 arrays are passed through uncopied."""
     from .expander import map_arrays
-    return map_arrays(w, lambda a: a.astype(np.float64))
+    return map_arrays(w, lambda a: np.asarray(a, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 import json
+import os
 import struct
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lemon import (BadMagicError, MalformedHeaderError, ModelSpec, PlanError,
-                   TruncatedPayloadError, UnsupportedVersionError,
-                   random_weights, read_checkpoint, validate_header,
-                   write_checkpoint)
-from lemon.container import (ALIGNMENT, MAGIC, _PREFIX, load_model_config,
-                             named_tensors, read_header)
+from lemon import (BadMagicError, ContainerError, MalformedHeaderError,
+                   ModelSpec, PlanError, TruncatedPayloadError,
+                   UnsupportedVersionError, random_weights, read_checkpoint,
+                   validate_header, write_checkpoint)
+from lemon.container import (ALIGNMENT, MAGIC, _PREFIX, _read_head,
+                             load_model_config, named_tensors, read_header)
 from lemon.rng import substream
 
 
@@ -75,6 +81,12 @@ class TestRoundTrip:
         w, spec, path = write_toy(tmp_path, eps=0.125)
         got_w, _ = read_checkpoint(path)
         assert got_w.blocks[0].ln1.eps == 0.125
+
+    def test_loaded_arrays_are_owned_writable_and_contiguous(self, tmp_path):
+        _, _, path = write_toy(tmp_path)
+        got_w, got_spec = read_checkpoint(path)
+        for name, a in named_tensors(got_w, got_spec):
+            assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous, name
 
 
 class TestCorruption:
@@ -173,6 +185,69 @@ class TestCorruption:
     def test_valid_file_passes_validator(self, tmp_path):
         _, _, path = write_toy(tmp_path)
         assert validate_header(path.read_bytes()) == []
+
+    def test_overflowing_shape_rejected(self, tmp_path):
+        # 2**33 * 2**31 elements wrap to 0 in int64; the byte count must not
+        _, _, path = write_toy(tmp_path)
+
+        def huge(header):
+            header["tensors"][0].update(shape=[2**33, 2**31], byte_length=0)
+        path.write_bytes(retable(path.read_bytes(), huge))
+        with pytest.raises(MalformedHeaderError):
+            read_checkpoint(path)
+
+    def test_non_finite_spec_value_rejected(self, tmp_path):
+        _, _, path = write_toy(tmp_path)
+
+        def infinite(header):
+            header["model_spec"]["mlp_ratio"] = float("inf")
+        path.write_bytes(retable(path.read_bytes(), infinite))
+        with pytest.raises(MalformedHeaderError):
+            read_checkpoint(path)
+
+    def test_pipe_rejected(self, tmp_path):
+        # a pipe has no size to bound the spans and cannot seek to a tensor
+        _, _, path = write_toy(tmp_path)
+        r, w = os.pipe()
+        os.write(w, path.read_bytes()[:256])
+        os.close(w)
+        with os.fdopen(r, "rb") as fh, pytest.raises(ContainerError, match="regular file"):
+            _read_head(fh)
+
+    def test_huge_header_len_is_not_read(self, tmp_path):
+        _, _, path = write_toy(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<Q", blob, 8, 2**63)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedPayloadError):
+            read_checkpoint(path)
+
+
+@lru_cache(maxsize=1)
+def _toy_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        _, _, path = write_toy(Path(d), depth=1, width=4, head_dim=2, vocab_or_classes=3)
+        return path.read_bytes()
+
+
+class TestCorruptionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flips_and_truncations_raise_only_container_errors(self, data):
+        blob = bytearray(_toy_blob())
+        # a third of the flips land in the fixed prefix, header_len included
+        where = st.one_of(st.integers(0, _PREFIX.size - 1), st.integers(0, len(blob) - 1),
+                          st.integers(0, len(blob) - 1))
+        for pos in data.draw(st.lists(where, max_size=4)):
+            blob[pos] ^= data.draw(st.integers(1, 255))
+        cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.lmn"
+            path.write_bytes(bytes(blob[:cut]))
+            try:
+                read_checkpoint(path)
+            except ContainerError:
+                pass
 
 
 class TestConfigParsing:

@@ -1,3 +1,4 @@
+from dataclasses import fields, is_dataclass
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ from lemon.expand_ops import expand_matrix_cols
 from lemon.expander import (MIN_SEPARATION, POLICIES, column_split,
                             expand_block_width, expand_decoder,
                             expand_embeddings, layer_multiplicities,
-                            replica_groups)
+                            map_arrays, replica_groups)
 from lemon import kernels
 from lemon.rng import substream
 
@@ -467,6 +468,35 @@ class TestExpandModel:
         entry = dup["blocks"][0]
         assert entry["attn_head_groups"] == {"0": [0, 2, 4], "1": [1, 3]}
         assert "mlp_hidden_groups" in entry
+
+
+def _containers(obj):
+    """Every dataclass and list in a weight structure."""
+    if isinstance(obj, list):
+        yield obj
+        for x in obj:
+            yield from _containers(x)
+    elif is_dataclass(obj):
+        yield obj
+        for f in fields(obj):
+            yield from _containers(getattr(obj, f.name))
+
+
+class TestMapArrays:
+    @pytest.mark.parametrize("kw", (dict(), dict(style="rms_pre"), dict(tied_decoder=True),
+                                    dict(input_kind="vision", vocab=9, patch_dim=8,
+                                         num_patches=5)))
+    def test_outputs_never_alias_inputs(self, toy_spec, kw):
+        spec = toy_spec(**kw)
+        w = random_weights(spec, substream(31, "map"))
+        out = map_arrays(w, lambda a: a.astype(np.float32))
+        validate_weights(out, spec)
+        assert not {id(c) for c in _containers(w)} & {id(c) for c in _containers(out)}
+        for (na, a), (nb, b) in zip(named_tensors(w, spec), named_tensors(out, spec)):
+            assert na == nb and not np.shares_memory(a, b)
+            if not na.endswith(".eps"):  # eps travels as a python float
+                assert b.dtype == np.float32
+                np.testing.assert_array_equal(b, a.astype(np.float32))
 
 
 class TestMotivatingScale:

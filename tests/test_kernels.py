@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lemon import NumericsError, ShapeError
 from lemon import kernels
@@ -58,28 +60,62 @@ class TestMatmul:
     @pytest.mark.parametrize("impl", ("active", "fallback"))
     def test_accumulation_contracts(self, rng, monkeypatch, impl):
         # both inner loops must keep replicated columns bitwise equal and
-        # cancel exact +/- pairs to exactly zero
+        # cancel exact +/- pairs to exactly zero, whether the right operand
+        # is stored (in, out) or is the transposed view of an (out, in) weight
         if impl == "fallback":
             monkeypatch.setattr(kernels, "_inner", kernels._multiply_then_sum)
         g = rng("contract", impl)
         for k in (6, 300):
-            base = g.standard_normal((k, 5))
-            dup = np.ascontiguousarray(np.hstack([base, base, base[:, :2]]))
-            c = kernels.matmul(g.standard_normal((4, k)), dup)
-            for j in range(dup.shape[1]):
-                np.testing.assert_array_equal(c[:, j], c[:, j % 5])
-            h = g.standard_normal((4, 2 * k))
-            h[:, k:] = h[:, :k]
-            w = np.zeros((2 * k, 3))
-            for t in range(3):
-                z = int(g.integers(0, k))
-                w[z, t] = g.standard_normal()
-                w[z + k, t] = -w[z, t]
-            out = kernels.matmul(h, w)
-            assert np.all(out == 0.0)
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                base = g.standard_normal((k, 5))
+                dup = layout(np.hstack([base, base, base[:, :2]]))
+                c = kernels.matmul(g.standard_normal((4, k)), dup)
+                for j in range(dup.shape[1]):
+                    np.testing.assert_array_equal(c[:, j], c[:, j % 5])
+                h = g.standard_normal((4, 2 * k))
+                h[:, k:] = h[:, :k]
+                w = np.zeros((2 * k, 3))
+                for t in range(3):
+                    z = int(g.integers(0, k))
+                    w[z, t] = g.standard_normal()
+                    w[z + k, t] = -w[z, t]
+                out = kernels.matmul(h, layout(w))
+                assert np.all(out == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3072), n=st.integers(1, 6), m=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_transposed_view_contracts(self, k, n, m, seed):
+        # the model passes (out, in) weights as w.T views
+        g = np.random.default_rng(seed)
+        base = g.standard_normal((n, k))
+        w = np.vstack([base, base, base[:1]])  # duplicated output rows
+        c = kernels.matmul(g.standard_normal((m, k)), w.T)
+        for j in range(w.shape[0]):
+            np.testing.assert_array_equal(c[:, j], c[:, j % n])
+        h = g.standard_normal((m, 2 * k))
+        h[:, k:] = h[:, :k]
+        pm = np.zeros((3, 2 * k))  # one +/- pair over the input dim per row
+        rows, z = np.arange(3), g.integers(0, k, size=3)
+        pm[rows, z] = g.standard_normal(3)
+        pm[rows, z + k] = -pm[rows, z]
+        assert np.all(kernels.matmul(h, pm.T) == 0.0)
 
     def test_fallback_probe_runs(self):
         assert kernels._einsum_is_trustworthy() in (True, False)
+
+    def test_failing_transposed_probe_selects_fallback(self, monkeypatch):
+        real = kernels._einsum
+
+        def wrong_on_views(a, b):
+            out = real(a, b)
+            return out if b.flags.c_contiguous else out + 1e-300
+
+        monkeypatch.setattr(kernels, "_einsum", wrong_on_views)
+        monkeypatch.setattr(kernels, "_inner", None)
+        assert not kernels._einsum_is_trustworthy()
+        kernels.matmul(np.ones((2, 3)), np.ones((3, 2)))
+        assert kernels._inner is kernels._multiply_then_sum
 
 
 class TestLayernorm:

@@ -83,8 +83,8 @@ class TestMlp:
         mlp = w.blocks[0].mlp
         x = rng("chain").standard_normal((5, spec.width))
         hidden = kernels.activation(
-            kernels.matmul(x, np.ascontiguousarray(mlp.w1.T)) + mlp.b1, spec.activation)
-        want = kernels.matmul(hidden, np.ascontiguousarray(mlp.w2.T)) + mlp.b2
+            kernels.matmul(x, mlp.w1.T) + mlp.b1, spec.activation)
+        want = kernels.matmul(hidden, mlp.w2.T) + mlp.b2
         np.testing.assert_array_equal(mlp_forward(x, mlp, spec), want)
 
 
@@ -132,7 +132,7 @@ class TestModelForward:
         ids = np.array([3, 0, 7])
         x = w.embedding.token_table[ids]
         x = kernels.layernorm(x, w.final_norm.mu, w.final_norm.beta, w.final_norm.eps)
-        want = kernels.matmul(x, np.ascontiguousarray(w.dec_weight.T)) + w.dec_bias
+        want = kernels.matmul(x, w.dec_weight.T) + w.dec_bias
         np.testing.assert_array_equal(model_forward(ids, w, spec), want)
 
     def test_logits_shape(self, toy_model):
@@ -176,8 +176,7 @@ class TestModelForward:
         for blk in w.blocks:
             x = block_forward(x, blk, spec)
         x = apply_norm(x, w.final_norm, spec)
-        want = kernels.matmul(
-            x, np.ascontiguousarray(w.embedding.token_table.T)) + w.dec_bias
+        want = kernels.matmul(x, w.embedding.token_table.T) + w.dec_bias
         np.testing.assert_array_equal(logits, want)
 
 
@@ -189,8 +188,7 @@ class TestInvariants:
         mlp.w1[1] = mlp.w1[0]
         mlp.b1[1] = mlp.b1[0]
         x = rng("sym").standard_normal((6, spec.width))
-        hidden = kernels.activation(
-            kernels.matmul(x, np.ascontiguousarray(mlp.w1.T)) + mlp.b1, spec.activation)
+        hidden = kernels.activation(kernels.matmul(x, mlp.w1.T) + mlp.b1, spec.activation)
         np.testing.assert_array_equal(hidden[:, 0], hidden[:, 1])
 
     def test_head_permutation_invariance(self, toy_model, rng):

@@ -1,10 +1,12 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from lemon import (model_forward, read_checkpoint, symmetry_report,
-                   verify_lossless)
+from lemon import (model_forward, read_checkpoint, read_header,
+                   symmetry_report, verify_lossless)
+from lemon import cli
 from lemon.cli import main
 
 CFG = {"norm_style": "pre_ln", "depth": 2, "width": 8, "head_dim": 4,
@@ -109,6 +111,26 @@ class TestVerify:
         monkeypatch.setenv("LEMON_THREADS", "4")
         assert verify_lossless(small, big, samples=6, seed=11, tol=1e-10) == base
 
+    def test_default_tol_follows_float64(self, workdir, capsys):
+        tmp_path, _, small = workdir
+        big = expand_cli(tmp_path, small)
+        assert main(["verify", "--small", str(small), "--big", str(big),
+                     "--samples", "4"]) == 0
+        assert "(tol 1e-10)" in capsys.readouterr().out
+
+    def test_float32_pair_passes_without_tol(self, tmp_path, capsys):
+        cfg = tmp_path / "f32.json"
+        cfg.write_text(json.dumps({**CFG, "dtype": "float32"}))
+        small = tmp_path / "small32.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(small),
+                     "--seed", "1"]) == 0
+        big = expand_cli(tmp_path, small, name="big32.lmn")
+        argv = ["verify", "--small", str(small), "--big", str(big), "--samples", "8"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(tol 1e-05)" in out and out.endswith("PASS\n")
+        assert main(argv + ["--tol", "1e-12"]) == 1  # an explicit --tol wins
+
     def test_missing_file_io_error(self, workdir):
         _, _, small = workdir
         assert main(["verify", "--small", str(small), "--big", "/nope.lmn"]) == 3
@@ -188,6 +210,30 @@ class TestOtherCommands:
         assert main(["inspect", str(small)]) == 0
         out = capsys.readouterr().out
         assert "embedding.token_table" in out and "payload bytes" in out
+
+    def test_inspect_reads_only_the_header(self, workdir, monkeypatch):
+        _, _, small = workdir
+        reads = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                reads.append(len(data))
+                return data
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: CountingFile(path, "r"),
+                            raising=False)
+        assert main(["inspect", str(small)]) == 0
+        _, table = read_header(small.read_bytes())
+        assert 0 < sum(reads) <= table[0]["byte_offset"]
+
+    def test_inspect_truncated_payload_io_error(self, workdir, capsys):
+        tmp_path, _, small = workdir
+        cut = tmp_path / "cut.lmn"
+        cut.write_bytes(small.read_bytes()[:-16])
+        assert main(["inspect", str(cut)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_inspect_bad_file(self, tmp_path):
         bad = tmp_path / "bad.lmn"
