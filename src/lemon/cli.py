@@ -11,9 +11,10 @@ import json
 import sys
 
 from .container import (_read_head, load_model_config, read_checkpoint,
-                        read_header, write_checkpoint)
+                        read_header)
 from .errors import ContainerError, LemonError, PlanError
-from .expander import DEPTH_MODES, ExpansionPlan, expand_model
+from .expander import (DEPTH_MODES, ExpansionPlan, expand_model,
+                       post_ln_depth_is_inexact)
 from .schedule import PRESETS, ScheduleSpec, write_schedule_csv
 from .verify import (duplicate_map_path, init_random_model, load_duplicate_map,
                      symmetry_report, verify_lossless)
@@ -85,8 +86,11 @@ def _cmd_expand(args) -> int:
                          seed=args.seed,
                          noise_scale=args.noise_scale,
                          depth_source=args.depth_source)
-    new_w, new_spec, dup_map = expand_model(weights, spec, plan)
-    write_checkpoint(new_w, new_spec, args.out)
+    if post_ln_depth_is_inexact(weights, spec, plan):
+        print("warning: growing the depth of a post_ln model with eps > 0 is lossless "
+              "only up to an O(eps) error; verify it with an explicit --tol",
+              file=sys.stderr)
+    _, new_spec, dup_map = expand_model(weights, spec, plan, out=args.out)
     with open(duplicate_map_path(args.out), "w", encoding="utf-8") as fh:
         json.dump(dup_map, fh, indent=1)
     print(f"expanded ({spec.depth}, {spec.width}) -> "

@@ -14,16 +14,30 @@ absolute, 64-byte aligned, non-overlapping, and in-bounds; scalar eps
 values travel as zero-dimensional float64 tensors.  Readers reject any
 file the validator rejects; nothing is partially loaded.
 
+Which tensors a model has, and their names, shapes and dtypes, follow
+from its spec and its one weight dtype alone:
+:func:`lemon.model.tensor_schema` is the only definition.  The writer lays out the header from the schema
+before it has a single tensor, then takes the tensors one at a time in
+checkpoint order, checks each against its schema entry and writes it
+from its own buffer, so a caller can build a model block by block and
+never hold it whole (``expand --out`` does).  The file is written under
+a temporary name in the destination's directory and moved into place
+only once complete, so a failed write leaves an existing file as it was
+and a concurrent reader sees either the old file or the new one.
+
 Readers take the prefix and header first, checking ``header_len``
-against the file size before reading it, then read each tensor straight
-into its own array.  The file is never held whole in memory and never
-mapped: ``expand --out`` may truncate a file in place while another
-process reads it, and a mapped reader would then die of SIGBUS instead
-of raising :class:`TruncatedPayloadError`.
+against the file size before reading it, then check the tensor table
+against the schema of the stored spec, and only then read tensors, each
+straight into its own array.  :class:`CheckpointReader` reads them on
+demand, one block at a time (``verify`` and ``symmetry`` do); the file
+is never held whole in memory and never mapped, because a mapped reader
+of a file truncated under it dies of SIGBUS instead of raising
+:class:`TruncatedPayloadError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -35,10 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadMagicError, ContainerError, MalformedHeaderError,
-                     PlanError, TruncatedPayloadError, UnsupportedVersionError)
-from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
-                    HeadWeights, MlpWeights, ModelSpec, ModelWeights,
-                    NormParams, validate_weights)
+                     PlanError, ShapeError, TruncatedPayloadError,
+                     UnsupportedVersionError)
+from .model import (EPS_DTYPE, AttentionWeights, BlockWeights,
+                    EmbeddingWeights, HeadWeights, MlpWeights, ModelSpec,
+                    ModelWeights, NormParams, TensorEntry, block_schema,
+                    decoder_schema, embedding_schema, flat_arrays,
+                    tensor_schema)
 
 MAGIC = b"LEMN"
 VERSION = 1
@@ -63,44 +80,13 @@ def _align(offset: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tensor naming schema
-
-
-def _norm_items(prefix: str, norm: NormParams) -> list[tuple[str, np.ndarray]]:
-    items = [(f"{prefix}.mu", norm.mu)]
-    if norm.beta is not None:
-        items.append((f"{prefix}.beta", norm.beta))
-    items.append((f"{prefix}.eps", np.asarray(norm.eps, dtype=np.float64)))
-    return items
+# tensor naming
 
 
 def named_tensors(w: ModelWeights, spec: ModelSpec) -> list[tuple[str, np.ndarray]]:
     """Flatten model weights into the container's (name, tensor) schema."""
-    items: list[tuple[str, np.ndarray]] = []
-    emb = w.embedding
-    if spec.input_kind == "token":
-        items.append(("embedding.token_table", emb.token_table))
-    else:
-        items += [("embedding.patch_weight", emb.patch_weight),
-                  ("embedding.patch_bias", emb.patch_bias),
-                  ("embedding.cls_token", emb.cls_token),
-                  ("embedding.positions", emb.positions)]
-    for i, blk in enumerate(w.blocks):
-        p = f"blocks.{i}"
-        items += _norm_items(f"{p}.ln1", blk.ln1)
-        for h, head in enumerate(blk.attn.heads):
-            for f in ("wq", "wk", "wv", "bq", "bk", "bv"):
-                items.append((f"{p}.attn.head{h}.{f}", getattr(head, f)))
-        items += [(f"{p}.attn.wo", blk.attn.wo), (f"{p}.attn.bo", blk.attn.bo)]
-        items += _norm_items(f"{p}.ln2", blk.ln2)
-        for f in ("w1", "b1", "w2", "b2"):
-            items.append((f"{p}.mlp.{f}", getattr(blk.mlp, f)))
-    if w.final_norm is not None:
-        items += _norm_items("final_norm", w.final_norm)
-    if w.dec_weight is not None:
-        items.append(("decoder.weight", w.dec_weight))
-    items.append(("decoder.bias", w.dec_bias))
-    return items
+    return [(entry.name, arr) for entry, arr in
+            zip(tensor_schema(spec, w.dec_bias.dtype), flat_arrays(w))]
 
 
 def _spec_to_dict(spec: ModelSpec) -> dict:
@@ -126,51 +112,102 @@ def _spec_from_dict(d: dict) -> ModelSpec:
 # writing
 
 
-def write_checkpoint(w: ModelWeights, spec: ModelSpec, path) -> None:
-    """Serialize weights + spec; writing then reading is bitwise exact."""
-    validate_weights(w, spec)
-    tensors = []
-    for name, arr in named_tensors(w, spec):
-        arr = np.asarray(arr)
-        if arr.ndim:
-            arr = np.ascontiguousarray(arr)  # would promote 0-d eps to 1-d
-        if arr.dtype not in _DTYPE_NAMES:
-            raise PlanError(f"tensor {name} has unsupported dtype {arr.dtype}")
-        tensors.append((name, arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
-
-    def layout(header_len: int) -> list[dict]:
-        table = []
-        offset = _align(_PREFIX.size + header_len)
-        for name, arr in tensors:
-            length = arr.nbytes
-            table.append({"name": name, "dtype": _DTYPE_NAMES[arr.dtype],
-                          "shape": list(arr.shape), "byte_offset": offset,
-                          "byte_length": length})
-            offset = _align(offset + length)
-        return table
-
+def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[int]]:
+    """The JSON header and the absolute offset of every tensor."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lengths = [math.prod(e.shape) * e.dtype.itemsize for e in schema]
+    # the records differ from layout to layout only in their offsets:
+    # encode the rest once (the same text json.dumps gives the records)
+    heads = [f'{{"name":{encode(e.name)},"dtype":"{_DTYPE_NAMES[e.dtype]}",'
+             f'"shape":[{",".join(map(str, e.shape))}],"byte_offset":' for e in schema]
+    tails = [f',"byte_length":{n}}}' for n in lengths]
+    opening = f'{{"model_spec":{encode(_spec_to_dict(spec))},"tensors":['
     # the header length depends on the offsets it contains; iterate to a
     # fixed point (offset digit counts grow monotonically, so this settles)
     header_len = 0
     for _ in range(8):
-        header = json.dumps({"model_spec": _spec_to_dict(spec),
-                             "tensors": layout(header_len)},
-                            separators=(",", ":")).encode("utf-8")
+        offsets = []
+        offset = _align(_PREFIX.size + header_len)
+        for length in lengths:
+            offsets.append(offset)
+            offset = _align(offset + length)
+        records = ",".join([f"{h}{o}{t}" for h, o, t in zip(heads, offsets, tails)])
+        header = f"{opening}{records}]}}".encode("utf-8")
         if len(header) == header_len:
-            break
+            return header, offsets
         header_len = len(header)
-    else:
-        raise PlanError("header layout did not converge")
+    raise PlanError("header layout did not converge")
 
-    table = layout(header_len)
-    with open(path, "wb") as fh:
-        fh.write(_PREFIX.pack(MAGIC, VERSION, header_len))
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A new binary file that replaces ``path`` when the block completes;
+    on any error it is removed and ``path`` is left as it was.
+
+    A symlinked ``path`` is replaced at its target.  An existing ``path``
+    that is not a regular file (a device, a pipe, a directory) is never
+    replaced.  The new file is written under a temporary name in the
+    target's directory, so the final move is one rename, and is created
+    with the permissions the umask gives a new file.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        pass
+    else:
+        if not stat.S_ISREG(mode):
+            raise ContainerError(f"{path}: not a regular file")
+    folder, base = os.path.split(target)
+    tmp = os.path.join(folder, f".{base}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_tensors(path, spec: ModelSpec, dtype, arrays) -> None:
+    """Write a ``spec`` model whose weights are ``dtype`` from ``arrays``,
+    an iterable of its tensors in checkpoint order.
+
+    Each tensor is checked against its schema entry before it is written,
+    and ``arrays`` is consumed one tensor at a time, so it may produce
+    the model part by part.  ``path`` is replaced only when every tensor
+    has been written; on any error it is left as it was.
+    """
+    spec.validate()
+    dtype = np.dtype(dtype)
+    if dtype not in _DTYPE_NAMES:
+        raise PlanError(f"unsupported weight dtype {dtype}")
+    schema = list(tensor_schema(spec, dtype))
+    header, offsets = _header(spec, schema)
+    with _replacing(path) as fh:
+        fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
         fh.write(header)
-        pos = _PREFIX.size + header_len
-        for (name, arr), entry in zip(tensors, table):
-            fh.write(b"\0" * (entry["byte_offset"] - pos))
-            fh.write(arr.tobytes())
-            pos = entry["byte_offset"] + entry["byte_length"]
+        pos = _PREFIX.size + len(header)
+        arrays = iter(arrays)
+        for entry, offset in zip(schema, offsets):
+            arr = next(arrays, None)
+            if arr is None:
+                raise ShapeError(f"tensor {entry.name} missing")
+            arr = np.asarray(arr)
+            if arr.shape != entry.shape or arr.dtype != entry.dtype:
+                raise ShapeError(f"tensor {entry.name} is {arr.dtype}{list(arr.shape)}, "
+                                 f"the spec needs {entry.dtype}{list(entry.shape)}")
+            fh.write(b"\0" * (offset - pos))
+            fh.write(np.ascontiguousarray(arr) if arr.ndim else arr)
+            pos = offset + arr.nbytes
+        if next(arrays, None) is not None:
+            raise ShapeError(f"more tensors than the {len(schema)} the spec has")
+
+
+def write_checkpoint(w: ModelWeights, spec: ModelSpec, path) -> None:
+    """Serialize weights + spec; writing then reading is bitwise exact."""
+    write_tensors(path, spec, w.dec_bias.dtype, flat_arrays(w))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +282,16 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
         if offset < _PREFIX.size + header_len or offset + length > size:
             diags.append(Diagnostic("truncated_payload",
                                     f"{name}: span [{offset}, {offset + length}) outside file of {size} bytes"))
-        for o, l, other in spans:
-            if offset < o + l and o < offset + length:
-                diags.append(Diagnostic("malformed_header",
-                                        f"tensors {other!r} and {name!r} overlap"))
         seen[name] = (offset, length)
         spans.append((offset, length, name))
+    # in offset order, a span overlaps an earlier one iff it starts before
+    # the furthest end so far
+    end, owner = -math.inf, ""
+    for offset, length, name in sorted(spans):
+        if offset < end:
+            diags.append(Diagnostic("malformed_header", f"tensors {owner!r} and {name!r} overlap"))
+        if offset + length > end:
+            end, owner = offset + length, name
     return diags
 
 
@@ -293,63 +334,97 @@ def _read_head(fh) -> tuple[bytes, int]:
     return head, size
 
 
-def _read_tensor(fh, entry: dict) -> np.ndarray:
-    arr = np.empty(entry["shape"], dtype=_DTYPES[entry["dtype"]])
-    fh.seek(entry["byte_offset"])
-    if fh.readinto(arr) != arr.nbytes:
-        raise TruncatedPayloadError(f"{entry['name']}: payload ends before its span")
-    return arr
+def _checked_table(table: list[dict], spec: ModelSpec) -> tuple[dict[str, dict], np.dtype]:
+    """The table by tensor name and the weights' dtype, once every entry
+    matches the schema of ``spec``: same names, shapes and dtypes.  The
+    weights' dtype is the decoder bias's (every model has one)."""
+    by_name = {entry["name"]: entry for entry in table}
+    bias = by_name.get("decoder.bias")
+    dtype = _DTYPES[bias["dtype"]] if bias is not None else EPS_DTYPE
+    expected = set()
+    for entry in tensor_schema(spec, dtype):  # lazy: stops at the first miss
+        got = by_name.get(entry.name)
+        if got is None:
+            raise MalformedHeaderError(f"missing tensor {entry.name!r}")
+        if tuple(got["shape"]) != entry.shape or _DTYPES[got["dtype"]] != entry.dtype:
+            raise MalformedHeaderError(
+                f"tensor table inconsistent with spec: {entry.name} is "
+                f"{got['dtype']}{got['shape']}, the spec needs "
+                f"{_DTYPE_NAMES[entry.dtype]}{list(entry.shape)}")
+        expected.add(entry.name)
+    if len(expected) != len(by_name):
+        raise MalformedHeaderError(f"unexpected tensors: {sorted(set(by_name) - expected)}")
+    return by_name, dtype
+
+
+class CheckpointReader:
+    """An open checkpoint whose header and tensor table have been checked
+    against the schema of its spec; tensors are read only when asked for.
+
+    Use as a context manager.  ``spec`` is the stored model spec and
+    ``dtype`` the weights' dtype (eps is always float64).
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            spec_dict, table = read_header(*_read_head(self._fh))
+            self.spec = _spec_from_dict(spec_dict)
+            self._table, self.dtype = _checked_table(table, self.spec)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "CheckpointReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def tensor(self, name: str) -> np.ndarray:
+        """One tensor, read into its own array."""
+        entry = self._table[name]
+        arr = np.empty(entry["shape"], dtype=_DTYPES[entry["dtype"]])
+        self._fh.seek(entry["byte_offset"])
+        if self._fh.readinto(arr) != arr.nbytes:
+            raise TruncatedPayloadError(f"{name}: payload ends before its span")
+        return arr
+
+    def _tensors(self, schema):
+        return (self.tensor(entry.name) for entry in schema)
+
+    def block(self, i: int) -> BlockWeights:
+        """Block ``i``, read tensor by tensor."""
+        arrs = self._tensors(block_schema(self.spec, i, self.dtype))
+        ln1 = self._norm(arrs)
+        heads = [HeadWeights(*(next(arrs) for _ in range(6)))
+                 for _ in range(self.spec.n_heads)]
+        attn = AttentionWeights(heads, next(arrs), next(arrs))
+        ln2 = self._norm(arrs)
+        return BlockWeights(ln1, attn, ln2, MlpWeights(*arrs))
+
+    def shell(self) -> ModelWeights:
+        """Everything but the blocks: the embedding, the final norm and the
+        decoder, in a :class:`ModelWeights` whose block list is empty."""
+        emb = {entry.name.split(".", 1)[1]: self.tensor(entry.name)
+               for entry in embedding_schema(self.spec, self.dtype)}
+        arrs = self._tensors(decoder_schema(self.spec, self.dtype))
+        final = self._norm(arrs) if self.spec.has_final_norm else None
+        dec_w = None if self.spec.tied_decoder else next(arrs)
+        return ModelWeights(EmbeddingWeights(**emb), [], final, dec_w, next(arrs))
+
+    def _norm(self, arrs) -> NormParams:
+        mu = next(arrs)
+        beta = None if self.spec.is_rms else next(arrs)
+        return NormParams(mu, beta, float(next(arrs)))
 
 
 def read_checkpoint(path) -> tuple[ModelWeights, ModelSpec]:
     """Exact reconstruction of a written checkpoint."""
-    with open(path, "rb") as fh:
-        spec_dict, table = read_header(*_read_head(fh))
-        spec = _spec_from_dict(spec_dict)
-        tensors = {entry["name"]: _read_tensor(fh, entry) for entry in table}
-
-    def take(name: str) -> np.ndarray:
-        try:
-            return tensors.pop(name)
-        except KeyError:
-            raise MalformedHeaderError(f"missing tensor {name!r}") from None
-
-    def take_norm(prefix: str) -> NormParams:
-        mu = take(f"{prefix}.mu")
-        beta = None if spec.is_rms else take(f"{prefix}.beta")
-        eps = take(f"{prefix}.eps")
-        if eps.size != 1:
-            raise MalformedHeaderError(f"{prefix}.eps must be a scalar")
-        return NormParams(mu, beta, float(eps.item(0)))
-
-    if spec.input_kind == "token":
-        emb = EmbeddingWeights(token_table=take("embedding.token_table"))
-    else:
-        emb = EmbeddingWeights(patch_weight=take("embedding.patch_weight"),
-                               patch_bias=take("embedding.patch_bias"),
-                               cls_token=take("embedding.cls_token"),
-                               positions=take("embedding.positions"))
-    blocks = []
-    for i in range(spec.depth):
-        p = f"blocks.{i}"
-        ln1 = take_norm(f"{p}.ln1")
-        heads = [HeadWeights(*(take(f"{p}.attn.head{h}.{f}")
-                               for f in ("wq", "wk", "wv", "bq", "bk", "bv")))
-                 for h in range(spec.n_heads)]
-        attn = AttentionWeights(heads, take(f"{p}.attn.wo"), take(f"{p}.attn.bo"))
-        ln2 = take_norm(f"{p}.ln2")
-        mlp = MlpWeights(*(take(f"{p}.mlp.{f}") for f in ("w1", "b1", "w2", "b2")))
-        blocks.append(BlockWeights(ln1, attn, ln2, mlp))
-    final = take_norm("final_norm") if spec.has_final_norm else None
-    dec_w = None if spec.tied_decoder else take("decoder.weight")
-    weights = ModelWeights(emb, blocks, final, dec_w, take("decoder.bias"))
-    if tensors:
-        raise MalformedHeaderError(f"unexpected tensors: {sorted(tensors)}")
-    try:
-        validate_weights(weights, spec)
-    except Exception as exc:
-        raise MalformedHeaderError(f"tensor table inconsistent with spec: {exc}") from exc
-    return weights, spec
+    with CheckpointReader(path) as reader:
+        weights = reader.shell()
+        weights.blocks = [reader.block(i) for i in range(reader.spec.depth)]
+        return weights, reader.spec
 
 
 # ---------------------------------------------------------------------------

@@ -43,17 +43,19 @@ the way in and cast back on the way out.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
+from .container import named_tensors, write_tensors
 from .errors import PlanError
 from .expand_ops import (ColumnSplit, _check_extents, expand_bias,
                          expand_layernorm, expand_matrix_cols,
                          expand_matrix_rows, expand_rmsnorm, expand_vector)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
-                    NormParams, spec_with, validate_weights)
+                    NormParams, flat_arrays, spec_with, validate_weights)
 from .rng import substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
@@ -434,38 +436,34 @@ def _post_ln_chain(wide: BlockWeights, count: int) -> list[tuple[BlockWeights, s
     return chain
 
 
-def expand_depth(wide_blocks: list[BlockWeights], src_blocks: list[BlockWeights],
-                 spec: ModelSpec, d_t: int, hidden_t: int, l_t: int,
-                 depth_mode: str, policy: str, seed: int, noise_scale: float,
-                 depth_source: str = "self") -> tuple[list[BlockWeights], list[str]]:
-    """Grow ``len(wide_blocks)`` width-expanded blocks to ``l_t`` blocks.
+def expand_depth(i: int, count: int, wide: BlockWeights, donor_wide: BlockWeights,
+                 donor_src: BlockWeights, spec: ModelSpec, hidden_t: int,
+                 plan: ExpansionPlan) -> list[tuple[BlockWeights, str]]:
+    """Grow source block ``i`` into ``count`` target blocks.
 
-    Returns the new block list plus a per-block role tag: ``carrier``
-    blocks compute the source function (``attn_carrier``/``mlp_carrier``
-    for the split roles of the post-norm chain) and ``inserted`` blocks
-    contribute nothing at initialization.
+    ``wide`` is block ``i`` width-expanded; ``donor_wide`` and
+    ``donor_src`` are the block that inserted blocks copy (``i`` itself,
+    or ``i + 1`` under ``depth_source="next"``), width-expanded and as
+    in the source.  Returns each target block with a role tag:
+    ``carrier`` blocks compute the source function
+    (``attn_carrier``/``mlp_carrier`` for the split roles of the
+    post-norm chain) and ``inserted`` blocks contribute nothing at
+    initialization.
     """
-    mult = layer_multiplicities(len(wide_blocks), l_t)
-    out: list[tuple[BlockWeights, str]] = []
-    for i, wide in enumerate(wide_blocks):
-        if spec.norm_style == "post_ln":
-            out.extend(_post_ln_chain(wide, mult[i]))
-            continue
-        out.append((wide, "carrier"))
-        donor_i = min(i + 1, len(wide_blocks) - 1) if depth_source == "next" else i
-        for c in range(mult[i] - 1):
-            if spec.norm_style == "post_res_norm":
-                blk = _zero_norm_block(wide_blocks[donor_i])
-            elif depth_mode == "type1":
-                blk = _zero_output_block(wide_blocks[donor_i])
-            else:
-                rng = substream(seed, "depth", i, c)
-                blk = _cancelling_block(src_blocks[donor_i], wide, spec, d_t,
-                                        hidden_t, policy, rng, noise_scale)
-            out.append((blk, "inserted"))
-    blocks = [b for b, _ in out]
-    roles = [role for _, role in out]
-    return blocks, roles
+    if spec.norm_style == "post_ln":
+        return _post_ln_chain(wide, count)
+    out = [(wide, "carrier")]
+    for c in range(count - 1):
+        if spec.norm_style == "post_res_norm":
+            blk = _zero_norm_block(donor_wide)
+        elif plan.depth_mode == "type1":
+            blk = _zero_output_block(donor_wide)
+        else:
+            blk = _cancelling_block(donor_src, wide, spec, plan.target_width, hidden_t,
+                                    plan.policy, substream(plan.seed, "depth", i, c),
+                                    plan.noise_scale)
+        out.append((blk, "inserted"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,34 +493,39 @@ def _stream_mode(style: str) -> str:
     return "zero" if style in ("post_res_norm", "rms_pre") else "avg"
 
 
-def expand_model(weights: ModelWeights, spec: ModelSpec,
-                 plan: ExpansionPlan) -> tuple[ModelWeights, ModelSpec, dict]:
-    """Expand a whole model per ``plan``; width first, then depth.
+def _expanded_parts(work: ModelWeights, spec: ModelSpec, target_spec: ModelSpec,
+                    plan: ExpansionPlan, roles: list[str]):
+    """The target model, part by part in checkpoint order: the embedding,
+    each block, the final norm (or None), the decoder weight (or None,
+    when tied) and the decoder bias.  Each block's role is appended to
+    ``roles`` as it is yielded.
 
-    Returns the expanded weights, the target spec, and a duplicate map
-    describing which target heads/hidden units are replicas of the same
-    source unit (per function-carrying block).  The expanded model
-    computes the same function as the source on every input.
+    Every part draws from its own substream (``("block", i)``,
+    ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
+    in which parts are built does not change a single value.  At most
+    two width-expanded blocks are alive at a time: block ``i`` and, for
+    ``depth_source="next"``, block ``i + 1``.
     """
-    spec.validate()
-    validate_weights(weights, spec)
-    plan.validate(spec)
-
-    in_dtype = weights.dec_bias.dtype
-    work = (map_arrays(weights, lambda a: a.astype(np.float64))
-            if in_dtype == np.float32 else weights)
-    d_t, l_t = plan.target_width, plan.target_depth
-    target_spec = spec_with(spec, width=d_t, depth=l_t)
-    hidden_t = target_spec.hidden_dim
+    d_t, hidden_t = target_spec.width, target_spec.hidden_dim
     seed, policy, noise = plan.seed, plan.policy, plan.noise_scale
+    yield expand_embeddings(work.embedding, spec, d_t, _stream_mode(spec.norm_style))
 
-    wide_blocks = [
-        expand_block_width(blk, spec, d_t, hidden_t, policy,
-                           substream(seed, "block", i), noise)
-        for i, blk in enumerate(work.blocks)
-    ]
-    embedding = expand_embeddings(work.embedding, spec, d_t,
-                                  _stream_mode(spec.norm_style))
+    wide: dict[int, BlockWeights] = {}
+
+    def widened(j: int) -> BlockWeights:
+        if j not in wide:
+            wide[j] = expand_block_width(work.blocks[j], spec, d_t, hidden_t, policy,
+                                         substream(seed, "block", j), noise)
+        return wide[j]
+
+    for i, count in enumerate(layer_multiplicities(spec.depth, plan.target_depth)):
+        donor = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
+        for blk, role in expand_depth(i, count, widened(i), widened(donor),
+                                      work.blocks[donor], spec, hidden_t, plan):
+            roles.append(role)
+            yield blk
+        wide.pop(i)
+
     final_norm = None
     if work.final_norm is not None:
         final_norm = expand_norm_params(work.final_norm, d_t,
@@ -534,25 +537,76 @@ def expand_model(weights: ModelWeights, spec: ModelSpec,
                 final_norm.mu = final_norm.mu / k
                 if final_norm.beta is not None:
                     final_norm.beta = final_norm.beta / k
-    dec_weight = None
-    if work.dec_weight is not None:
-        dec_weight = expand_decoder(work.dec_weight, d_t, policy,
-                                    substream(seed, "decoder"), noise)
+    yield final_norm
+    yield (None if work.dec_weight is None else
+           expand_decoder(work.dec_weight, d_t, policy, substream(seed, "decoder"), noise))
+    yield work.dec_bias.copy()
 
-    blocks, roles = expand_depth(wide_blocks, work.blocks, spec, d_t, hidden_t,
-                                 l_t, plan.depth_mode, policy, seed, noise,
-                                 plan.depth_source)
 
-    out = ModelWeights(embedding, blocks, final_norm, dec_weight,
-                       work.dec_bias.copy())
+def post_ln_depth_is_inexact(weights: ModelWeights, spec: ModelSpec,
+                             plan: ExpansionPlan) -> bool:
+    """True when ``plan`` grows the depth of a post_ln model whose norms
+    have eps > 0: the chain of re-normalizations that carries one block's
+    function is exact only for eps = 0, and otherwise off by O(eps)."""
+    return (spec.norm_style == "post_ln" and plan.target_depth > spec.depth
+            and any(norm.eps > 0 for blk in weights.blocks for norm in (blk.ln1, blk.ln2)))
+
+
+def _check_finite(weights: ModelWeights, spec: ModelSpec) -> None:
+    """Reject a source holding NaN or Inf, naming its first such tensor."""
+    for name, a in named_tensors(weights, spec):
+        # one reduction per tensor; a sum can also overflow, so confirm
+        if not math.isfinite(a.sum()) and not np.isfinite(a).all():
+            raise PlanError(f"source tensor {name} holds NaN or Inf")
+
+
+def expand_model(weights: ModelWeights, spec: ModelSpec, plan: ExpansionPlan,
+                 out=None) -> tuple[ModelWeights | None, ModelSpec, dict]:
+    """Expand a whole model per ``plan``; width first, then depth.
+
+    Returns the expanded weights, the target spec, and a duplicate map
+    describing which target heads/hidden units are replicas of the same
+    source unit (per function-carrying block).  The expanded model
+    computes the same function as the source on every input.
+
+    With ``out``, the model is written to that path as a checkpoint
+    instead, each block as soon as it is built, so no more than the
+    source and about one target block are held at a time; the returned
+    weights are then None.  ``out`` is replaced only once the whole
+    checkpoint is written.
+    """
+    spec.validate()
+    validate_weights(weights, spec)
+    plan.validate(spec)
+    _check_finite(weights, spec)
+
+    in_dtype = weights.dec_bias.dtype
+    work = (map_arrays(weights, lambda a: a.astype(np.float64))
+            if in_dtype == np.float32 else weights)
+    target_spec = spec_with(spec, width=plan.target_width, depth=plan.target_depth)
+    roles: list[str] = []
+    parts = _expanded_parts(work, spec, target_spec, plan, roles)
     if in_dtype == np.float32:
-        out = map_arrays(out, lambda a: a.astype(np.float32))
-    validate_weights(out, target_spec)
+        parts = (map_arrays(part, lambda a: a.astype(np.float32)) for part in parts)
 
+    if out is not None:
+        write_tensors(out, target_spec, in_dtype,
+                      (a for part in parts for a in flat_arrays(part)))
+        expanded = None
+    else:
+        embedding = next(parts)
+        blocks = [next(parts) for _ in range(target_spec.depth)]
+        expanded = ModelWeights(embedding, blocks, *parts)
+        validate_weights(expanded, target_spec)
+    return expanded, target_spec, _duplicate_map(spec, target_spec, plan.policy, roles)
+
+
+def _duplicate_map(spec: ModelSpec, target_spec: ModelSpec, policy: str,
+                   roles: list[str]) -> dict:
     head_g = {str(s): idx for s, idx in
               replica_groups(spec.n_heads, target_spec.n_heads).items()}
     mlp_g = {str(s): idx for s, idx in
-             replica_groups(spec.hidden_dim, hidden_t).items()}
+             replica_groups(spec.hidden_dim, target_spec.hidden_dim).items()}
     dup_blocks = []
     for ti, role in enumerate(roles):
         entry: dict = {"index": ti}
@@ -562,10 +616,9 @@ def expand_model(weights: ModelWeights, spec: ModelSpec,
             entry["mlp_hidden_groups"] = mlp_g
         if len(entry) > 1:
             dup_blocks.append(entry)
-    duplicate_map = {
+    return {
         "version": 1,
         "policy": policy,
         "head_dim": spec.head_dim,
         "blocks": dup_blocks,
     }
-    return out, target_spec, duplicate_map

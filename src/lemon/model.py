@@ -20,7 +20,8 @@ machinery of any kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ INPUT_KINDS = ("token", "vision")
 RMS_STYLES = ("rms_pre",)
 #: styles that keep a final norm in front of the decoder
 FINAL_NORM_STYLES = ("pre_ln", "rms_pre")
+#: every norm's eps is stored in this dtype, whatever the weights' dtype
+EPS_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -199,60 +202,118 @@ class ModelWeights:
                             self.dec_bias.copy())
 
 
+# ---------------------------------------------------------------------------
+# tensor schema: the name, shape and dtype of every tensor a spec implies,
+# in checkpoint order (the order the weight dataclasses declare their
+# fields in); checkpoints and validate_weights both follow it
+
+
+class TensorEntry(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    dtype: np.dtype
+
+
+def _norm_schema(prefix: str, spec: ModelSpec, dtype: np.dtype):
+    yield TensorEntry(f"{prefix}.mu", (spec.width,), dtype)
+    if not spec.is_rms:
+        yield TensorEntry(f"{prefix}.beta", (spec.width,), dtype)
+    yield TensorEntry(f"{prefix}.eps", (), EPS_DTYPE)
+
+
+def block_schema(spec: ModelSpec, i: int, dtype: np.dtype):
+    """The tensors of block ``i``, in checkpoint order."""
+    d, hd, hidden = spec.width, spec.head_dim, spec.hidden_dim
+    p = f"blocks.{i}"
+    yield from _norm_schema(f"{p}.ln1", spec, dtype)
+    for h in range(spec.n_heads):
+        for f in ("wq", "wk", "wv"):
+            yield TensorEntry(f"{p}.attn.head{h}.{f}", (d, hd), dtype)
+        for f in ("bq", "bk", "bv"):
+            yield TensorEntry(f"{p}.attn.head{h}.{f}", (hd,), dtype)
+    yield TensorEntry(f"{p}.attn.wo", (spec.n_heads * hd, d), dtype)
+    yield TensorEntry(f"{p}.attn.bo", (d,), dtype)
+    yield from _norm_schema(f"{p}.ln2", spec, dtype)
+    yield TensorEntry(f"{p}.mlp.w1", (hidden, d), dtype)
+    yield TensorEntry(f"{p}.mlp.b1", (hidden,), dtype)
+    yield TensorEntry(f"{p}.mlp.w2", (d, hidden), dtype)
+    yield TensorEntry(f"{p}.mlp.b2", (d,), dtype)
+
+
+def embedding_schema(spec: ModelSpec, dtype: np.dtype):
+    """The embedding's tensors, in checkpoint order."""
+    d = spec.width
+    if spec.input_kind == "token":
+        yield TensorEntry("embedding.token_table", (spec.vocab_or_classes, d), dtype)
+        return
+    yield TensorEntry("embedding.patch_weight", (d, spec.patch_dim), dtype)
+    yield TensorEntry("embedding.patch_bias", (d,), dtype)
+    yield TensorEntry("embedding.cls_token", (d,), dtype)
+    yield TensorEntry("embedding.positions", (spec.num_patches + 1, d), dtype)
+
+
+def decoder_schema(spec: ModelSpec, dtype: np.dtype):
+    """Everything after the blocks: final norm and decoder."""
+    if spec.has_final_norm:
+        yield from _norm_schema("final_norm", spec, dtype)
+    if not spec.tied_decoder:
+        yield TensorEntry("decoder.weight", (spec.vocab_or_classes, spec.width), dtype)
+    yield TensorEntry("decoder.bias", (spec.vocab_or_classes,), dtype)
+
+
+def tensor_schema(spec: ModelSpec, dtype):
+    """Every tensor of a ``spec`` model with weights of ``dtype``, in
+    checkpoint order, as :class:`TensorEntry` records (lazily)."""
+    dtype = np.dtype(dtype)
+    yield from embedding_schema(spec, dtype)
+    for i in range(spec.depth):
+        yield from block_schema(spec, i, dtype)
+    yield from decoder_schema(spec, dtype)
+
+
+def flat_arrays(obj) -> list[np.ndarray]:
+    """The arrays of a weight structure (the whole model or any part of
+    it) in checkpoint order.
+
+    Dataclass fields are declared in checkpoint order, so this is a walk
+    over fields and lists that skips absent (None) tensors and turns each
+    norm's float eps into a 0-d float64 array.
+    """
+    out: list[np.ndarray] = []
+    _flatten(obj, out)
+    return out
+
+
+def _flatten(obj, out: list) -> None:
+    if isinstance(obj, np.ndarray):
+        out.append(obj)
+    elif isinstance(obj, list):
+        for item in obj:
+            _flatten(item, out)
+    elif is_dataclass(obj):
+        for name in obj.__dataclass_fields__:
+            _flatten(getattr(obj, name), out)
+    elif obj is not None:
+        out.append(np.asarray(obj, dtype=EPS_DTYPE))
+
+
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeError(msg)
 
 
 def validate_weights(w: ModelWeights, spec: ModelSpec) -> None:
-    """Check every tensor extent against the spec."""
+    """Check every tensor extent against the spec's tensor schema."""
     spec.validate()
-    d, hd, hidden = spec.width, spec.head_dim, spec.hidden_dim
     _expect(len(w.blocks) == spec.depth,
             f"expected {spec.depth} blocks, got {len(w.blocks)}")
-    emb = w.embedding
-    if spec.input_kind == "token":
-        _expect(emb.token_table is not None
-                and emb.token_table.shape == (spec.vocab_or_classes, d),
-                "token table shape mismatch")
-    else:
-        _expect(emb.patch_weight is not None and emb.patch_weight.shape == (d, spec.patch_dim),
-                "patch projection shape mismatch")
-        _expect(emb.patch_bias is not None and emb.patch_bias.shape == (d,),
-                "patch bias shape mismatch")
-        _expect(emb.cls_token is not None and emb.cls_token.shape == (d,),
-                "class token shape mismatch")
-        _expect(emb.positions is not None
-                and emb.positions.shape == (spec.num_patches + 1, d),
-                "positional embedding shape mismatch")
-    for i, blk in enumerate(w.blocks):
-        _expect(len(blk.attn.heads) == spec.n_heads, f"block {i}: head count mismatch")
-        for h in blk.attn.heads:
-            for name in ("wq", "wk", "wv"):
-                _expect(getattr(h, name).shape == (d, hd), f"block {i}: {name} shape")
-            for name in ("bq", "bk", "bv"):
-                _expect(getattr(h, name).shape == (hd,), f"block {i}: {name} shape")
-        _expect(blk.attn.wo.shape == (spec.n_heads * hd, d), f"block {i}: wo shape")
-        _expect(blk.attn.bo.shape == (d,), f"block {i}: bo shape")
-        _expect(blk.mlp.w1.shape == (hidden, d), f"block {i}: w1 shape")
-        _expect(blk.mlp.b1.shape == (hidden,), f"block {i}: b1 shape")
-        _expect(blk.mlp.w2.shape == (d, hidden), f"block {i}: w2 shape")
-        _expect(blk.mlp.b2.shape == (d,), f"block {i}: b2 shape")
-        for ln in (blk.ln1, blk.ln2):
-            _expect(ln.mu.shape == (d,), f"block {i}: norm weight shape")
-            _expect((ln.beta is None) == spec.is_rms, f"block {i}: norm beta presence")
-            if ln.beta is not None:
-                _expect(ln.beta.shape == (d,), f"block {i}: norm beta shape")
-    _expect((w.final_norm is not None) == spec.has_final_norm, "final norm presence")
-    if w.final_norm is not None:
-        _expect(w.final_norm.mu.shape == (d,), "final norm shape")
-    if spec.tied_decoder:
-        _expect(w.dec_weight is None, "tied decoder must not carry its own weight")
-    else:
-        _expect(w.dec_weight is not None
-                and w.dec_weight.shape == (spec.vocab_or_classes, d),
-                "decoder weight shape mismatch")
-    _expect(w.dec_bias.shape == (spec.vocab_or_classes,), "decoder bias shape mismatch")
+    schema = list(tensor_schema(spec, np.float64))  # only the shapes are checked
+    arrays = flat_arrays(w)
+    for entry, a in zip(schema, arrays):
+        _expect(a.shape == entry.shape,
+                f"{entry.name}: shape {a.shape}, the spec needs {entry.shape}")
+    _expect(len(arrays) == len(schema),
+            f"{len(arrays)} tensors, the spec needs {len(schema)}")
 
 
 def apply_norm(x: np.ndarray, norm: NormParams, spec: ModelSpec) -> np.ndarray:
@@ -328,6 +389,13 @@ def model_forward(inputs: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.nd
     x = embed(inputs, w, spec)
     for block in w.blocks:
         x = block_forward(x, block, spec)
+    return decode(x, w, spec)
+
+
+def decode(x: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.ndarray:
+    """The stream leaving the last block -> (final norm) -> decoder logits,
+    of the class-token position for vision models.  Reads no block of
+    ``w``."""
     if w.final_norm is not None:
         x = apply_norm(x, w.final_norm, spec)
     table = w.embedding.token_table if spec.tied_decoder else w.dec_weight

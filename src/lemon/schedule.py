@@ -56,6 +56,12 @@ def cosine_lr(spec: ScheduleSpec, t: int) -> float:
     spec.validate()
     if not 0 <= t <= spec.total:
         raise PlanError(f"step {t} outside [0, {spec.total}]")
+    return _lr(spec, t)
+
+
+def _lr(spec: ScheduleSpec, t: int) -> float:
+    """:func:`cosine_lr` without its checks, for a validated spec and an
+    in-range step."""
     if t < spec.warmup:
         return spec.max_lr * (t + 1) / spec.warmup
     span = spec.total - spec.warmup
@@ -65,13 +71,14 @@ def cosine_lr(spec: ScheduleSpec, t: int) -> float:
 
 def schedule_rows(spec: ScheduleSpec):
     """Yield ``(step, lr)`` for every step 0..total inclusive."""
+    spec.validate()
     for t in range(spec.total + 1):
-        yield t, cosine_lr(spec, t)
+        yield t, _lr(spec, t)
 
 
 def write_schedule_csv(spec: ScheduleSpec, path) -> None:
     """Emit ``step,lr`` rows, one per step, 17 significant digits."""
+    spec.validate()
+    text = "".join([f"{t},{_lr(spec, t):.17g}\n" for t in range(spec.total + 1)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,lr\n")
-        for t, lr in schedule_rows(spec):
-            fh.write(f"{t},{lr:.17g}\n")
+        fh.write("step,lr\n" + text)

@@ -11,6 +11,7 @@ under training while equal fan-out keeps them locked together.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -20,16 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .container import named_tensors, read_checkpoint, write_checkpoint
+from .container import CheckpointReader, read_checkpoint, write_checkpoint
 from .errors import PlanError
-from .model import ModelSpec, model_forward, random_weights
+from .model import (ModelSpec, block_forward, decode, embed, model_forward,
+                    random_weights)
 from .rng import substream
 
 #: environment variable capping verification parallelism
 THREADS_ENV = "LEMON_THREADS"
 
-#: default tolerance per stored dtype; one float32 tensor in either
-#: checkpoint gives the pair the float32 value
+#: default tolerance per stored weight dtype; a float32 model on either
+#: side gives the pair the float32 value
 DEFAULT_TOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-5}
 
 
@@ -86,42 +88,58 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
 
     Evaluation runs in float64 regardless of the stored dtype.  A ``tol``
     of None takes :data:`DEFAULT_TOL` of the stored dtypes: 1e-10 when
-    every tensor of both checkpoints is float64, 1e-5 once any is
+    both checkpoints hold float64 weights, 1e-5 once either holds
     float32, whose expansions agree only to float32 resolution.  The
     report carries the per-sample worst logit positions; it is a pure
     function of (checkpoints, samples, seed), independent of the thread
     count set via ``LEMON_THREADS``.  Zero samples or a zero sequence
     length would pass on no evidence, so both are rejected.
+
+    The small model is read whole.  The big one is read a block at a
+    time, after its header and tensor table have been checked: every
+    sample passes through block ``i`` before block ``i + 1`` is read, so
+    no more than one of its blocks is held at once.
     """
     if samples < 1:
         raise PlanError(f"--samples must be at least 1, got {samples}")
     if seq_len < 1:
         raise PlanError(f"--seq-len must be at least 1, got {seq_len}")
     small_w, small_spec = read_checkpoint(small_path)
-    big_w, big_spec = read_checkpoint(big_path)
-    _compatible(small_spec, big_spec)
-    if tol is None:
-        tol = max(DEFAULT_TOL[a.dtype]
-                  for w, spec in ((small_w, small_spec), (big_w, big_spec))
-                  for _, a in named_tensors(w, spec))
-    small64 = _as64(small_w)
-    big64 = _as64(big_w)
+    with CheckpointReader(big_path) as big, _sample_map() as each:
+        big_spec = big.spec
+        _compatible(small_spec, big_spec)
+        if tol is None:
+            tol = max(DEFAULT_TOL[small_w.dec_bias.dtype], DEFAULT_TOL[big.dtype])
+        small64 = _as64(small_w)
+        inputs = [_draw_input(small_spec, substream(seed, "verify", i), seq_len)
+                  for i in range(samples)]
+        want = each(lambda x: model_forward(x, small64, small_spec), inputs)
+        shell = _as64(big.shell())
+        xs = each(lambda x: embed(x, shell, big_spec), inputs)
+        for i in range(big_spec.depth):
+            block = _as64(big.block(i))
+            xs = each(lambda x: block_forward(x, block, big_spec), xs)
+            del block  # before the next block is read
+        got = each(lambda x: decode(x, shell, big_spec), xs)
 
-    def one(i: int) -> SampleDiff:
-        x = _draw_input(small_spec, substream(seed, "verify", i), seq_len)
-        diff = np.abs(model_forward(x, big64, big_spec)
-                      - model_forward(x, small64, small_spec))
+    results = []
+    for i, (a, b) in enumerate(zip(got, want)):
+        diff = np.abs(a - b)
         pos = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        return SampleDiff(i, tuple(int(p) for p in pos), float(diff[pos]))
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(samples)))
-    else:
-        results = [one(i) for i in range(samples)]
+        results.append(SampleDiff(i, tuple(int(p) for p in pos), float(diff[pos])))
     worst = max((s.abs_diff for s in results), default=0.0)
     return VerifyReport(worst, tol, results)
+
+
+@contextlib.contextmanager
+def _sample_map():
+    """``map`` over samples as a list, on ``LEMON_THREADS`` threads."""
+    workers = _thread_count()
+    if workers == 1:
+        yield lambda fn, items: [fn(x) for x in items]
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, items: list(pool.map(fn, items))
 
 
 def _as64(w):
@@ -142,34 +160,39 @@ def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
     projection.  Groups expanded with equal splits report exactly 0;
     symmetry-broken groups report a positive distance.  A malformed map
     (a block without a valid index, or a group that is not at least two
-    in-range replicas) raises :class:`PlanError`.
+    in-range replicas) raises :class:`PlanError`.  Of the checkpoint's
+    payload, only those two projections of the blocks the map names are
+    read.
     """
-    weights, spec = read_checkpoint(ckpt_path)
-    if duplicate_map.get("version") != 1:
-        raise PlanError("unsupported duplicate map version")
-    hd = spec.head_dim
-    entries: list[dict] = []
-    blocks = duplicate_map.get("blocks", [])
-    if not isinstance(blocks, list):
-        raise PlanError("duplicate map blocks must be a list")
-    for blk_entry in blocks:
-        bi = blk_entry.get("index") if isinstance(blk_entry, dict) else None
-        if not _is_index(bi, len(weights.blocks)):
-            raise PlanError(f"duplicate map references missing block {bi!r}")
-        blk = weights.blocks[bi]
-        for kind, units in (("attn_head", len(blk.attn.heads)),
-                            ("mlp_hidden", blk.mlp.w2.shape[1])):
-            groups = _checked_groups(blk_entry.get(f"{kind}_groups", {}), units,
-                                     f"block {bi} {kind}_groups")
-            for src, members in groups.items():
-                if kind == "attn_head":
-                    vecs = [blk.attn.wo[m * hd:(m + 1) * hd, :].ravel() for m in members]
-                else:
-                    vecs = [blk.mlp.w2[:, m] for m in members]
-                dist = min(float(np.abs(a - b).max())
-                           for i, a in enumerate(vecs) for b in vecs[i + 1:])
-                entries.append({"block": bi, "kind": kind, "source": int(src),
-                                "replicas": list(members), "min_distance": dist})
+    with CheckpointReader(ckpt_path) as reader:
+        spec = reader.spec
+        if duplicate_map.get("version") != 1:
+            raise PlanError("unsupported duplicate map version")
+        hd = spec.head_dim
+        entries: list[dict] = []
+        blocks = duplicate_map.get("blocks", [])
+        if not isinstance(blocks, list):
+            raise PlanError("duplicate map blocks must be a list")
+        for blk_entry in blocks:
+            bi = blk_entry.get("index") if isinstance(blk_entry, dict) else None
+            if not _is_index(bi, spec.depth):
+                raise PlanError(f"duplicate map references missing block {bi!r}")
+            for kind, units, tensor in (("attn_head", spec.n_heads, "attn.wo"),
+                                        ("mlp_hidden", spec.hidden_dim, "mlp.w2")):
+                groups = _checked_groups(blk_entry.get(f"{kind}_groups", {}), units,
+                                         f"block {bi} {kind}_groups")
+                if not groups:
+                    continue
+                w = reader.tensor(f"blocks.{bi}.{tensor}")
+                for src, members in groups.items():
+                    if kind == "attn_head":
+                        vecs = [w[m * hd:(m + 1) * hd, :].ravel() for m in members]
+                    else:
+                        vecs = [w[:, m] for m in members]
+                    dist = min(float(np.abs(a - b).max())
+                               for i, a in enumerate(vecs) for b in vecs[i + 1:])
+                    entries.append({"block": bi, "kind": kind, "source": int(src),
+                                    "replicas": list(members), "min_distance": dist})
     return entries
 
 

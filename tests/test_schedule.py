@@ -100,3 +100,13 @@ class TestCsv:
         rows = dict(line.split(",") for line in path.read_text().splitlines()[1:])
         assert float(rows[str(VIT.warmup)]) == VIT.max_lr
         assert float(rows[str(VIT.total)]) == VIT.min_lr
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_csv_equals_per_step_cosine_lr_rows(tmp_path, name):
+    spec = PRESETS[name]
+    out = tmp_path / "s.csv"
+    write_schedule_csv(spec, out)
+    want = "step,lr\n" + "".join(f"{t},{cosine_lr(spec, t):.17g}\n"
+                                 for t in range(spec.total + 1))
+    assert out.read_bytes() == want.encode("utf-8")

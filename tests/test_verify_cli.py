@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -255,3 +257,75 @@ class TestOtherCommands:
         a = expand_cli(tmp_path, small, name="a.lmn", seed=5)
         b = expand_cli(tmp_path, small, name="b.lmn", seed=5)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestExpandContract:
+    ARGV = ["--target-width", "16", "--target-depth", "4", "--seed", "3"]
+
+    def expand(self, small, out):
+        return main(["expand", "--in", str(small), "--out", str(out), *self.ARGV])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_source_usage_error(self, workdir, capsys, value):
+        tmp_path, _, small = workdir
+        from lemon import write_checkpoint
+        w, spec = read_checkpoint(small)
+        w.blocks[1].mlp.w2[3, 2] = value
+        write_checkpoint(w, spec, small)
+        assert self.expand(small, tmp_path / "big.lmn") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "blocks.1.mlp.w2" in err and "NaN or Inf" in err
+        assert not (tmp_path / "big.lmn").exists()
+
+    @pytest.mark.parametrize("eps,depth,warns", [(1e-5, "4", True), (0.0, "4", False),
+                                                 (1e-5, "2", False)])
+    def test_post_ln_depth_growth_with_eps_warns(self, tmp_path, capsys, eps, depth, warns):
+        cfg = tmp_path / "pl.json"
+        cfg.write_text(json.dumps({**CFG, "norm_style": "post_ln", "eps": eps}))
+        small = tmp_path / "pl.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(small)]) == 0
+        capsys.readouterr()
+        assert main(["expand", "--in", str(small), "--out", str(tmp_path / "o.lmn"),
+                     "--target-width", "16", "--target-depth", depth]) == 0
+        err = capsys.readouterr().err
+        assert (err.startswith("warning: ") and err.count("\n") == 1) == warns
+        assert warns or err == ""
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_out_that_is_not_a_regular_file_io_error(self, workdir, capsys, kind):
+        tmp_path, _, small = workdir
+        out = tmp_path / "special"
+        os.mkfifo(out) if kind == "fifo" else out.mkdir()
+        files = sorted(os.listdir(tmp_path))
+        assert self.expand(small, out) == 3
+        assert "not a regular file" in capsys.readouterr().err
+        mode = os.lstat(out).st_mode
+        assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_symlinked_out_is_written_through(self, workdir):
+        tmp_path, _, small = workdir
+        target, link = tmp_path / "target.lmn", tmp_path / "link.lmn"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert self.expand(small, link) == 0
+        assert self.expand(small, tmp_path / "direct.lmn") == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "direct.lmn").read_bytes()
+
+    def test_new_file_gets_umask_permissions(self, workdir):
+        tmp_path, _, small = workdir
+        old = os.umask(0o027)
+        try:
+            assert self.expand(small, tmp_path / "big.lmn") == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "big.lmn").st_mode) == 0o640
+
+    def test_existing_out_is_replaced(self, workdir):
+        tmp_path, _, small = workdir
+        out = tmp_path / "big.lmn"
+        out.write_bytes(b"x" * 10_000)
+        assert self.expand(small, out) == 0
+        w, spec = read_checkpoint(out)
+        assert (spec.width, spec.depth) == (16, 4)
