@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / verification pass, 1 verification fail,
-2 usage error (bad flags, invalid plan or spec), 3 I/O or format error.
+2 usage error (bad flags, invalid plan or spec), 3 I/O or format error
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 
 from .container import (_read_head, load_model_config, read_checkpoint,
-                        read_header)
+                        read_header, replacing, require_replaceable)
 from .errors import ContainerError, LemonError, PlanError
 from .expander import (DEPTH_MODES, ExpansionPlan, expand_model,
                        post_ln_depth_is_inexact)
@@ -78,6 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_expand(args) -> int:
+    sidecar = duplicate_map_path(args.out)
+    require_replaceable(sidecar)
     weights, spec = read_checkpoint(args.in_path)
     plan = ExpansionPlan(target_width=args.target_width,
                          target_depth=args.target_depth,
@@ -91,8 +94,8 @@ def _cmd_expand(args) -> int:
               "only up to an O(eps) error; verify it with an explicit --tol",
               file=sys.stderr)
     _, new_spec, dup_map = expand_model(weights, spec, plan, out=args.out)
-    with open(duplicate_map_path(args.out), "w", encoding="utf-8") as fh:
-        json.dump(dup_map, fh, indent=1)
+    with replacing(sidecar) as fh:
+        fh.write(json.dumps(dup_map, indent=1).encode("utf-8"))
     print(f"expanded ({spec.depth}, {spec.width}) -> "
           f"({new_spec.depth}, {new_spec.width}): {args.out}")
     return EXIT_OK
@@ -184,6 +187,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ContainerError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
     except (LemonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

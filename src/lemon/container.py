@@ -139,8 +139,21 @@ def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[int
     raise PlanError("header layout did not converge")
 
 
+def require_replaceable(path) -> str:
+    """The real path of ``path``, or ContainerError if it exists and is
+    not a regular file (a device, a pipe, a directory)."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        return target
+    if not stat.S_ISREG(mode):
+        raise ContainerError(f"{path}: not a regular file")
+    return target
+
+
 @contextlib.contextmanager
-def _replacing(path):
+def replacing(path):
     """A new binary file that replaces ``path`` when the block completes;
     on any error it is removed and ``path`` is left as it was.
 
@@ -150,14 +163,7 @@ def _replacing(path):
     target's directory, so the final move is one rename, and is created
     with the permissions the umask gives a new file.
     """
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        pass
-    else:
-        if not stat.S_ISREG(mode):
-            raise ContainerError(f"{path}: not a regular file")
+    target = require_replaceable(path)
     folder, base = os.path.split(target)
     tmp = os.path.join(folder, f".{base}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -185,7 +191,7 @@ def write_tensors(path, spec: ModelSpec, dtype, arrays) -> None:
         raise PlanError(f"unsupported weight dtype {dtype}")
     schema = list(tensor_schema(spec, dtype))
     header, offsets = _header(spec, schema)
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
         fh.write(header)
         pos = _PREFIX.size + len(header)
@@ -201,6 +207,7 @@ def write_tensors(path, spec: ModelSpec, dtype, arrays) -> None:
             fh.write(b"\0" * (offset - pos))
             fh.write(np.ascontiguousarray(arr) if arr.ndim else arr)
             pos = offset + arr.nbytes
+            del arr  # before the next tensor is produced
         if next(arrays, None) is not None:
             raise ShapeError(f"more tensors than the {len(schema)} the spec has")
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -407,52 +408,57 @@ def _identity_affine(like: NormParams) -> NormParams:
                       like.eps)
 
 
-def _post_ln_chain(wide: BlockWeights, count: int) -> list[tuple[BlockWeights, str]]:
+def _post_ln_chain(wide: BlockWeights,
+                   count: int) -> Iterator[tuple[BlockWeights, str]]:
     """Grow one post-norm block into ``count`` blocks computing the same map.
 
     The first block keeps the real attention under a plain (identity
     affine) norm, the last keeps the real MLP under the original affines,
     and any middle blocks are pure re-normalizations.  Exact when the
     norm eps is zero, since re-normalizing a normalized stream is then
-    the identity.
+    the identity.  Each block is built only when the previous one has
+    been taken.
     """
     if count == 1:
-        return [(wide, "carrier")]
+        yield wide, "carrier"
+        return
     first = wide.copy()
     first.ln1 = _identity_affine(wide.ln1)
     first.ln2 = _identity_affine(wide.ln2)
     first.mlp.w2 = np.zeros_like(first.mlp.w2)
     first.mlp.b2 = np.zeros_like(first.mlp.b2)
-    chain: list[tuple[BlockWeights, str]] = [(first, "attn_carrier")]
+    yield first, "attn_carrier"
+    del first
     for _ in range(count - 2):
         mid = _zero_output_block(wide)
         mid.ln1 = _identity_affine(wide.ln1)
         mid.ln2 = _identity_affine(wide.ln2)
-        chain.append((mid, "inserted"))
+        yield mid, "inserted"
+        del mid
     last = wide.copy()
     last.attn.wo = np.zeros_like(last.attn.wo)
     last.attn.bo = np.zeros_like(last.attn.bo)
-    chain.append((last, "mlp_carrier"))
-    return chain
+    yield last, "mlp_carrier"
 
 
 def expand_depth(i: int, count: int, wide: BlockWeights, donor_wide: BlockWeights,
                  donor_src: BlockWeights, spec: ModelSpec, hidden_t: int,
-                 plan: ExpansionPlan) -> list[tuple[BlockWeights, str]]:
+                 plan: ExpansionPlan) -> Iterator[tuple[BlockWeights, str]]:
     """Grow source block ``i`` into ``count`` target blocks.
 
     ``wide`` is block ``i`` width-expanded; ``donor_wide`` and
     ``donor_src`` are the block that inserted blocks copy (``i`` itself,
     or ``i + 1`` under ``depth_source="next"``), width-expanded and as
-    in the source.  Returns each target block with a role tag:
-    ``carrier`` blocks compute the source function
-    (``attn_carrier``/``mlp_carrier`` for the split roles of the
-    post-norm chain) and ``inserted`` blocks contribute nothing at
-    initialization.
+    in the source.  Yields each target block with a role tag, building
+    the next only once the previous has been taken: ``carrier`` blocks
+    compute the source function (``attn_carrier``/``mlp_carrier`` for the
+    split roles of the post-norm chain) and ``inserted`` blocks
+    contribute nothing at initialization.
     """
     if spec.norm_style == "post_ln":
-        return _post_ln_chain(wide, count)
-    out = [(wide, "carrier")]
+        yield from _post_ln_chain(wide, count)
+        return
+    yield wide, "carrier"
     for c in range(count - 1):
         if spec.norm_style == "post_res_norm":
             blk = _zero_norm_block(donor_wide)
@@ -462,8 +468,8 @@ def expand_depth(i: int, count: int, wide: BlockWeights, donor_wide: BlockWeight
             blk = _cancelling_block(donor_src, wide, spec, plan.target_width, hidden_t,
                                     plan.policy, substream(plan.seed, "depth", i, c),
                                     plan.noise_scale)
-        out.append((blk, "inserted"))
-    return out
+        yield blk, "inserted"
+        del blk
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +530,7 @@ def _expanded_parts(work: ModelWeights, spec: ModelSpec, target_spec: ModelSpec,
                                       work.blocks[donor], spec, hidden_t, plan):
             roles.append(role)
             yield blk
+            del blk  # before the next block is built
         wide.pop(i)
 
     final_norm = None

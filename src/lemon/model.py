@@ -13,6 +13,15 @@ straight from a table; vision models project flattened patches, prepend
 a class token, add learned positional embeddings, and decode from the
 class-token position.  All linear layers carry biases.
 
+An attention or MLP module whose stored output projection (``attn.wo``
+or ``mlp.w2``) is all zero contributes exactly its output bias, so it is
+not evaluated: no q/k/v, softmax, ``w1`` or activation runs for it.  The
+rule looks at the stored weights only, never at how they were made, and
+is exact for finite activations: the full path's zero matmul yields +0
+(einsum sums its ±0 products from +0), and ``+0 + bias`` is what both
+paths return.  A NaN or Inf that would
+arise inside such a module is therefore not reported.
+
 Everything here is a pure function of the weights; there is no training
 machinery of any kind.
 """
@@ -20,6 +29,7 @@ machinery of any kind.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, is_dataclass, replace
 from typing import NamedTuple
 
@@ -74,6 +84,13 @@ class ModelSpec:
         return self.norm_style in RMS_STYLES
 
     def validate(self) -> "ModelSpec":
+        for name in ("depth", "width", "head_dim", "vocab_or_classes", "patch_dim",
+                     "num_patches"):
+            if not _is_int(getattr(self, name)):
+                raise PlanError(f"{name} must be an integer")
+        for name in ("mlp_ratio", "eps"):
+            if not _is_real(getattr(self, name)):
+                raise PlanError(f"{name} must be a number")
         if self.norm_style not in NORM_STYLES:
             raise PlanError(f"unknown norm_style {self.norm_style!r}")
         if self.activation not in ACTIVATIONS:
@@ -86,10 +103,12 @@ class ModelSpec:
             raise PlanError(f"width {self.width} not a multiple of head_dim {self.head_dim}")
         if self.vocab_or_classes <= 0:
             raise PlanError("vocab_or_classes must be positive")
+        if not _finite(lambda: self.mlp_ratio * self.width):
+            raise PlanError("mlp_ratio must yield a finite hidden dim")
         if self.mlp_ratio <= 0 or self.hidden_dim <= 0:
             raise PlanError("mlp_ratio must yield a positive hidden dim")
-        if self.eps < 0:
-            raise PlanError("eps must be non-negative")
+        if not (_finite(lambda: self.eps) and self.eps >= 0):
+            raise PlanError("eps must be finite and non-negative")
         if self.tied_decoder:
             if self.input_kind != "token":
                 raise PlanError("tied_decoder requires token-embedding input")
@@ -98,6 +117,23 @@ class ModelSpec:
         if self.input_kind == "vision" and (self.patch_dim <= 0 or self.num_patches <= 0):
             raise PlanError("vision input requires positive patch_dim and num_patches")
         return self
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(compute) -> bool:
+    """Whether ``compute()`` is a finite number; an int too large for a
+    float counts as infinite."""
+    try:
+        return math.isfinite(compute())
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -326,6 +362,8 @@ def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec) -> np.nd
     """Bidirectional multi-head attention over a (tokens, width) input."""
     if x.ndim != 2 or x.shape[1] != attn.heads[0].wq.shape[0]:
         raise ShapeError(f"attention input shape {x.shape} does not match weights")
+    if not attn.wo.any():  # the module contributes exactly its bias
+        return np.zeros((x.shape[0], attn.wo.shape[1]), x.dtype) + attn.bo
     scale = 1.0 / math.sqrt(spec.head_dim)
     outs = []
     for head in attn.heads:
@@ -339,6 +377,10 @@ def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec) -> np.nd
 
 def mlp_forward(x: np.ndarray, mlp: MlpWeights, spec: ModelSpec) -> np.ndarray:
     """Per-token two-layer MLP: w2 @ act(w1 @ x + b1) + b2."""
+    if x.ndim != 2 or x.shape[1] != mlp.w1.shape[1]:
+        raise ShapeError(f"MLP input shape {x.shape} does not match weights")
+    if not mlp.w2.any():  # the module contributes exactly its bias
+        return np.zeros((x.shape[0], mlp.w2.shape[0]), x.dtype) + mlp.b2
     hidden = kernels.activation(kernels.matmul(x, mlp.w1.T) + mlp.b1, spec.activation)
     return kernels.matmul(hidden, mlp.w2.T) + mlp.b2
 

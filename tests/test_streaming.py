@@ -68,6 +68,19 @@ def test_streamed_expand_holds_under_half_the_payload(toy_spec, tmp_path):
     assert peak < 0.5 * payload_bytes(big_spec, np.float64)
 
 
+def test_deep_streamed_expand_holds_one_inserted_block_at_a_time(toy_spec, tmp_path):
+    spec = toy_spec(depth=4, width=64, head_dim=16, ratio=4.0, vocab=50)
+    w = random_weights(spec, substream(42, "mem"))
+    plan = ExpansionPlan(128, 16, depth_mode="type2", seed=43)
+    tracemalloc.start()
+    try:
+        _, big_spec, _ = expand_model(w, spec, plan, out=tmp_path / "big.lmn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * payload_bytes(big_spec, np.float64)
+
+
 def test_verify_holds_under_half_the_big_payload(toy_spec, tmp_path):
     spec = toy_spec(depth=4, width=64, head_dim=16, ratio=4.0, vocab=50)
     small = tmp_path / "small.lmn"

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import json
+import math
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lemon import (model_forward, read_checkpoint, read_header,
-                   symmetry_report, verify_lossless)
+from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
+                   read_checkpoint, read_header, symmetry_report, verify_lossless)
 from lemon import cli
 from lemon.cli import main
 
@@ -329,3 +334,97 @@ class TestExpandContract:
         assert self.expand(small, out) == 0
         w, spec = read_checkpoint(out)
         assert (spec.width, spec.depth) == (16, 4)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_sidecar_that_is_a_directory_io_error_before_any_write(
+            self, workdir, capsys, existing):
+        tmp_path, _, small = workdir
+        out = tmp_path / "big.lmn"
+        if existing:
+            assert self.expand(small, out) == 0
+            os.remove(f"{out}.duplicates.json")
+            before = out.read_bytes()
+        os.mkdir(f"{out}.duplicates.json")
+        files = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert self.expand(small, out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a regular file" in err
+        assert out.read_bytes() == before if existing else not out.exists()
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_sidecar_is_the_indented_duplicate_map(self, workdir):
+        tmp_path, _, small = workdir
+        out = tmp_path / "big.lmn"
+        assert self.expand(small, out) == 0
+        w, spec = read_checkpoint(small)
+        _, _, dup = expand_model(w, spec, ExpansionPlan(16, 4, seed=3))
+        assert (tmp_path / "big.lmn.duplicates.json").read_bytes() == \
+            json.dumps(dup, indent=1).encode()
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+#: spec values for the init-random property: small finite ones, huge
+#: finite ones (floats, and ints beyond any allocation, some a multiple
+#: of head_dim 4), infinities and NaN
+_HUGE = (st.floats(1e15, 1e308) | st.integers(10**15, 10**400)
+         | st.integers(10**15, 10**40).map(lambda n: 4 * n))
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+class TestInitRandomExitCodes:
+    """init-random exits 0, 2 or 3 on any spec value, with at most one
+    line of error and never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mlp_ratio=st.floats(-1.0, 4.0) | _HUGE | _NON_FINITE,
+           eps=st.floats(-1e-3, 1.0) | _HUGE | _NON_FINITE,
+           width=st.integers(-4, 32) | _HUGE | _NON_FINITE)
+    def test_exit_code_is_documented(self, mlp_ratio, eps, width):
+        cfg = {**CFG, "mlp_ratio": mlp_ratio, "eps": eps, "width": width}
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["init-random", "--config", path,
+                             "--out", os.path.join(d, "x.lmn")])
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") == (code != 0)
+
+    @pytest.mark.parametrize("field,value", [("mlp_ratio", math.inf), ("mlp_ratio", 1e308),
+                                             ("mlp_ratio", math.nan), ("eps", math.nan),
+                                             ("eps", math.inf), ("width", 8.0)])
+    def test_non_finite_or_non_integer_config_usage_error(self, tmp_path, capsys,
+                                                          field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CFG, field: value}))
+        out = tmp_path / "x.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("mlp_ratio", math.inf), ("mlp_ratio", math.nan),
+                                             ("eps", math.nan), ("eps", -math.inf)])
+    def test_non_finite_header_is_malformed(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        # long enough values that "-Infinity" fits in their place
+        cfg.write_text(json.dumps({**CFG, "mlp_ratio": 2.000000001, "eps": 1.2345678e-05}))
+        small = tmp_path / "small.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(small)]) == 0
+        blob = small.read_bytes()
+        head_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + head_len])
+        header["model_spec"][field] = value
+        new = json.dumps(header, separators=(",", ":")).encode()
+        # keep the header length, so every tensor offset stays valid
+        assert len(new) <= head_len
+        small.write_bytes(blob[:16] + new.ljust(head_len) + blob[16 + head_len:])
+        with pytest.raises(MalformedHeaderError, match=field):
+            read_checkpoint(small)
+        capsys.readouterr()
+        assert main(["verify", "--small", str(small), "--big", str(small)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
