@@ -11,8 +11,11 @@ import argparse
 import json
 import sys
 
-from .container import (_read_head, load_model_config, read_checkpoint,
-                        read_header, replacing, require_replaceable)
+from .container import (CheckpointReader, _read_head, _spec_from_dict,
+                        load_model_config, read_header, replacing,
+                        require_replaceable)
+# not called here: kept for perfbench/tests, which look the binding up in this module
+from .container import read_checkpoint  # noqa: F401
 from .errors import ContainerError, LemonError, PlanError
 from .expander import (DEPTH_MODES, ExpansionPlan, expand_model,
                        post_ln_depth_is_inexact)
@@ -81,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_expand(args) -> int:
     sidecar = duplicate_map_path(args.out)
     require_replaceable(sidecar)
-    weights, spec = read_checkpoint(args.in_path)
     plan = ExpansionPlan(target_width=args.target_width,
                          target_depth=args.target_depth,
                          policy=args.policy.replace("-", "_"),
@@ -89,11 +91,13 @@ def _cmd_expand(args) -> int:
                          seed=args.seed,
                          noise_scale=args.noise_scale,
                          depth_source=args.depth_source)
-    if post_ln_depth_is_inexact(weights, spec, plan):
-        print("warning: growing the depth of a post_ln model with eps > 0 is lossless "
-              "only up to an O(eps) error; verify it with an explicit --tol",
-              file=sys.stderr)
-    _, new_spec, dup_map = expand_model(weights, spec, plan, out=args.out)
+    with CheckpointReader(args.in_path) as source:
+        spec = source.spec
+        if post_ln_depth_is_inexact(source, plan):
+            print("warning: growing the depth of a post_ln model with eps > 0 is lossless "
+                  "only up to an O(eps) error; verify it with an explicit --tol",
+                  file=sys.stderr)
+        _, new_spec, dup_map = expand_model(source, spec, plan, out=args.out)
     with replacing(sidecar) as fh:
         fh.write(json.dumps(dup_map, indent=1).encode("utf-8"))
     print(f"expanded ({spec.depth}, {spec.width}) -> "
@@ -109,6 +113,8 @@ def _cmd_verify(args) -> int:
           f"over {len(report.samples)} samples")
     if worst is not None:
         print(f"worst sample {worst.index} at position {worst.worst_position}")
+    if report.embedding_diff is not None:
+        print(f"embedding max_abs_diff {report.embedding_diff:.6e} over every token row")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -131,6 +137,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_inspect(args) -> int:
     with open(args.file, "rb") as fh:
         spec_dict, table = read_header(*_read_head(fh))
+    _spec_from_dict(spec_dict)  # an invalid spec is a malformed header
     print(json.dumps(spec_dict, indent=1))
     total = 0
     for entry in table:

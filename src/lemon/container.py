@@ -29,10 +29,12 @@ Readers take the prefix and header first, checking ``header_len``
 against the file size before reading it, then check the tensor table
 against the schema of the stored spec, and only then read tensors, each
 straight into its own array.  :class:`CheckpointReader` reads them on
-demand, one block at a time (``verify`` and ``symmetry`` do); the file
-is never held whole in memory and never mapped, because a mapped reader
-of a file truncated under it dies of SIGBUS instead of raising
-:class:`TruncatedPayloadError`.
+demand, one block at a time: ``expand`` reads its source this way,
+``verify`` both of its models, and ``symmetry`` only the projections its
+map names; :func:`read_checkpoint` (whole model) serves library callers.
+The file is never held whole in memory and never mapped, because a
+mapped reader of a file truncated under it dies of SIGBUS instead of
+raising :class:`TruncatedPayloadError`.
 """
 
 from __future__ import annotations

@@ -49,14 +49,16 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .container import named_tensors, write_tensors
+from .container import CheckpointReader, write_tensors
 from .errors import PlanError
 from .expand_ops import (ColumnSplit, _check_extents, expand_bias,
                          expand_layernorm, expand_matrix_cols,
                          expand_matrix_rows, expand_rmsnorm, expand_vector)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
-                    NormParams, flat_arrays, spec_with, validate_weights)
+                    NormParams, block_schema, decoder_schema,
+                    embedding_schema, flat_arrays, spec_with,
+                    validate_weights)
 from .rng import substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
@@ -495,47 +497,77 @@ def map_arrays(w: ModelWeights, fn) -> ModelWeights:
     return walk(w)
 
 
+def _as64(w):
+    """The weights in float64; float64 arrays are passed through uncopied."""
+    return map_arrays(w, lambda a: np.asarray(a, dtype=np.float64))
+
+
 def _stream_mode(style: str) -> str:
     return "zero" if style in ("post_res_norm", "rms_pre") else "avg"
 
 
-def _expanded_parts(work: ModelWeights, spec: ModelSpec, target_spec: ModelSpec,
-                    plan: ExpansionPlan, roles: list[str]):
+def _checked_finite(part, schema):
+    """``part``, once none of its tensors (named by ``schema``, in
+    checkpoint order) holds NaN or Inf; PlanError names the first that
+    does."""
+    for entry, a in zip(schema, flat_arrays(part)):
+        # one reduction per tensor; a sum can also overflow, so confirm
+        if not math.isfinite(a.sum()) and not np.isfinite(a).all():
+            raise PlanError(f"source tensor {entry.name} holds NaN or Inf")
+    return part
+
+
+def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
+                    target_spec: ModelSpec, plan: ExpansionPlan, roles: list[str]):
     """The target model, part by part in checkpoint order: the embedding,
     each block, the final norm (or None), the decoder weight (or None,
     when tied) and the decoder bias.  Each block's role is appended to
     ``roles`` as it is yielded.
 
+    ``shell`` holds the source's embedding, final norm and decoder in
+    float64; its blocks are not read.  ``source_block(j)`` gives source
+    block ``j`` in its stored dtype: each is asked for once, when first
+    needed, then promoted to float64 and checked for NaN and Inf.  It is
+    dropped together with its width-expanded form, so at most two source
+    blocks and two width-expanded ones are alive at a time: block ``i``
+    and, for ``depth_source="next"``, block ``i + 1``.
+
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
-    in which parts are built does not change a single value.  At most
-    two width-expanded blocks are alive at a time: block ``i`` and, for
-    ``depth_source="next"``, block ``i + 1``.
+    in which parts are built does not change a single value.
     """
     d_t, hidden_t = target_spec.width, target_spec.hidden_dim
     seed, policy, noise = plan.seed, plan.policy, plan.noise_scale
-    yield expand_embeddings(work.embedding, spec, d_t, _stream_mode(spec.norm_style))
+    yield expand_embeddings(shell.embedding, spec, d_t, _stream_mode(spec.norm_style))
 
+    src: dict[int, BlockWeights] = {}
     wide: dict[int, BlockWeights] = {}
+
+    def source(j: int) -> BlockWeights:
+        if j not in src:
+            src[j] = _checked_finite(_as64(source_block(j)),
+                                     block_schema(spec, j, np.float64))
+        return src[j]
 
     def widened(j: int) -> BlockWeights:
         if j not in wide:
-            wide[j] = expand_block_width(work.blocks[j], spec, d_t, hidden_t, policy,
+            wide[j] = expand_block_width(source(j), spec, d_t, hidden_t, policy,
                                          substream(seed, "block", j), noise)
         return wide[j]
 
     for i, count in enumerate(layer_multiplicities(spec.depth, plan.target_depth)):
         donor = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
         for blk, role in expand_depth(i, count, widened(i), widened(donor),
-                                      work.blocks[donor], spec, hidden_t, plan):
+                                      source(donor), spec, hidden_t, plan):
             roles.append(role)
             yield blk
             del blk  # before the next block is built
         wide.pop(i)
+        src.pop(i)
 
     final_norm = None
-    if work.final_norm is not None:
-        final_norm = expand_norm_params(work.final_norm, d_t,
+    if shell.final_norm is not None:
+        final_norm = expand_norm_params(shell.final_norm, d_t,
                                         substream(seed, "final_norm"), spec.is_rms)
         if spec.tied_decoder:
             # tiled embedding rows dot a zero-tailed hidden state k times
@@ -545,54 +577,61 @@ def _expanded_parts(work: ModelWeights, spec: ModelSpec, target_spec: ModelSpec,
                 if final_norm.beta is not None:
                     final_norm.beta = final_norm.beta / k
     yield final_norm
-    yield (None if work.dec_weight is None else
-           expand_decoder(work.dec_weight, d_t, policy, substream(seed, "decoder"), noise))
-    yield work.dec_bias.copy()
+    yield (None if shell.dec_weight is None else
+           expand_decoder(shell.dec_weight, d_t, policy, substream(seed, "decoder"), noise))
+    yield shell.dec_bias.copy()
 
 
-def post_ln_depth_is_inexact(weights: ModelWeights, spec: ModelSpec,
-                             plan: ExpansionPlan) -> bool:
-    """True when ``plan`` grows the depth of a post_ln model whose norms
-    have eps > 0: the chain of re-normalizations that carries one block's
-    function is exact only for eps = 0, and otherwise off by O(eps)."""
-    return (spec.norm_style == "post_ln" and plan.target_depth > spec.depth
-            and any(norm.eps > 0 for blk in weights.blocks for norm in (blk.ln1, blk.ln2)))
+def post_ln_depth_is_inexact(reader: CheckpointReader, plan: ExpansionPlan) -> bool:
+    """True when ``plan`` grows the depth of the post_ln model ``reader``
+    holds and one of its block norms has eps > 0: the chain of
+    re-normalizations that carries one block's function is exact only
+    for eps = 0, and otherwise off by O(eps).  Only the eps tensors are
+    read, and only for such a plan."""
+    spec = reader.spec
+    if spec.norm_style != "post_ln" or plan.target_depth <= spec.depth:
+        return False
+    return any(reader.tensor(entry.name) > 0 for i in range(spec.depth)
+               for entry in block_schema(spec, i, reader.dtype) if entry.shape == ())
 
 
-def _check_finite(weights: ModelWeights, spec: ModelSpec) -> None:
-    """Reject a source holding NaN or Inf, naming its first such tensor."""
-    for name, a in named_tensors(weights, spec):
-        # one reduction per tensor; a sum can also overflow, so confirm
-        if not math.isfinite(a.sum()) and not np.isfinite(a).all():
-            raise PlanError(f"source tensor {name} holds NaN or Inf")
-
-
-def expand_model(weights: ModelWeights, spec: ModelSpec, plan: ExpansionPlan,
-                 out=None) -> tuple[ModelWeights | None, ModelSpec, dict]:
+def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
+                 plan: ExpansionPlan, out=None) -> tuple[ModelWeights | None, ModelSpec, dict]:
     """Expand a whole model per ``plan``; width first, then depth.
 
     Returns the expanded weights, the target spec, and a duplicate map
     describing which target heads/hidden units are replicas of the same
     source unit (per function-carrying block).  The expanded model
-    computes the same function as the source on every input.
+    computes the same function as the source on every input.  A source
+    tensor holding NaN or Inf raises :class:`PlanError`.
 
-    With ``out``, the model is written to that path as a checkpoint
-    instead, each block as soon as it is built, so no more than the
-    source and about one target block are held at a time; the returned
-    weights are then None.  ``out`` is replaced only once the whole
-    checkpoint is written.
+    ``weights`` is the source in memory, or an open
+    :class:`~lemon.container.CheckpointReader` of a ``spec`` checkpoint.
+    From a reader, source blocks are read one at a time, as the
+    expansion reaches them, and dropped once their target blocks are
+    built; both sources go through the same expansion and give the same
+    result.  With ``out``, the model is written to that path as a
+    checkpoint instead, each block as soon as it is built, so no more
+    than about one target block is held at a time (plus, from memory,
+    the source); the returned weights are then None.  ``out`` is
+    replaced only once the whole checkpoint is written.
     """
     spec.validate()
-    validate_weights(weights, spec)
+    if isinstance(weights, ModelWeights):
+        validate_weights(weights, spec)
+        shell, source_block = replace(weights, blocks=[]), weights.blocks.__getitem__
+        in_dtype = weights.dec_bias.dtype
+    else:
+        if weights.spec != spec:
+            raise PlanError("the checkpoint reader holds a different model spec")
+        shell, source_block, in_dtype = weights.shell(), weights.block, weights.dtype
     plan.validate(spec)
-    _check_finite(weights, spec)
+    shell = _checked_finite(_as64(shell), itertools.chain(
+        embedding_schema(spec, in_dtype), decoder_schema(spec, in_dtype)))
 
-    in_dtype = weights.dec_bias.dtype
-    work = (map_arrays(weights, lambda a: a.astype(np.float64))
-            if in_dtype == np.float32 else weights)
     target_spec = spec_with(spec, width=plan.target_width, depth=plan.target_depth)
     roles: list[str] = []
-    parts = _expanded_parts(work, spec, target_spec, plan, roles)
+    parts = _expanded_parts(shell, source_block, spec, target_spec, plan, roles)
     if in_dtype == np.float32:
         parts = (map_arrays(part, lambda a: a.astype(np.float32)) for part in parts)
 

@@ -1,7 +1,8 @@
 """Checkpoint-level verification: losslessness, symmetry, fixtures.
 
 ``verify_lossless`` evaluates two checkpoints on seeded random inputs
-and reports the worst logit difference; ``symmetry_report`` measures how
+and reports the worst logit difference (and, for token models, the worst
+token-table difference); ``symmetry_report`` measures how
 far apart the fan-out vectors of replicated units ended up; and
 ``init_random_model`` writes deterministic random fixtures.  The
 hand-written gradient step for the two-layer toy network lives here too,
@@ -21,9 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .container import CheckpointReader, read_checkpoint, write_checkpoint
-from .errors import PlanError
-from .model import (ModelSpec, block_forward, decode, embed, model_forward,
+from .container import CheckpointReader, write_checkpoint
+# not called here: kept for perfbench/tests, which look the binding up in this module
+from .container import read_checkpoint  # noqa: F401
+from .errors import PlanError, ShapeError
+from .expand_ops import expand_vector
+from .expander import _as64, _stream_mode
+from .model import (ModelSpec, ModelWeights, block_forward, decode, embed,
                     random_weights)
 from .rng import substream
 
@@ -51,17 +56,23 @@ class SampleDiff:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The worst logit difference over the samples and, for token
+    models, the worst difference between the big token table and the
+    expanded small one (None for vision models)."""
+
     max_abs_diff: float
     tol: float
     samples: list[SampleDiff]
+    embedding_diff: float | None = None
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_diff <= self.tol
+        return (self.max_abs_diff <= self.tol
+                and (self.embedding_diff is None or self.embedding_diff <= self.tol))
 
     def to_dict(self) -> dict:
         return {"max_abs_diff": self.max_abs_diff, "tol": self.tol,
-                "passed": self.passed,
+                "embedding_diff": self.embedding_diff, "passed": self.passed,
                 "samples": [{"index": s.index,
                              "worst_position": list(s.worst_position),
                              "abs_diff": s.abs_diff} for s in self.samples]}
@@ -84,7 +95,8 @@ def _draw_input(spec: ModelSpec, rng: np.random.Generator, seq_len: int):
 
 def verify_lossless(small_path, big_path, samples: int, seed: int,
                     tol: float | None, seq_len: int = 16) -> VerifyReport:
-    """Compare two checkpoints on ``samples`` seeded random inputs.
+    """Compare two checkpoints on ``samples`` seeded random inputs and,
+    for token models, on every row of the token table.
 
     Evaluation runs in float64 regardless of the stored dtype.  A ``tol``
     of None takes :data:`DEFAULT_TOL` of the stored dtypes: 1e-10 when
@@ -95,32 +107,32 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     count set via ``LEMON_THREADS``.  Zero samples or a zero sequence
     length would pass on no evidence, so both are rejected.
 
-    The small model is read whole.  The big one is read a block at a
-    time, after its header and tensor table have been checked: every
-    sample passes through block ``i`` before block ``i + 1`` is read, so
-    no more than one of its blocks is held at once.
+    The samples read only the token rows they draw, so the big token
+    table is also compared, whole, with the small one expanded to the
+    big width in the stream's vector mode, within ``tol``.  A big width
+    that is no expansion of the small one raises :class:`ShapeError`.
+
+    Both models are read a block at a time, after their headers and
+    tensor tables have been checked: every sample passes through block
+    ``i`` before block ``i + 1`` is read, so no more than one block of
+    either model is held at once.
     """
     if samples < 1:
         raise PlanError(f"--samples must be at least 1, got {samples}")
     if seq_len < 1:
         raise PlanError(f"--seq-len must be at least 1, got {seq_len}")
-    small_w, small_spec = read_checkpoint(small_path)
-    with CheckpointReader(big_path) as big, _sample_map() as each:
-        big_spec = big.spec
-        _compatible(small_spec, big_spec)
+    with CheckpointReader(small_path) as small, CheckpointReader(big_path) as big, \
+            _sample_map() as each:
+        small_spec = small.spec
+        _compatible(small_spec, big.spec)
         if tol is None:
-            tol = max(DEFAULT_TOL[small_w.dec_bias.dtype], DEFAULT_TOL[big.dtype])
-        small64 = _as64(small_w)
+            tol = max(DEFAULT_TOL[small.dtype], DEFAULT_TOL[big.dtype])
+        small_shell, big_shell = _as64(small.shell()), _as64(big.shell())
+        embedding_diff = _embedding_diff(small_shell, small_spec, big_shell, big.spec)
         inputs = [_draw_input(small_spec, substream(seed, "verify", i), seq_len)
                   for i in range(samples)]
-        want = each(lambda x: model_forward(x, small64, small_spec), inputs)
-        shell = _as64(big.shell())
-        xs = each(lambda x: embed(x, shell, big_spec), inputs)
-        for i in range(big_spec.depth):
-            block = _as64(big.block(i))
-            xs = each(lambda x: block_forward(x, block, big_spec), xs)
-            del block  # before the next block is read
-        got = each(lambda x: decode(x, shell, big_spec), xs)
+        want = _logits(small, small_shell, inputs, each)
+        got = _logits(big, big_shell, inputs, each)
 
     results = []
     for i, (a, b) in enumerate(zip(got, want)):
@@ -128,7 +140,37 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         pos = np.unravel_index(int(np.argmax(diff)), diff.shape)
         results.append(SampleDiff(i, tuple(int(p) for p in pos), float(diff[pos])))
     worst = max((s.abs_diff for s in results), default=0.0)
-    return VerifyReport(worst, tol, results)
+    return VerifyReport(worst, tol, results, embedding_diff)
+
+
+def _embedding_diff(small: ModelWeights, small_spec: ModelSpec,
+                    big: ModelWeights, big_spec: ModelSpec) -> float | None:
+    """The largest difference between the big token table and the small
+    one expanded to the big width, or None for vision models, whose
+    embedding every sample reads whole."""
+    if small_spec.input_kind != "token":
+        return None
+    try:
+        want = expand_vector(small.embedding.token_table, big_spec.width,
+                             _stream_mode(small_spec.norm_style))
+    except ShapeError as exc:
+        raise ShapeError(f"big width {big_spec.width} is no expansion of small width "
+                         f"{small_spec.width}") from exc
+    return float(np.abs(big.embedding.token_table - want).max())
+
+
+def _logits(reader: CheckpointReader, shell: ModelWeights, inputs: list, each) -> list:
+    """The logits of every input under ``reader``'s model, whose float64
+    embedding and decoder are ``shell``: the embedding, each block as it
+    is read, then the decoder, which is exactly what ``model_forward``
+    computes."""
+    spec = reader.spec
+    xs = each(lambda x: embed(x, shell, spec), inputs)
+    for i in range(spec.depth):
+        block = _as64(reader.block(i))
+        xs = each(lambda x: block_forward(x, block, spec), xs)
+        del block  # before the next block is read
+    return each(lambda x: decode(x, shell, spec), xs)
 
 
 @contextlib.contextmanager
@@ -140,12 +182,6 @@ def _sample_map():
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield lambda fn, items: list(pool.map(fn, items))
-
-
-def _as64(w):
-    """The weights in float64; float64 arrays are passed through uncopied."""
-    from .expander import map_arrays
-    return map_arrays(w, lambda a: np.asarray(a, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

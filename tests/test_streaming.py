@@ -2,9 +2,11 @@
 exactly what the whole-model paths do, while holding a fraction of it."""
 
 import itertools
+import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ GRID += [dict(style="pre_ln", depth_mode="type2", depth_source="next", dtype=np.
 
 @pytest.mark.parametrize("case", GRID, ids=lambda c: "-".join(
     str(v.__name__ if isinstance(v, type) else v) for v in c.values()))
-def test_streamed_bytes_equal_assembled_write(toy_spec, tmp_path, case):
+def test_streamed_bytes_equal_assembled_write(toy_spec, tmp_path, case, capsys):
     case = dict(case)
     dtype = case.pop("dtype")
     mode, source = case.pop("depth_mode"), case.pop("depth_source")
@@ -48,11 +50,20 @@ def test_streamed_bytes_equal_assembled_write(toy_spec, tmp_path, case):
     plan = ExpansionPlan(width, 7, depth_mode=mode, depth_source=source, seed=41)
     big_w, big_spec, dup = expand_model(w, spec, plan)
     write_checkpoint(big_w, big_spec, tmp_path / "assembled.lmn")
+    assembled = (tmp_path / "assembled.lmn").read_bytes()
     none_w, streamed_spec, streamed_dup = expand_model(w, spec, plan,
                                                        out=tmp_path / "streamed.lmn")
     assert none_w is None and streamed_spec == big_spec and streamed_dup == dup
-    assert ((tmp_path / "streamed.lmn").read_bytes()
-            == (tmp_path / "assembled.lmn").read_bytes())
+    assert (tmp_path / "streamed.lmn").read_bytes() == assembled
+    # the CLI reads the source from a file, block by block
+    write_checkpoint(w, spec, tmp_path / "small.lmn")
+    assert main(["expand", "--in", str(tmp_path / "small.lmn"),
+                 "--out", str(tmp_path / "cli.lmn"), "--target-width", str(width),
+                 "--target-depth", "7", "--depth-mode", mode, "--depth-source", source,
+                 "--seed", "41"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "cli.lmn").read_bytes() == assembled
+    assert json.loads((tmp_path / "cli.lmn.duplicates.json").read_text()) == dup
 
 
 def test_streamed_expand_holds_under_half_the_payload(toy_spec, tmp_path):
@@ -97,6 +108,47 @@ def test_verify_holds_under_half_the_big_payload(toy_spec, tmp_path):
         tracemalloc.stop()
     assert report.passed
     assert peak < 0.5 * payload_bytes(big_spec, np.float64)
+
+
+def test_cli_expand_reads_the_source_a_block_at_a_time(toy_spec, tmp_path, capsys):
+    spec = toy_spec(depth=8, width=64, head_dim=16, ratio=4.0, vocab=50)
+    small = tmp_path / "small.lmn"
+    write_checkpoint(random_weights(spec, substream(48, "mem")), spec, small)
+    argv = ["expand", "--in", str(small), "--out", str(tmp_path / "big.lmn"),
+            "--target-width", "64", "--target-depth", "16", "--depth-mode", "type2"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding the whole source alone would take its whole payload
+    assert peak < 0.8 * payload_bytes(spec, np.float64)
+
+
+def test_verify_reads_the_small_model_a_block_at_a_time(toy_spec, tmp_path):
+    spec = toy_spec(depth=8, width=64, head_dim=16, ratio=4.0, vocab=50)
+    small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
+    w = random_weights(spec, substream(49, "mem"))
+    write_checkpoint(w, spec, small)
+    expand_model(w, spec, ExpansionPlan(64, 16, seed=50), out=big)
+    del w
+    tracemalloc.start()
+    try:
+        report = verify_lossless(small, big, samples=4, seed=1, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 0.5 * payload_bytes(spec, np.float64)
+
+
+def test_expand_from_a_reader_of_another_spec_is_refused(toy_model, tmp_path):
+    w, spec = toy_model(depth=2)
+    write_checkpoint(w, spec, tmp_path / "small.lmn")
+    with CheckpointReader(tmp_path / "small.lmn") as reader:
+        with pytest.raises(PlanError, match="different model spec"):
+            expand_model(reader, replace(spec, depth=3), ExpansionPlan(12, 4))
 
 
 @pytest.mark.parametrize("threads", ("1", "3"))
@@ -166,3 +218,22 @@ class TestFailedExpandLeavesOutAlone:
         with pytest.raises(PlanError, match="embedding.token_table"):
             expand_model(w, spec, ExpansionPlan(12, 2), out=tmp_path / "x.lmn")
         assert os.listdir(tmp_path) == []
+
+    def test_nan_in_the_last_source_block_exits_2_and_keeps_out(self, toy_model, tmp_path,
+                                                                capsys):
+        w, spec = toy_model(depth=3)
+        small, out = tmp_path / "small.lmn", tmp_path / "out.lmn"
+        write_checkpoint(w, spec, small)
+        argv = ["expand", "--in", str(small), "--out", str(out), "--target-width", "12",
+                "--target-depth", "6", "--depth-mode", "type2"]
+        assert main(argv) == 0
+        before = out.read_bytes()
+        files = sorted(os.listdir(tmp_path))
+        w.blocks[2].mlp.w2[1, 3] = np.nan
+        write_checkpoint(w, spec, small)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "source tensor blocks.2.mlp.w2 holds NaN" in err
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == files

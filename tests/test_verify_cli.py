@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
-                   read_checkpoint, read_header, symmetry_report, verify_lossless)
+                   read_checkpoint, read_header, symmetry_report, verify_lossless,
+                   write_checkpoint)
 from lemon import cli
 from lemon.cli import main
+from lemon.rng import substream
+from lemon.verify import _draw_input
 
 CFG = {"norm_style": "pre_ln", "depth": 2, "width": 8, "head_dim": 4,
        "mlp_ratio": 2.0, "vocab_or_classes": 11, "eps": 1e-5, "dtype": "float64"}
@@ -85,7 +88,6 @@ class TestVerify:
     def test_perturbed_weight_fails_with_location(self, workdir):
         tmp_path, _, small = workdir
         big = expand_cli(tmp_path, small)
-        from lemon import write_checkpoint
         w, spec = read_checkpoint(big)
         w.blocks[0].mlp.w2[0, 0] += 1e-3
         write_checkpoint(w, spec, big)
@@ -137,6 +139,32 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "(tol 1e-05)" in out and out.endswith("PASS\n")
         assert main(argv + ["--tol", "1e-12"]) == 1  # an explicit --tol wins
+
+    def test_corrupted_token_row_no_sample_reads_fails(self, toy_model, tmp_path, capsys):
+        w, spec = toy_model(depth=2, width=16, vocab=1000)
+        small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
+        write_checkpoint(w, spec, small)
+        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(24, 4, seed=5))
+        read = set()
+        for i in range(32):  # the CLI's default samples, seed and sequence length
+            read.update(_draw_input(spec, substream(0, "verify", i), 16).tolist())
+        unread = min(set(range(1000)) - read)
+        big_w.embedding.token_table[unread] += 5.0
+        write_checkpoint(big_w, big_spec, big)
+        assert main(["verify", "--small", str(small), "--big", str(big)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["embedding max_abs_diff 5.000000e+00 over every token row",
+                              "FAIL"]
+        assert float(lines[0].split()[1]) < 1e-10  # the samples alone would pass
+
+    def test_narrower_big_model_usage_error(self, toy_model, tmp_path, capsys):
+        small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
+        write_checkpoint(*toy_model(width=16), small)
+        write_checkpoint(*toy_model(width=8), big)
+        assert main(["verify", "--small", str(small), "--big", str(big)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "big width 8 is no expansion of small width 16" in err
 
     def test_missing_file_io_error(self, workdir):
         _, _, small = workdir
@@ -273,7 +301,6 @@ class TestExpandContract:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_source_usage_error(self, workdir, capsys, value):
         tmp_path, _, small = workdir
-        from lemon import write_checkpoint
         w, spec = read_checkpoint(small)
         w.blocks[1].mlp.w2[3, 2] = value
         write_checkpoint(w, spec, small)
@@ -407,6 +434,15 @@ class TestInitRandomExitCodes:
         assert err.count("\n") == 1 and field in err
         assert not out.exists()
 
+    def test_width_too_large_for_a_float_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CFG, "width": 10**400}))
+        out = tmp_path / "x.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("width does not fit in a float\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [("mlp_ratio", math.inf), ("mlp_ratio", math.nan),
                                              ("eps", math.nan), ("eps", -math.inf)])
     def test_non_finite_header_is_malformed(self, tmp_path, capsys, field, value):
@@ -426,5 +462,8 @@ class TestInitRandomExitCodes:
         with pytest.raises(MalformedHeaderError, match=field):
             read_checkpoint(small)
         capsys.readouterr()
-        assert main(["verify", "--small", str(small), "--big", str(small)]) == 3
-        assert capsys.readouterr().err.count("\n") == 1
+        for argv in (["verify", "--small", str(small), "--big", str(small)],
+                     ["inspect", str(small)]):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and field in err
