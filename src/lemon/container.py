@@ -66,6 +66,7 @@ _PREFIX = struct.Struct("<4sIQ")  # magic, version, header_len
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_ITEMSIZES = {name: dtype.itemsize for name, dtype in _DTYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,16 @@ def write_checkpoint(w: ModelWeights, spec: ModelSpec, path) -> None:
 _REQUIRED_ENTRY_KEYS = {"name", "dtype", "shape", "byte_offset", "byte_length"}
 
 
+def _is_shape(value) -> bool:
+    """A list of positive ints (empty for a scalar)."""
+    if not isinstance(value, list):
+        return False
+    for s in value:
+        if not isinstance(s, int) or s <= 0:
+            return False
+    return True
+
+
 def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnostic]:
     """Check every container invariant that is visible without the payload.
 
@@ -233,33 +244,40 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
     ``file_size`` (defaulting to ``len(blob)``) bounds the payload checks.
     An empty list means the header is valid.
     """
+    return _parse_header(blob, file_size)[0]
+
+
+def _parse_header(blob: bytes, file_size: int | None) -> tuple[list[Diagnostic], dict | None]:
+    """:func:`validate_header`'s diagnostics and the decoded header (None
+    when the checks stop early), so a reader parses the JSON only once."""
     size = len(blob) if file_size is None else file_size
     diags: list[Diagnostic] = []
     if len(blob) < _PREFIX.size:
-        return [Diagnostic("truncated_payload", "file shorter than the fixed prefix")]
+        return [Diagnostic("truncated_payload", "file shorter than the fixed prefix")], None
     magic, version, header_len = _PREFIX.unpack_from(blob)
     if magic != MAGIC:
-        return [Diagnostic("bad_magic", f"magic {magic!r} != {MAGIC!r}")]
+        return [Diagnostic("bad_magic", f"magic {magic!r} != {MAGIC!r}")], None
     if version > VERSION:
-        return [Diagnostic("unsupported_version", f"version {version} > {VERSION}")]
-    if _PREFIX.size + header_len > size:
-        return [Diagnostic("truncated_payload", "declared header extends past the file")]
-    if len(blob) < _PREFIX.size + header_len:
-        return [Diagnostic("truncated_payload", "header bytes missing from the blob")]
+        return [Diagnostic("unsupported_version", f"version {version} > {VERSION}")], None
+    payload_start = _PREFIX.size + header_len
+    if payload_start > size:
+        return [Diagnostic("truncated_payload", "declared header extends past the file")], None
+    if len(blob) < payload_start:
+        return [Diagnostic("truncated_payload", "header bytes missing from the blob")], None
     try:
-        header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len].decode("utf-8"))
+        header = json.loads(blob[_PREFIX.size:payload_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return [Diagnostic("malformed_header", f"header is not valid JSON: {exc}")]
+        return [Diagnostic("malformed_header", f"header is not valid JSON: {exc}")], None
     if not isinstance(header, dict) or "model_spec" not in header or "tensors" not in header:
-        return [Diagnostic("malformed_header", "header must hold model_spec and tensors")]
+        return [Diagnostic("malformed_header", "header must hold model_spec and tensors")], None
     table = header["tensors"]
     if not isinstance(table, list):
-        return [Diagnostic("malformed_header", "tensor table must be a list")]
+        return [Diagnostic("malformed_header", "tensor table must be a list")], None
 
-    seen: dict[str, tuple[int, int]] = {}
+    seen: set[str] = set()
     spans: list[tuple[int, int, str]] = []
     for i, entry in enumerate(table):
-        if not isinstance(entry, dict) or set(entry) != _REQUIRED_ENTRY_KEYS:
+        if not isinstance(entry, dict) or entry.keys() != _REQUIRED_ENTRY_KEYS:
             diags.append(Diagnostic("malformed_header", f"table entry {i} has wrong keys"))
             continue
         name = entry["name"]
@@ -273,25 +291,24 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
             diags.append(Diagnostic("malformed_header", f"{name}: unknown dtype {entry['dtype']!r}"))
             continue
         shape = entry["shape"]
-        if (not isinstance(shape, list)
-                or any(not isinstance(s, int) or s <= 0 for s in shape)):
+        if not _is_shape(shape):
             diags.append(Diagnostic("malformed_header", f"{name}: bad shape {shape!r}"))
             continue
         offset, length = entry["byte_offset"], entry["byte_length"]
         if not isinstance(offset, int) or not isinstance(length, int):
             diags.append(Diagnostic("malformed_header", f"{name}: non-integer span"))
             continue
-        expect = math.prod(shape) * _DTYPES[entry["dtype"]].itemsize
+        expect = math.prod(shape) * _ITEMSIZES[entry["dtype"]]
         if length != expect:
             diags.append(Diagnostic("malformed_header",
                                     f"{name}: byte_length {length} != shape/dtype size {expect}"))
         if offset % ALIGNMENT != 0:
             diags.append(Diagnostic("malformed_header",
                                     f"{name}: offset {offset} not {ALIGNMENT}-byte aligned"))
-        if offset < _PREFIX.size + header_len or offset + length > size:
+        if offset < payload_start or offset + length > size:
             diags.append(Diagnostic("truncated_payload",
                                     f"{name}: span [{offset}, {offset + length}) outside file of {size} bytes"))
-        seen[name] = (offset, length)
+        seen.add(name)
         spans.append((offset, length, name))
     # in offset order, a span overlaps an earlier one iff it starts before
     # the furthest end so far
@@ -301,7 +318,7 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
             diags.append(Diagnostic("malformed_header", f"tensors {owner!r} and {name!r} overlap"))
         if offset + length > end:
             end, owner = offset + length, name
-    return diags
+    return diags, header
 
 
 _DIAG_ERRORS = {
@@ -319,9 +336,8 @@ def _raise_diags(diags: list[Diagnostic]) -> None:
 
 def read_header(blob: bytes, file_size: int | None = None) -> tuple[dict, list[dict]]:
     """Validated (model-spec dict, tensor table) from the raw bytes."""
-    _raise_diags(validate_header(blob, file_size))
-    _, _, header_len = _PREFIX.unpack_from(blob)
-    header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len].decode("utf-8"))
+    diags, header = _parse_header(blob, file_size)
+    _raise_diags(diags)
     return header["model_spec"], header["tensors"]
 
 
