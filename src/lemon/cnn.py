@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import ShapeError
 from .expand_ops import expand_matrix_cols
-from .expander import column_split
+from .expander import column_split, map_arrays
 
 
 @dataclass
@@ -34,9 +34,6 @@ class ConvWeights:
     weight: np.ndarray  # (c_out, c_in, kh, kw)
     bias: np.ndarray    # (c_out,)
     padding: int = 0
-
-    def copy(self) -> "ConvWeights":
-        return ConvWeights(self.weight.copy(), self.bias.copy(), self.padding)
 
 
 @dataclass
@@ -46,10 +43,6 @@ class BatchNormParams:
     mean: np.ndarray
     var: np.ndarray
     eps: float = 1e-5
-
-    def copy(self) -> "BatchNormParams":
-        return BatchNormParams(self.gamma.copy(), self.beta.copy(),
-                               self.mean.copy(), self.var.copy(), self.eps)
 
 
 @dataclass
@@ -63,11 +56,6 @@ class BottleneckWeights:
     bn2: BatchNormParams
     conv3: ConvWeights
     bn3: BatchNormParams
-
-    def copy(self) -> "BottleneckWeights":
-        return BottleneckWeights(self.conv1.copy(), self.bn1.copy(),
-                                 self.conv2.copy(), self.bn2.copy(),
-                                 self.conv3.copy(), self.bn3.copy())
 
 
 def conv2d(x: np.ndarray, conv: ConvWeights) -> np.ndarray:
@@ -154,7 +142,7 @@ def expand_cnn_bottleneck(w: BottleneckWeights, d_t: int,
         ConvWeights(mid[circ], w.conv2.bias[circ], w.conv2.padding),
         _bn_take(w.bn2, circ),
         ConvWeights(split_in_channels(w.conv3.weight), w.conv3.bias.copy(), w.conv3.padding),
-        w.bn3.copy())
+        map_arrays(w.bn3, np.copy))
 
 
 def random_bottleneck(outer: int, inner: int, kernel: int,

@@ -3,7 +3,7 @@
 File layout (all integers little-endian)::
 
     bytes 0..3    magic "LEMN"
-    bytes 4..7    format version, uint32 (currently 1)
+    bytes 4..7    format version, uint32 (2; no other version is read)
     bytes 8..15   header_len, uint64
     16..          header_len bytes of UTF-8 JSON
     ...           tensor payload, raw row-major little-endian values
@@ -11,8 +11,12 @@ File layout (all integers little-endian)::
 The header JSON holds the model spec and a tensor table of
 ``{name, dtype, shape, byte_offset, byte_length}`` records.  Offsets are
 absolute, 64-byte aligned, non-overlapping, and in-bounds; scalar eps
-values travel as zero-dimensional float64 tensors.  Readers reject any
-file the validator rejects; nothing is partially loaded.
+values travel as zero-dimensional float64 tensors.  Every weight matrix
+is stored (out, in).  Version 1 stored the attention matrices (q/k/v and
+``attn.wo``) as (in, out) under the same names; a square one has the
+same shape in both layouts, so the version, not the tensor table, tells
+them apart, and any version but 2 is refused.  Readers reject any file
+the validator rejects; nothing is partially loaded.
 
 Which tensors a model has, and their names, shapes and dtypes, follow
 from its spec and its one weight dtype alone:
@@ -60,7 +64,7 @@ from .model import (EPS_DTYPE, AttentionWeights, BlockWeights,
                     tensor_schema)
 
 MAGIC = b"LEMN"
-VERSION = 1
+VERSION = 2
 ALIGNMENT = 64
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header_len
 
@@ -257,8 +261,9 @@ def _parse_header(blob: bytes, file_size: int | None) -> tuple[list[Diagnostic],
     magic, version, header_len = _PREFIX.unpack_from(blob)
     if magic != MAGIC:
         return [Diagnostic("bad_magic", f"magic {magic!r} != {MAGIC!r}")], None
-    if version > VERSION:
-        return [Diagnostic("unsupported_version", f"version {version} > {VERSION}")], None
+    if version != VERSION:
+        return [Diagnostic("unsupported_version",
+                           f"version {version} is not {VERSION}, the only one read")], None
     payload_start = _PREFIX.size + header_len
     if payload_start > size:
         return [Diagnostic("truncated_payload", "declared header extends past the file")], None

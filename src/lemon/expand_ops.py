@@ -140,11 +140,15 @@ class ColumnSplit:
         return cls(parts=[m], tail=empty, residual=empty)
 
 
-def _split_close(actual: np.ndarray, target: np.ndarray) -> bool:
+@np.errstate(over="ignore", invalid="ignore")
+def _split_close(target: np.ndarray, *terms: np.ndarray) -> bool:
+    """Whether the sum of ``terms`` is within ``SPLIT_TOL`` of ``target``,
+    relative to its largest magnitude.  A sum that overflows or turns NaN
+    is not, and gives no warning: the caller raises SplitError."""
     if not target.size:
         return True
     # max(x.max(), -x.min()) is abs(x).max() without an abs temporary
-    err = actual - target
+    err = functools.reduce(np.add, terms) - target
     scale = max(1.0, float(target.max()), -float(target.min()))
     return bool(max(float(err.max()), -float(err.min())) <= SPLIT_TOL * scale)
 
@@ -169,12 +173,12 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
     k, r = _check_extents(d_s, d_t)
     if len(split.parts) != k:
         raise SplitError(f"split has {len(split.parts)} parts, want {k}")
-    for i, part in enumerate(split.parts):
-        if np.asarray(part).shape != (p, d_s):
-            raise SplitError(f"part {i} has shape {np.asarray(part).shape}, want {(p, d_s)}")
-    total = np.asarray(functools.reduce(np.add, split.parts))
+    parts = [np.asarray(part) for part in split.parts]
+    for i, part in enumerate(parts):
+        if part.shape != (p, d_s):
+            raise SplitError(f"part {i} has shape {part.shape}, want {(p, d_s)}")
     if mode == "rand":
-        if not _split_close(total, m):
+        if not _split_close(m, *parts):
             raise SplitError("rand split parts do not sum to the source matrix")
         extra = split.tail
         if r == 0:
@@ -193,7 +197,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
             extra = np.zeros((p, 0), dtype=m.dtype) if extra is None else np.asarray(extra)
             if extra.shape != (p, 0):
                 raise SplitError("residual must be empty when d_t is a multiple of d_s")
-            if not _split_close(total, m):
+            if not _split_close(m, *parts):
                 raise SplitError("circ split parts do not sum to the source matrix")
         else:
             if extra is None:
@@ -201,11 +205,11 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
             extra = np.asarray(extra, dtype=m.dtype)
             if extra.shape != (p, r):
                 raise SplitError(f"residual has shape {extra.shape}, want {(p, r)}")
-            if not _split_close(extra + total[:, :r], m[:, :r]):
+            if not _split_close(m[:, :r], *(part[:, :r] for part in parts), extra):
                 raise SplitError("circ split violates the wrapped-column constraint")
-            if not _split_close(total[:, r:], m[:, r:]):
+            if not _split_close(m[:, r:], *(part[:, r:] for part in parts)):
                 raise SplitError("circ split parts do not sum to the source columns")
-    cols = [np.asarray(part, dtype=m.dtype) for part in split.parts] + [extra]
+    cols = [np.asarray(part, dtype=m.dtype) for part in parts] + [extra]
     return np.ascontiguousarray(np.hstack(cols))
 
 

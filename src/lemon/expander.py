@@ -99,8 +99,8 @@ class ExpansionPlan:
             raise PlanError(f"unknown depth_mode {self.depth_mode!r}")
         if self.depth_source not in DEPTH_SOURCES:
             raise PlanError(f"unknown depth_source {self.depth_source!r}")
-        if not 0 < self.noise_scale:
-            raise PlanError("noise_scale must be positive")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
+            raise PlanError("noise_scale must be finite and positive")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
             raise PlanError("seed must fit in 64 unsigned bits")
         if self.target_width < spec.width:
@@ -148,14 +148,25 @@ def _split_copies(m: np.ndarray, copies: int, policy: str,
         parts = rng.normal(0.0, noise_scale, size=(copies - 1,) + sub.shape)
         parts += sub / copies
         out[:-1, :, todo] = parts
-        out[-1][:, todo] = sub - parts.sum(axis=0)
         close = np.zeros(sub.shape[1], dtype=bool)
-        for a, b in itertools.combinations(out[:, :, todo], 2):
-            close |= (np.abs(a - b) <= MIN_SEPARATION * noise_scale).any(axis=0)
+        # an overflowing split is not close here, and its caller rejects it
+        # (the column sum check, or _finite_noise): no warning on top
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[-1][:, todo] = sub - parts.sum(axis=0)
+            for a, b in itertools.combinations(out[:, :, todo], 2):
+                close |= (np.abs(a - b) <= MIN_SEPARATION * noise_scale).any(axis=0)
         todo = cols[todo][close]
         if not todo.size:
             return out
     raise PlanError("could not draw separated split noise in 64 attempts")
+
+
+def _finite_noise(z: np.ndarray, noise_scale: float) -> np.ndarray:
+    """``z`` as drawn, or PlanError if a draw overflowed; for the noise
+    no sum check covers: a lemon ``rand`` tail and the type2 ± pairs."""
+    if not np.isfinite(z).all():
+        raise PlanError(f"noise_scale {noise_scale:g} overflows the split noise")
+    return z
 
 
 def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
@@ -178,7 +189,7 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
     if mode == "rand":
         parts = _split_copies(m, k, policy, rng, noise_scale)
         if policy == "lemon":
-            tail = rng.normal(0.0, noise_scale, size=(p, r))
+            tail = _finite_noise(rng.normal(0.0, noise_scale, size=(p, r)), noise_scale)
         elif policy == "zero_tail":
             tail = np.zeros((p, r), dtype=m.dtype)
         else:
@@ -213,9 +224,8 @@ def _expand_head(head: HeadWeights, d_t: int, policy: str,
                  rng: np.random.Generator, noise_scale: float) -> HeadWeights:
     """Expand one head's input dimension; its biases and output dim stay."""
     def grow(w: np.ndarray) -> np.ndarray:
-        wt = np.ascontiguousarray(w.T)
-        split = column_split(wt, d_t, "rand", policy, rng, noise_scale)
-        return np.ascontiguousarray(expand_matrix_cols(wt, d_t, "rand", split).T)
+        split = column_split(w, d_t, "rand", policy, rng, noise_scale)
+        return expand_matrix_cols(w, d_t, "rand", split)
 
     return HeadWeights(grow(head.wq), grow(head.wk), grow(head.wv),
                        head.bq.copy(), head.bk.copy(), head.bv.copy())
@@ -236,9 +246,7 @@ def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
     h_t = d_t // spec.head_dim
     heads = [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
              for m in range(h_t)]
-    wo_t = np.ascontiguousarray(
-        _row_expanded_cols(np.ascontiguousarray(attn.wo.T), d_t, row_mode,
-                           d_t, policy, rng, noise_scale).T)
+    wo_t = _row_expanded_cols(attn.wo, d_t, row_mode, d_t, policy, rng, noise_scale)
     bo_t = expand_bias(attn.bo, d_t, row_mode)
     return AttentionWeights(heads, wo_t, bo_t)
 
@@ -335,12 +343,31 @@ def layer_multiplicities(l_s: int, l_t: int) -> list[int]:
 
 def _zero_output_block(donor: BlockWeights) -> BlockWeights:
     """type1: copy the donor and zero both output projections."""
-    blk = donor.copy()
+    blk = map_arrays(donor, np.copy)
     blk.attn.wo = np.zeros_like(blk.attn.wo)
     blk.attn.bo = np.zeros_like(blk.attn.bo)
     blk.mlp.w2 = np.zeros_like(blk.mlp.w2)
     blk.mlp.b2 = np.zeros_like(blk.mlp.b2)
     return blk
+
+
+def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
+                       rng: np.random.Generator, noise_scale: float) -> np.ndarray:
+    """A ``(d_t, units_t * size)`` output projection over ``units_t``
+    replicated units of ``size`` columns each (heads, or hidden units of
+    size 1), whose fan-out forms ± pairs: unit ``s`` pairs with unit
+    ``s + units_s``, and every output element gets exactly one pair."""
+    w = np.zeros((d_t, units_t * size), dtype=dtype)
+    paired = min(units_s, units_t - units_s)
+    if paired > 0:
+        rows = np.arange(d_t)
+        cols = (rows % paired) * size + rows % size
+        # the lemon split of a zero row into two copies is exactly (a, -a)
+        plus, minus = _finite_noise(
+            _split_copies(np.zeros((1, d_t)), 2, "lemon", rng, noise_scale)[:, 0], noise_scale)
+        w[rows, cols] = plus
+        w[rows, cols + units_s * size] = minus
+    return w
 
 
 def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
@@ -355,48 +382,30 @@ def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
     grown) get zero fan-out, which is the only zero-sum choice for a
     group of one.
     """
-    hd, h_s = spec.head_dim, spec.n_heads
-    h_t = d_t // hd
-    hidden_s = spec.hidden_dim
-
+    hd, h_s, h_t = spec.head_dim, spec.n_heads, d_t // spec.head_dim
     base_heads = [_expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
                   for s in range(h_s)]
-    heads = [base_heads[m % h_s].copy() for m in range(h_t)]
-
-    wo = np.zeros((h_t * hd, d_t), dtype=src.attn.wo.dtype)
-    cols = np.arange(d_t)
-    paired_heads = min(h_s, h_t - h_s)  # head s pairs with head s + h_s
-    if paired_heads > 0:
-        rows = (cols % paired_heads) * hd + cols % hd
-        # the lemon split of a zero row into two copies is exactly (a, -a)
-        plus, minus = _split_copies(np.zeros((1, d_t)), 2, "lemon", rng, noise_scale)[:, 0]
-        wo[rows, cols] = plus
-        wo[rows + h_s * hd, cols] = minus
+    heads = [map_arrays(base_heads[m % h_s], np.copy) for m in range(h_t)]
+    wo = _cancelling_fanout(d_t, h_s, h_t, hd, src.attn.wo.dtype, rng, noise_scale)
     bo = np.zeros(d_t, dtype=src.attn.bo.dtype)
 
     split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale)
     w1 = expand_matrix_rows(expand_matrix_cols(src.mlp.w1, d_t, "rand", split1),
                             hidden_t, "circ")
     b1 = expand_bias(src.mlp.b1, hidden_t, "circ")
-
-    w2 = np.zeros((d_t, hidden_t), dtype=src.mlp.w2.dtype)
-    paired_units = min(hidden_s, hidden_t - hidden_s)  # unit z pairs with z + hidden_s
-    if paired_units > 0:
-        units = cols % paired_units
-        plus, minus = _split_copies(np.zeros((1, d_t)), 2, "lemon", rng, noise_scale)[:, 0]
-        w2[cols, units] = plus
-        w2[cols, units + hidden_s] = minus
+    w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,
+                            rng, noise_scale)
     b2 = np.zeros(d_t, dtype=src.mlp.b2.dtype)
 
-    return BlockWeights(wide.ln1.copy(),
+    return BlockWeights(map_arrays(wide.ln1, np.copy),
                         AttentionWeights(heads, wo, bo),
-                        wide.ln2.copy(),
+                        map_arrays(wide.ln2, np.copy),
                         MlpWeights(w1, b1, w2, b2))
 
 
 def _zero_norm_block(donor: BlockWeights) -> BlockWeights:
     """post_res_norm: zero both norm affines so the block is the identity."""
-    blk = donor.copy()
+    blk = map_arrays(donor, np.copy)
     for ln in (blk.ln1, blk.ln2):
         ln.mu = np.zeros_like(ln.mu)
         if ln.beta is not None:
@@ -424,7 +433,7 @@ def _post_ln_chain(wide: BlockWeights,
     if count == 1:
         yield wide, "carrier"
         return
-    first = wide.copy()
+    first = map_arrays(wide, np.copy)
     first.ln1 = _identity_affine(wide.ln1)
     first.ln2 = _identity_affine(wide.ln2)
     first.mlp.w2 = np.zeros_like(first.mlp.w2)
@@ -437,7 +446,7 @@ def _post_ln_chain(wide: BlockWeights,
         mid.ln2 = _identity_affine(wide.ln2)
         yield mid, "inserted"
         del mid
-    last = wide.copy()
+    last = map_arrays(wide, np.copy)
     last.attn.wo = np.zeros_like(last.attn.wo)
     last.attn.bo = np.zeros_like(last.attn.bo)
     yield last, "mlp_carrier"
@@ -478,8 +487,10 @@ def expand_depth(i: int, count: int, wide: BlockWeights, donor_wide: BlockWeight
 # whole-model expansion
 
 
-def map_arrays(w: ModelWeights, fn) -> ModelWeights:
-    """A new weight structure holding ``fn(a)`` in place of every array.
+def map_arrays(w, fn):
+    """A copy of any weight structure (a model, a block, a head, a CNN
+    bottleneck, or a list of them) holding ``fn(a)`` in place of every
+    array.
 
     Every dataclass and list is rebuilt, so the result shares no
     structure with ``w``; it shares arrays only where ``fn`` returns its

@@ -12,11 +12,11 @@ behaviour is pinned down deliberately:
   non-BLAS ``einsum`` loop honours both properties; if not, matmul falls
   back to rounding each product individually and accumulating with
   numpy's pairwise summation, which satisfies them by construction.
-* ``matmul`` takes its right operand as stored or as a transposed view
-  (``w.T`` of an (out, in) weight), so callers never copy a weight to
-  transpose it.  einsum walks a view in a different order than a
-  C-contiguous array, so the probe checks both properties in both
-  layouts.
+* ``matmul`` takes its right operand as stored or as a transposed view:
+  every weight matrix is stored (out, in) and multiplied as ``w.T``, so
+  callers never copy a weight to transpose it.  einsum walks a view in
+  a different order than a C-contiguous array, so the probe checks both
+  properties in both layouts.
 * ``layernorm`` uses the population variance (``ddof=0``).
 * ``gelu`` is the exact erf-based form, not the tanh approximation.
 

@@ -11,7 +11,9 @@ sits relative to the residual branch:
 Attention is bidirectional (no causal mask).  Token models embed ids
 straight from a table; vision models project flattened patches, prepend
 a class token, add learned positional embeddings, and decode from the
-class-token position.  All linear layers carry biases.
+class-token position.  All linear layers carry biases, and every weight
+matrix is stored (out, in): the forward pass multiplies by its ``.T``
+view, so a layer's fan-out from input unit ``j`` is column ``j``.
 
 An attention or MLP module whose stored output projection (``attn.wo``
 or ``mlp.w2``) is all zero contributes exactly its output bias, so it is
@@ -149,15 +151,10 @@ class NormParams:
     beta: np.ndarray | None
     eps: float
 
-    def copy(self) -> "NormParams":
-        return NormParams(self.mu.copy(),
-                          None if self.beta is None else self.beta.copy(),
-                          self.eps)
-
 
 @dataclass
 class HeadWeights:
-    """One attention head: wq/wk/wv are (width, head_dim), biases (head_dim,)."""
+    """One attention head: wq/wk/wv are (head_dim, width), biases (head_dim,)."""
 
     wq: np.ndarray
     wk: np.ndarray
@@ -166,20 +163,12 @@ class HeadWeights:
     bk: np.ndarray
     bv: np.ndarray
 
-    def copy(self) -> "HeadWeights":
-        return HeadWeights(*(getattr(self, f).copy()
-                             for f in ("wq", "wk", "wv", "bq", "bk", "bv")))
-
 
 @dataclass
 class AttentionWeights:
     heads: list[HeadWeights]
-    wo: np.ndarray   # (n_heads * head_dim, width)
+    wo: np.ndarray   # (width, n_heads * head_dim)
     bo: np.ndarray   # (width,)
-
-    def copy(self) -> "AttentionWeights":
-        return AttentionWeights([h.copy() for h in self.heads],
-                                self.wo.copy(), self.bo.copy())
 
 
 @dataclass
@@ -189,10 +178,6 @@ class MlpWeights:
     w2: np.ndarray   # (width, hidden)
     b2: np.ndarray   # (width,)
 
-    def copy(self) -> "MlpWeights":
-        return MlpWeights(self.w1.copy(), self.b1.copy(),
-                          self.w2.copy(), self.b2.copy())
-
 
 @dataclass
 class BlockWeights:
@@ -200,10 +185,6 @@ class BlockWeights:
     attn: AttentionWeights
     ln2: NormParams
     mlp: MlpWeights
-
-    def copy(self) -> "BlockWeights":
-        return BlockWeights(self.ln1.copy(), self.attn.copy(),
-                            self.ln2.copy(), self.mlp.copy())
 
 
 @dataclass
@@ -216,13 +197,6 @@ class EmbeddingWeights:
     cls_token: np.ndarray | None = None     # (width,)
     positions: np.ndarray | None = None     # (num_patches + 1, width)
 
-    def copy(self) -> "EmbeddingWeights":
-        def cp(a):
-            return None if a is None else a.copy()
-        return EmbeddingWeights(cp(self.token_table), cp(self.patch_weight),
-                                cp(self.patch_bias), cp(self.cls_token),
-                                cp(self.positions))
-
 
 @dataclass
 class ModelWeights:
@@ -231,13 +205,6 @@ class ModelWeights:
     final_norm: NormParams | None
     dec_weight: np.ndarray | None   # (classes, width); None when tied
     dec_bias: np.ndarray            # (classes,)
-
-    def copy(self) -> "ModelWeights":
-        return ModelWeights(self.embedding.copy(),
-                            [b.copy() for b in self.blocks],
-                            None if self.final_norm is None else self.final_norm.copy(),
-                            None if self.dec_weight is None else self.dec_weight.copy(),
-                            self.dec_bias.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +233,10 @@ def block_schema(spec: ModelSpec, i: int, dtype: np.dtype):
     yield from _norm_schema(f"{p}.ln1", spec, dtype)
     for h in range(spec.n_heads):
         for f in ("wq", "wk", "wv"):
-            yield TensorEntry(f"{p}.attn.head{h}.{f}", (d, hd), dtype)
+            yield TensorEntry(f"{p}.attn.head{h}.{f}", (hd, d), dtype)
         for f in ("bq", "bk", "bv"):
             yield TensorEntry(f"{p}.attn.head{h}.{f}", (hd,), dtype)
-    yield TensorEntry(f"{p}.attn.wo", (spec.n_heads * hd, d), dtype)
+    yield TensorEntry(f"{p}.attn.wo", (d, spec.n_heads * hd), dtype)
     yield TensorEntry(f"{p}.attn.bo", (d,), dtype)
     yield from _norm_schema(f"{p}.ln2", spec, dtype)
     yield TensorEntry(f"{p}.mlp.w1", (hidden, d), dtype)
@@ -362,19 +329,19 @@ def apply_norm(x: np.ndarray, norm: NormParams, spec: ModelSpec) -> np.ndarray:
 
 def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec) -> np.ndarray:
     """Bidirectional multi-head attention over a (tokens, width) input."""
-    if x.ndim != 2 or x.shape[1] != attn.heads[0].wq.shape[0]:
+    if x.ndim != 2 or x.shape[1] != attn.heads[0].wq.shape[1]:
         raise ShapeError(f"attention input shape {x.shape} does not match weights")
     if not attn.wo.any():  # the module contributes exactly its bias
-        return np.zeros((x.shape[0], attn.wo.shape[1]), x.dtype) + attn.bo
+        return np.zeros((x.shape[0], attn.wo.shape[0]), x.dtype) + attn.bo
     scale = 1.0 / math.sqrt(spec.head_dim)
     outs = []
     for head in attn.heads:
-        q = kernels.matmul(x, head.wq) + head.bq
-        k = kernels.matmul(x, head.wk) + head.bk
-        v = kernels.matmul(x, head.wv) + head.bv
+        q = kernels.matmul(x, head.wq.T) + head.bq
+        k = kernels.matmul(x, head.wk.T) + head.bk
+        v = kernels.matmul(x, head.wv.T) + head.bv
         scores = kernels.matmul(q, k.T) * x.dtype.type(scale)
         outs.append(kernels.matmul(kernels.softmax_rows(scores), v))
-    return kernels.matmul(np.hstack(outs), attn.wo) + attn.bo
+    return kernels.matmul(np.hstack(outs), attn.wo.T) + attn.bo
 
 
 def mlp_forward(x: np.ndarray, mlp: MlpWeights, spec: ModelSpec) -> np.ndarray:
@@ -474,10 +441,10 @@ def random_weights(spec: ModelSpec, rng: np.random.Generator,
         )
     blocks = []
     for _ in range(spec.depth):
-        heads = [HeadWeights(mat(d, hd), mat(d, hd), mat(d, hd),
+        heads = [HeadWeights(mat(hd, d), mat(hd, d), mat(hd, d),
                              mat(hd), mat(hd), mat(hd))
                  for _ in range(spec.n_heads)]
-        attn = AttentionWeights(heads, mat(spec.n_heads * hd, d), mat(d))
+        attn = AttentionWeights(heads, mat(d, spec.n_heads * hd), mat(d))
         mlp = MlpWeights(mat(hidden, d), mat(hidden), mat(d, hidden), mat(d))
         blocks.append(BlockWeights(norm(), attn, norm(), mlp))
     final = norm() if spec.has_final_norm else None

@@ -69,13 +69,6 @@ def _lr(spec: ScheduleSpec, t: int) -> float:
     return spec.min_lr + 0.5 * (spec.max_lr - spec.min_lr) * (1.0 + math.cos(phase))
 
 
-def schedule_rows(spec: ScheduleSpec):
-    """Yield ``(step, lr)`` for every step 0..total inclusive."""
-    spec.validate()
-    for t in range(spec.total + 1):
-        yield t, _lr(spec, t)
-
-
 def write_schedule_csv(spec: ScheduleSpec, path) -> None:
     """Emit ``step,lr`` rows, one per step, 17 significant digits."""
     spec.validate()

@@ -105,7 +105,9 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     report carries the per-sample worst logit positions; it is a pure
     function of (checkpoints, samples, seed), independent of the thread
     count set via ``LEMON_THREADS``.  Zero samples or a zero sequence
-    length would pass on no evidence, so both are rejected.
+    length would pass on no evidence, so both are rejected, and so is a
+    NaN, infinite or negative ``tol``, which would fail or pass every
+    pair.
 
     The samples read only the token rows they draw, so the big token
     table is also compared, whole, with the small one expanded to the
@@ -121,6 +123,8 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         raise PlanError(f"--samples must be at least 1, got {samples}")
     if seq_len < 1:
         raise PlanError(f"--seq-len must be at least 1, got {seq_len}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise PlanError(f"--tol must be finite and non-negative, got {tol}")
     with CheckpointReader(small_path) as small, CheckpointReader(big_path) as big, \
             _sample_map() as each:
         small_spec = small.spec
@@ -191,10 +195,11 @@ def _sample_map():
 def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
     """Minimum pairwise fan-out distance for every replicated-unit group.
 
-    For MLP hidden units the fan-out is the unit's column of the second
-    layer; for attention heads it is the head's row block of the output
-    projection.  Groups expanded with equal splits report exactly 0;
-    symmetry-broken groups report a positive distance.  A malformed map
+    A replica's fan-out is its block of columns of the output projection
+    (stored (out, in)): ``head_dim`` columns of ``attn.wo`` for a head,
+    one column of ``mlp.w2`` for a hidden unit.  Groups expanded with
+    equal splits report exactly 0; symmetry-broken groups report a
+    positive distance.  A malformed map
     (a block without a valid index, or a group that is not at least two
     in-range replicas) raises :class:`PlanError`.  Of the checkpoint's
     payload, only those two projections of the blocks the map names are
@@ -204,7 +209,6 @@ def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
         spec = reader.spec
         if duplicate_map.get("version") != 1:
             raise PlanError("unsupported duplicate map version")
-        hd = spec.head_dim
         entries: list[dict] = []
         blocks = duplicate_map.get("blocks", [])
         if not isinstance(blocks, list):
@@ -213,18 +217,16 @@ def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
             bi = blk_entry.get("index") if isinstance(blk_entry, dict) else None
             if not _is_index(bi, spec.depth):
                 raise PlanError(f"duplicate map references missing block {bi!r}")
-            for kind, units, tensor in (("attn_head", spec.n_heads, "attn.wo"),
-                                        ("mlp_hidden", spec.hidden_dim, "mlp.w2")):
+            for kind, units, size, tensor in (
+                    ("attn_head", spec.n_heads, spec.head_dim, "attn.wo"),
+                    ("mlp_hidden", spec.hidden_dim, 1, "mlp.w2")):
                 groups = _checked_groups(blk_entry.get(f"{kind}_groups", {}), units,
                                          f"block {bi} {kind}_groups")
                 if not groups:
                     continue
                 w = reader.tensor(f"blocks.{bi}.{tensor}")
                 for src, members in groups.items():
-                    if kind == "attn_head":
-                        vecs = [w[m * hd:(m + 1) * hd, :].ravel() for m in members]
-                    else:
-                        vecs = [w[:, m] for m in members]
+                    vecs = [w[:, m * size:(m + 1) * size] for m in members]
                     dist = min(float(np.abs(a - b).max())
                                for i, a in enumerate(vecs) for b in vecs[i + 1:])
                     entries.append({"block": bi, "kind": kind, "source": int(src),

@@ -14,7 +14,7 @@ from lemon import (BadMagicError, ContainerError, MalformedHeaderError,
                    ModelSpec, PlanError, TruncatedPayloadError,
                    UnsupportedVersionError, random_weights, read_checkpoint,
                    validate_header, write_checkpoint)
-from lemon.container import (ALIGNMENT, MAGIC, _PREFIX, _read_head,
+from lemon.container import (ALIGNMENT, MAGIC, VERSION, _PREFIX, _read_head,
                              load_model_config, named_tensors, read_header)
 from lemon.rng import substream
 
@@ -102,7 +102,7 @@ class TestCorruption:
     def test_future_version(self, tmp_path):
         _, _, path = write_toy(tmp_path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, 4, 2)
+        struct.pack_into("<I", blob, 4, VERSION + 1)
         assert validate_header(bytes(blob))[0].code == "unsupported_version"
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersionError):

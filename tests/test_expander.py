@@ -116,6 +116,13 @@ class TestSplitProperties:
         with pytest.raises(PlanError):
             expand_model(w, spec, plan)
 
+    def test_overflowing_decoder_tail_noise_rejected(self, toy_model):
+        # depth 0: only the decoder's free rand tail draws noise, and no sum
+        # check covers a tail
+        w, spec = toy_model(depth=0)
+        with pytest.raises(PlanError, match="noise_scale"):
+            expand_model(w, spec, ExpansionPlan(12, 0, noise_scale=1e308))
+
 
 class TestModuleExpansion:
     def test_mha_identity(self, toy_model):
@@ -147,8 +154,8 @@ class TestModuleExpansion:
                          substream(2, "d"), 0.02)
         hd, h_s = spec.head_dim, spec.n_heads
         for s in range(h_s):
-            a = big.wo[s * hd:(s + 1) * hd, :]
-            b = big.wo[(s + h_s) * hd:(s + h_s + 1) * hd, :]
+            a = big.wo[:, s * hd:(s + 1) * hd]
+            b = big.wo[:, (s + h_s) * hd:(s + h_s + 1) * hd]
             np.testing.assert_array_equal(a, b)
 
     def test_mlp_identity(self, toy_model):
@@ -270,7 +277,7 @@ class TestEmbeddingsAndDecoder:
         w_untied = random_weights(spec.__class__(**{**spec.__dict__,
                                                     "tied_decoder": False}),
                                   substream(12, "u"))
-        w_untied.final_norm = w.final_norm.copy()
+        w_untied.final_norm = map_arrays(w.final_norm, np.copy)
         big_u, _, _ = expand_model(
             w_untied, spec.__class__(**{**spec.__dict__, "tied_decoder": False}), plan)
         np.testing.assert_array_equal(big_w.final_norm.mu, big_u.final_norm.mu / 2)
@@ -322,11 +329,11 @@ class TestDepthExpansion:
         blk = big_w.blocks[1]
         hd, h_s, hidden_s = spec.head_dim, spec.n_heads, spec.hidden_dim
         want_wo = np.zeros_like(blk.attn.wo)
-        for col in range(20):
-            row = (col % h_s) * hd + col % hd
+        for row in range(20):
+            col = (row % h_s) * hd + row % hd
             a = blk.attn.wo[row, col]
             assert abs(a) > 0
-            want_wo[row, col], want_wo[row + h_s * hd, col] = a, -a
+            want_wo[row, col], want_wo[row, col + h_s * hd] = a, -a
         np.testing.assert_array_equal(blk.attn.wo, want_wo)
         want_w2 = np.zeros_like(blk.mlp.w2)
         for row in range(20):
@@ -417,7 +424,7 @@ class TestExpandModel:
         w, spec = toy_model(depth=2)
         plan = ExpansionPlan(20, 2, seed=4)
         base, bs, _ = expand_model(w, spec, plan)
-        altered = w.copy()
+        altered = map_arrays(w, np.copy)
         altered.blocks[1].mlp.w1 += 1.0
         other, _, _ = expand_model(altered, spec, plan)
         # block 0 is bitwise unaffected, including its free parameters

@@ -16,9 +16,9 @@ def naive_mha(x, attn, head_dim):
     e = x.shape[0]
     outs = []
     for head in attn.heads:
-        q = x @ head.wq + head.bq
-        k = x @ head.wk + head.bk
-        v = x @ head.wv + head.bv
+        q = x @ head.wq.T + head.bq
+        k = x @ head.wk.T + head.bk
+        v = x @ head.wv.T + head.bv
         out = np.zeros_like(v)
         for i in range(e):
             logits = np.array([q[i] @ k[j] / math.sqrt(head_dim) for j in range(e)])
@@ -27,7 +27,7 @@ def naive_mha(x, attn, head_dim):
             for j in range(e):
                 out[i] += weights[j] * v[j]
         outs.append(out)
-    return np.hstack(outs) @ attn.wo + attn.bo
+    return np.hstack(outs) @ attn.wo.T + attn.bo
 
 
 class TestMha:
@@ -45,7 +45,7 @@ class TestMha:
         w, spec = toy_model(depth=1)
         attn = w.blocks[0].attn
         x = rng("tok").standard_normal((1, spec.width))
-        want = np.hstack([x @ h.wv + h.bv for h in attn.heads]) @ attn.wo + attn.bo
+        want = np.hstack([x @ h.wv.T + h.bv for h in attn.heads]) @ attn.wo.T + attn.bo
         np.testing.assert_allclose(mha_forward(x, attn, spec), want, atol=1e-12)
 
     def test_matches_naive_oracle(self, toy_model, rng):
@@ -199,8 +199,8 @@ class TestInvariants:
         hd = spec.head_dim
         for blk in w.blocks:
             blk.attn.heads = [blk.attn.heads[p] for p in perm]
-            blocks = [blk.attn.wo[p * hd:(p + 1) * hd, :] for p in perm]
-            blk.attn.wo = np.ascontiguousarray(np.vstack(blocks))
+            blocks = [blk.attn.wo[:, p * hd:(p + 1) * hd] for p in perm]
+            blk.attn.wo = np.ascontiguousarray(np.hstack(blocks))
         np.testing.assert_allclose(model_forward(ids, w, spec), base,
                                    rtol=0, atol=1e-10)
 

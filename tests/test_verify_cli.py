@@ -4,7 +4,9 @@ import json
 import math
 import os
 import stat
+import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +181,16 @@ class TestVerify:
         assert "PASS" not in out
         assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_must_be_finite_and_non_negative(self, workdir, capsys, tol):
+        # nan and -1 would FAIL every pair, inf would PASS every pair
+        _, _, small = workdir
+        assert main(["verify", "--small", str(small), "--big", str(small),
+                     "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--tol" in err and err.count("\n") == 1
+
 
 class TestSymmetryCommand:
     def test_lemon_groups_positive(self, workdir, capsys):
@@ -309,6 +321,23 @@ class TestExpandContract:
         assert err.count("\n") == 1 and "blocks.1.mlp.w2" in err and "NaN or Inf" in err
         assert not (tmp_path / "big.lmn").exists()
 
+    @pytest.mark.parametrize("scale,policy,names", [
+        ("inf", "lemon", "noise_scale"), ("1e308", "lemon", "split"),
+        # no width split draws noise, so the type2 pairs overflow first
+        ("1e308", "net2net-equal", "noise_scale")])
+    def test_unusable_noise_scale_usage_error(self, workdir, capsys, scale, policy, names):
+        tmp_path, _, small = workdir
+        # a numpy RuntimeWarning would be a second stderr line; raise it instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["expand", "--in", str(small), "--out", str(tmp_path / "big.lmn"),
+                         *self.ARGV, "--noise-scale", scale, "--policy", policy,
+                         "--depth-mode", "type2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
+        assert not (tmp_path / "big.lmn").exists()
+
     @pytest.mark.parametrize("eps,depth,warns", [(1e-5, "4", True), (0.0, "4", False),
                                                  (1e-5, "2", False)])
     def test_post_ln_depth_growth_with_eps_warns(self, tmp_path, capsys, eps, depth, warns):
@@ -389,6 +418,30 @@ class TestExpandContract:
         assert (tmp_path / "big.lmn.duplicates.json").read_bytes() == \
             json.dumps(dup, indent=1).encode()
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+class TestFormatVersion:
+    # width 4 == head_dim: every attention matrix is square, so a version 1
+    # file, which stored them (in, out), has the tensor table of version 2
+    @pytest.mark.parametrize("width", [8, 4])
+    def test_version_1_file_io_error(self, tmp_path, capsys, width):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CFG, "width": width}))
+        old = tmp_path / "old.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(old)]) == 0
+        blob = bytearray(old.read_bytes())
+        struct.pack_into("<I", blob, 4, 1)
+        old.write_bytes(bytes(blob))
+        capsys.readouterr()
+        big = tmp_path / "big.lmn"
+        for argv in (["inspect", str(old)],
+                     ["verify", "--small", str(old), "--big", str(old)],
+                     ["expand", "--in", str(old), "--out", str(big),
+                      "--target-width", "16", "--target-depth", "3"]):
+            assert main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and "unsupported_version" in err
+        assert not big.exists()
 
 
 #: spec values for the init-random property: small finite ones, huge

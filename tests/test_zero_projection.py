@@ -19,11 +19,11 @@ def full_mha(x, attn, spec):
     scale = x.dtype.type(1.0 / math.sqrt(spec.head_dim))
     outs = []
     for h in attn.heads:
-        q = kernels.matmul(x, h.wq) + h.bq
-        k = kernels.matmul(x, h.wk) + h.bk
-        v = kernels.matmul(x, h.wv) + h.bv
+        q = kernels.matmul(x, h.wq.T) + h.bq
+        k = kernels.matmul(x, h.wk.T) + h.bk
+        v = kernels.matmul(x, h.wv.T) + h.bv
         outs.append(kernels.matmul(kernels.softmax_rows(kernels.matmul(q, k.T) * scale), v))
-    return kernels.matmul(np.hstack(outs), attn.wo) + attn.bo
+    return kernels.matmul(np.hstack(outs), attn.wo.T) + attn.bo
 
 
 def full_mlp(x, mlp, spec):
