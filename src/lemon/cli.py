@@ -17,7 +17,7 @@ from .container import (CheckpointReader, _read_head, _spec_from_dict,
                         require_replaceable)
 # not called here: kept for perfbench/tests, which look the binding up in this module
 from .container import read_checkpoint  # noqa: F401
-from .errors import ContainerError, LemonError, PlanError
+from .errors import ContainerError, LemonError, PlanError, SplitError
 from .expander import (DEPTH_MODES, ExpansionPlan, expand_model,
                        post_ln_depth_is_inexact)
 from .schedule import PRESETS, ScheduleSpec, write_schedule_csv
@@ -101,7 +101,13 @@ def _cmd_expand(args) -> int:
             print("warning: growing the depth of a post_ln model with eps > 0 is lossless "
                   "only up to an O(eps) error; verify it with an explicit --tol",
                   file=sys.stderr)
-        _, new_spec, dup_map = expand_model(source, spec, plan, out=args.out)
+        try:
+            _, new_spec, dup_map = expand_model(source, spec, plan, out=args.out)
+        except SplitError as exc:
+            # the sum checks hold for any finite split noise a float can carry
+            # through; a scale that large is the usual way to fail them
+            raise PlanError(f"--noise-scale {args.noise_scale:g} is too large for an "
+                            f"exact split ({exc}); use a smaller one") from exc
     with replacing(sidecar) as fh:
         fh.write(json.dumps(dup_map, indent=1).encode("utf-8"))
     print(f"expanded ({spec.depth}, {spec.width}) -> "

@@ -40,6 +40,9 @@ COL_MODES = ("rand", "circ")
 #: hard errors, never silently renormalized)
 SPLIT_TOL = 1e-12
 
+#: the sum checks read this many bytes of rows at a time
+_CHECK_BYTES = 1 << 20
+
 
 def _check_extents(d_s: int, d_t: int) -> tuple[int, int]:
     """Return (copies, tail) for an expansion d_s -> d_t."""
@@ -126,31 +129,40 @@ class ColumnSplit:
 
     The split is where fan-out policy lives: choosing unequal parts is
     what breaks the symmetry of replicated units.
+
+    A split drawn by :func:`lemon.expander.column_split` records the
+    grown ``(p, d_t)`` matrix as ``grown``: its parts and its tail (or
+    residual) are views of that matrix's column blocks, in order, so
+    each piece is written once, where it ends up.  A split built from
+    separate arrays has no ``grown``.
     """
 
     parts: list[np.ndarray] = field(default_factory=list)
     tail: np.ndarray | None = None       # rand mode, shape (p, d_t mod d_s)
     residual: np.ndarray | None = None   # circ mode, shape (p, d_t mod d_s)
-
-    @classmethod
-    def identity(cls, m: np.ndarray) -> "ColumnSplit":
-        """Single-part split for d_t == d_s (either mode)."""
-        m = np.asarray(m)
-        empty = np.zeros((m.shape[0], 0), dtype=m.dtype)
-        return cls(parts=[m], tail=empty, residual=empty)
+    grown: np.ndarray | None = None      # the matrix the pieces are views of
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _split_close(target: np.ndarray, *terms: np.ndarray) -> bool:
     """Whether the sum of ``terms`` is within ``SPLIT_TOL`` of ``target``,
     relative to its largest magnitude.  A sum that overflows or turns NaN
-    is not, and gives no warning: the caller raises SplitError."""
+    is not, and gives no warning: the caller raises SplitError.
+
+    The rows are checked about ``_CHECK_BYTES`` at a time, so the check's
+    temporaries stay that small however large the matrix is."""
     if not target.size:
         return True
-    # max(x.max(), -x.min()) is abs(x).max() without an abs temporary
-    err = functools.reduce(np.add, terms) - target
-    scale = max(1.0, float(target.max()), -float(target.min()))
-    return bool(max(float(err.max()), -float(err.min())) <= SPLIT_TOL * scale)
+    limit = SPLIT_TOL * max(1.0, float(target.max()), -float(target.min()))
+    step = max(1, _CHECK_BYTES // (target.shape[1] * target.itemsize))
+    for i in range(0, target.shape[0], step):
+        rows = slice(i, i + step)
+        err = functools.reduce(np.add, (term[rows] for term in terms)) - target[rows]
+        # max(x.max(), -x.min()) is abs(x).max() without an abs temporary;
+        # written so that a NaN is never within the limit
+        if not max(float(err.max()), -float(err.min())) <= limit:
+            return False
+    return True
 
 
 def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
@@ -163,6 +175,12 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
     ``sum(parts)[:, r:] == m[:, r:]`` (r = d_t mod d_s), yielding
     ``m* @ circ_expand(x) == m @ x``.  Violations beyond ``SPLIT_TOL``
     (relative) raise :class:`SplitError`.
+
+    Every check runs on the split's pieces as they are.  When they are
+    all views of the split's recorded ``grown`` matrix (a split drawn by
+    :func:`lemon.expander.column_split`), that matrix is returned as it
+    is; otherwise the pieces are copied into one new C-contiguous
+    ``(p, d_t)`` matrix.
     """
     m = np.asarray(m)
     if m.ndim != 2:
@@ -209,8 +227,14 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
                 raise SplitError("circ split violates the wrapped-column constraint")
             if not _split_close(m[:, r:], *(part[:, r:] for part in parts)):
                 raise SplitError("circ split parts do not sum to the source columns")
-    cols = [np.asarray(part, dtype=m.dtype) for part in parts] + [extra]
-    return np.ascontiguousarray(np.hstack(cols))
+    grown = split.grown
+    pieces = parts + [extra]
+    if (grown is None or grown.shape != (p, d_t) or grown.dtype != m.dtype
+            or any(piece.base is not grown for piece in pieces)):
+        grown = np.empty((p, d_t), dtype=m.dtype)
+        for i, piece in enumerate(pieces):
+            grown[:, i * d_s:i * d_s + piece.shape[1]] = piece
+    return grown
 
 
 def expand_bias(b: np.ndarray, d_t: int, mode: str) -> np.ndarray:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .container import CheckpointReader, write_tensors
 from .errors import PlanError
-from .expand_ops import (ColumnSplit, _check_extents, expand_bias,
+from .expand_ops import (COL_MODES, ColumnSplit, _check_extents, expand_bias,
                          expand_layernorm, expand_matrix_cols,
                          expand_matrix_rows, expand_rmsnorm, expand_vector)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
@@ -121,10 +121,11 @@ class ExpansionPlan:
 # policy-driven column splits
 
 
-def _split_copies(m: np.ndarray, copies: int, policy: str,
-                  rng: np.random.Generator, noise_scale: float) -> np.ndarray:
-    """Split ``m`` into ``copies`` replicas summing to ``m``, as one
-    ``(copies, p, n)`` array.
+def _split_copies(m: np.ndarray, out, policy: str,
+                  rng: np.random.Generator, noise_scale: float):
+    """Split ``m`` into ``copies = len(out)`` replicas summing to ``m``,
+    written into ``out``, a sequence of float64 arrays or views shaped
+    like ``m``, which is returned.
 
     ``net2net_equal`` gives every replica an equal share and
     ``zero_tail`` gives the first replica all of ``m`` and the rest
@@ -134,27 +135,38 @@ def _split_copies(m: np.ndarray, copies: int, policy: str,
     noise_scale``; the columns that miss it are redrawn, and
     :class:`PlanError` is raised if any still do after 64 attempts.
     """
+    copies = len(out)
     if copies == 1 or policy == "zero_tail":
-        out = np.zeros((copies,) + m.shape, dtype=m.dtype)
-        out[0] = m
+        out[0][...] = m
+        for o in out[1:]:
+            o[...] = 0.0
         return out
     if policy == "net2net_equal":
-        return np.repeat((m / copies)[None], copies, axis=0)
-    out = np.empty((copies,) + m.shape)
+        share = m / copies
+        for o in out:
+            o[...] = share
+        return out
     cols = np.arange(m.shape[1])
     todo = slice(None)  # columns still to draw: all of them, then the close ones
     for _ in range(64):
         sub = m[:, todo]
         parts = rng.normal(0.0, noise_scale, size=(copies - 1,) + sub.shape)
         parts += sub / copies
-        out[:-1, :, todo] = parts
+        for o, part in zip(out, parts):
+            o[:, todo] = part
         close = np.zeros(sub.shape[1], dtype=bool)
         # an overflowing split is not close here, and its caller rejects it
-        # (the column sum check, or _finite_noise): no warning on top
+        # (the column sum check, or _finite_noise): no warning on top.  Each
+        # temporary is reused in place and dropped once written out.
         with np.errstate(over="ignore", invalid="ignore"):
-            out[-1][:, todo] = sub - parts.sum(axis=0)
-            for a, b in itertools.combinations(out[:, :, todo], 2):
-                close |= (np.abs(a - b) <= MIN_SEPARATION * noise_scale).any(axis=0)
+            last = parts.sum(axis=0)
+            del parts
+            out[-1][:, todo] = np.subtract(sub, last, out=last)
+            del last
+            for a, b in itertools.combinations([o[:, todo] for o in out], 2):
+                gap = np.subtract(a, b)
+                close |= (np.abs(gap, out=gap) <= MIN_SEPARATION * noise_scale).any(axis=0)
+                del gap
         todo = cols[todo][close]
         if not todo.size:
             return out
@@ -177,34 +189,43 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
     :func:`lemon.expand_ops.expand_matrix_cols`; the policy only decides
     how the total is distributed between replicas (and what fills the
     free ``rand`` tail).
+
+    The grown ``(p, d_t)`` matrix is allocated once and every piece is
+    drawn straight into its column block: the split's parts and its tail
+    (or residual) are views of that matrix, recorded as ``grown``, which
+    ``expand_matrix_cols`` checks and returns without another copy.  It
+    never shares memory with ``m``.
     """
     if policy not in POLICIES:
         raise PlanError(f"unknown policy {policy!r}")
+    if mode not in COL_MODES:
+        raise PlanError(f"unknown column mode {mode!r}")
     m = np.asarray(m)
     p, d_s = m.shape
     k, r = _check_extents(d_s, d_t)
-    if k == 1 and r == 0:
-        return ColumnSplit.identity(m)
-
+    grown = np.empty((p, d_t))  # float64: every split is drawn in it
+    # k parts of d_s columns, then the r tail or residual columns
+    blocks = [grown[:, i * d_s:(i + 1) * d_s] for i in range(k + 1)]
     if mode == "rand":
-        parts = _split_copies(m, k, policy, rng, noise_scale)
+        _split_copies(m, blocks[:k], policy, rng, noise_scale)
         if policy == "lemon":
-            tail = _finite_noise(rng.normal(0.0, noise_scale, size=(p, r)), noise_scale)
+            blocks[k][...] = _finite_noise(rng.normal(0.0, noise_scale, size=(p, r)),
+                                           noise_scale)
         elif policy == "zero_tail":
-            tail = np.zeros((p, r), dtype=m.dtype)
+            blocks[k][...] = 0.0
         else:
-            tail = m[:, :r].copy()  # circular wrap keeps replicas identical
-        return ColumnSplit(parts=list(parts.astype(m.dtype, copy=False)),
-                           tail=np.asarray(tail, dtype=m.dtype))
-
-    if mode != "circ":
-        raise PlanError(f"unknown column mode {mode!r}")
-    # the leading r columns wrap around, so they are consumed k+1 times
-    wrapped = _split_copies(m[:, :r], k + 1, policy, rng, noise_scale)
-    rest = _split_copies(m[:, r:], k, policy, rng, noise_scale)
-    parts = np.concatenate([wrapped[:k], rest], axis=2).astype(m.dtype, copy=False)
-    return ColumnSplit(parts=list(parts), tail=None,
-                       residual=wrapped[k].astype(m.dtype, copy=False))
+            blocks[k][...] = m[:, :r]  # circular wrap keeps replicas identical
+    else:
+        # the leading r columns wrap around, so they are consumed k+1 times:
+        # once in each part and once more in the residual after the last
+        _split_copies(m[:, :r], [b[:, :r] for b in blocks], policy, rng, noise_scale)
+        _split_copies(m[:, r:], [b[:, r:] for b in blocks[:k]], policy, rng, noise_scale)
+    if m.dtype != grown.dtype:
+        # cast like the float64 pieces; expand_matrix_cols assembles them
+        blocks, grown = [b.astype(m.dtype) for b in blocks], None
+    if mode == "rand":
+        return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown)
+    return ColumnSplit(parts=blocks[:k], residual=blocks[k], grown=grown)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +362,18 @@ def layer_multiplicities(l_s: int, l_t: int) -> list[int]:
 # depth expansion
 
 
+def _copy_zeroing(w, *names: str):
+    """A copy of the weight structure ``w`` whose fields ``names`` hold
+    zeros shaped like the donor's; those fields are never copied first."""
+    zeros = {n: None if getattr(w, n) is None else np.zeros_like(getattr(w, n))
+             for n in names}
+    return replace(map_arrays(replace(w, **dict.fromkeys(names)), np.copy), **zeros)
+
+
 def _zero_output_block(donor: BlockWeights) -> BlockWeights:
     """type1: copy the donor and zero both output projections."""
-    blk = map_arrays(donor, np.copy)
-    blk.attn.wo = np.zeros_like(blk.attn.wo)
-    blk.attn.bo = np.zeros_like(blk.attn.bo)
-    blk.mlp.w2 = np.zeros_like(blk.mlp.w2)
-    blk.mlp.b2 = np.zeros_like(blk.mlp.b2)
-    return blk
+    return BlockWeights(_copy_zeroing(donor.ln1), _copy_zeroing(donor.attn, "wo", "bo"),
+                        _copy_zeroing(donor.ln2), _copy_zeroing(donor.mlp, "w2", "b2"))
 
 
 def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
@@ -363,8 +388,9 @@ def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
         rows = np.arange(d_t)
         cols = (rows % paired) * size + rows % size
         # the lemon split of a zero row into two copies is exactly (a, -a)
-        plus, minus = _finite_noise(
-            _split_copies(np.zeros((1, d_t)), 2, "lemon", rng, noise_scale)[:, 0], noise_scale)
+        pair = _split_copies(np.zeros((1, d_t)), np.empty((2, 1, d_t)), "lemon",
+                             rng, noise_scale)
+        plus, minus = _finite_noise(pair[:, 0], noise_scale)
         w[rows, cols] = plus
         w[rows, cols + units_s * size] = minus
     return w
@@ -385,7 +411,8 @@ def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
     hd, h_s, h_t = spec.head_dim, spec.n_heads, d_t // spec.head_dim
     base_heads = [_expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
                   for s in range(h_s)]
-    heads = [map_arrays(base_heads[m % h_s], np.copy) for m in range(h_t)]
+    # the first replica of each head keeps the grown head, later ones copy it
+    heads = base_heads + [map_arrays(base_heads[m % h_s], np.copy) for m in range(h_s, h_t)]
     wo = _cancelling_fanout(d_t, h_s, h_t, hd, src.attn.wo.dtype, rng, noise_scale)
     bo = np.zeros(d_t, dtype=src.attn.bo.dtype)
 
@@ -405,12 +432,8 @@ def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
 
 def _zero_norm_block(donor: BlockWeights) -> BlockWeights:
     """post_res_norm: zero both norm affines so the block is the identity."""
-    blk = map_arrays(donor, np.copy)
-    for ln in (blk.ln1, blk.ln2):
-        ln.mu = np.zeros_like(ln.mu)
-        if ln.beta is not None:
-            ln.beta = np.zeros_like(ln.beta)
-    return blk
+    return BlockWeights(_copy_zeroing(donor.ln1, "mu", "beta"), _copy_zeroing(donor.attn),
+                        _copy_zeroing(donor.ln2, "mu", "beta"), _copy_zeroing(donor.mlp))
 
 
 def _identity_affine(like: NormParams) -> NormParams:
@@ -433,22 +456,17 @@ def _post_ln_chain(wide: BlockWeights,
     if count == 1:
         yield wide, "carrier"
         return
-    first = map_arrays(wide, np.copy)
-    first.ln1 = _identity_affine(wide.ln1)
-    first.ln2 = _identity_affine(wide.ln2)
-    first.mlp.w2 = np.zeros_like(first.mlp.w2)
-    first.mlp.b2 = np.zeros_like(first.mlp.b2)
+    first = BlockWeights(_identity_affine(wide.ln1), _copy_zeroing(wide.attn),
+                         _identity_affine(wide.ln2), _copy_zeroing(wide.mlp, "w2", "b2"))
     yield first, "attn_carrier"
     del first
     for _ in range(count - 2):
-        mid = _zero_output_block(wide)
-        mid.ln1 = _identity_affine(wide.ln1)
-        mid.ln2 = _identity_affine(wide.ln2)
+        mid = BlockWeights(_identity_affine(wide.ln1), _copy_zeroing(wide.attn, "wo", "bo"),
+                           _identity_affine(wide.ln2), _copy_zeroing(wide.mlp, "w2", "b2"))
         yield mid, "inserted"
         del mid
-    last = map_arrays(wide, np.copy)
-    last.attn.wo = np.zeros_like(last.attn.wo)
-    last.attn.bo = np.zeros_like(last.attn.bo)
+    last = BlockWeights(_copy_zeroing(wide.ln1), _copy_zeroing(wide.attn, "wo", "bo"),
+                        _copy_zeroing(wide.ln2), _copy_zeroing(wide.mlp))
     yield last, "mlp_carrier"
 
 
@@ -511,6 +529,23 @@ def map_arrays(w, fn):
 def _as64(w):
     """The weights in float64; float64 arrays are passed through uncopied."""
     return map_arrays(w, lambda a: np.asarray(a, dtype=np.float64))
+
+
+def _as32(w):
+    """A float32 copy of the weights."""
+    return map_arrays(w, lambda a: a.astype(np.float32))
+
+
+def _released(parts) -> Iterator[np.ndarray]:
+    """The tensors of ``parts`` in checkpoint order.  Each is dropped here
+    as it is taken, so nothing of a written part is still held while the
+    next part is built (a generator expression over the parts would hold
+    the last one, a whole block, until the next is ready)."""
+    for part in parts:
+        arrays = flat_arrays(part)[::-1]
+        del part
+        while arrays:
+            yield arrays.pop()
 
 
 def _stream_mode(style: str) -> str:
@@ -644,11 +679,10 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
     roles: list[str] = []
     parts = _expanded_parts(shell, source_block, spec, target_spec, plan, roles)
     if in_dtype == np.float32:
-        parts = (map_arrays(part, lambda a: a.astype(np.float32)) for part in parts)
+        parts = map(_as32, parts)
 
     if out is not None:
-        write_tensors(out, target_spec, in_dtype,
-                      (a for part in parts for a in flat_arrays(part)))
+        write_tensors(out, target_spec, in_dtype, _released(parts))
         expanded = None
     else:
         embedding = next(parts)

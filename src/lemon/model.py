@@ -423,7 +423,9 @@ def random_weights(spec: ModelSpec, rng: np.random.Generator,
     d, hd, hidden = spec.width, spec.head_dim, spec.hidden_dim
 
     def mat(*shape):
-        return (rng.standard_normal(shape) * 0.25).astype(dtype)
+        a = rng.standard_normal(shape)
+        a *= 0.25
+        return a.astype(dtype, copy=False)
 
     def norm() -> NormParams:
         mu = (1.0 + 0.2 * rng.standard_normal(d)).astype(dtype)

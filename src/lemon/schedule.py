@@ -27,6 +27,13 @@ class ScheduleSpec:
     total: int
 
     def validate(self) -> "ScheduleSpec":
+        for flag, rate in (("--max-lr", self.max_lr), ("--min-lr", self.min_lr)):
+            if not math.isfinite(rate):
+                raise PlanError(f"{flag} must be finite, got {rate:g}")
+        if not math.isfinite(self.max_lr * self.warmup):
+            # the warmup rates max_lr * (t + 1) / warmup would overflow
+            raise PlanError(f"--max-lr {self.max_lr:g} times --warmup {self.warmup} "
+                            "overflows a float")
         if not 0 <= self.min_lr <= self.max_lr:
             raise PlanError("need 0 <= min_lr <= max_lr")
         if not 0 <= self.warmup < self.total:

@@ -172,8 +172,9 @@ class TestExpandMatrixCols:
 
     def test_identity_single_part(self, rng):
         m = rng("ci").standard_normal((2, 3))
-        out = expand_matrix_cols(m, 3, "rand", ColumnSplit.identity(m))
+        out = expand_matrix_cols(m, 3, "rand", ColumnSplit(parts=[m]))
         np.testing.assert_array_equal(out, m)
+        assert not np.shares_memory(out, m)
 
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     def test_losslessness_property(self, rng, mode):

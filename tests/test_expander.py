@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from itertools import combinations
 
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemon import (ExpansionPlan, ModelSpec, PlanError, block_forward,
+from lemon import (ColumnSplit, ExpansionPlan, ModelSpec, PlanError, SplitError,
+                   block_forward,
                    expand_mha, expand_mlp, expand_model, expand_vector,
                    mha_forward, mlp_forward, model_forward, random_weights,
                    toy_mlp_gradient_step, validate_weights)
 from lemon.container import named_tensors
 from lemon.expand_ops import expand_matrix_cols
-from lemon.expander import (MIN_SEPARATION, POLICIES, column_split,
-                            expand_block_width, expand_decoder,
+from lemon.expander import (MIN_SEPARATION, POLICIES, _split_copies, column_split,
+                            expand_block_width, expand_decoder, expand_depth,
                             expand_embeddings, layer_multiplicities,
                             map_arrays, replica_groups)
+from lemon.model import flat_arrays
 from lemon import kernels
 from lemon.rng import substream
 
@@ -122,6 +125,91 @@ class TestSplitProperties:
         w, spec = toy_model(depth=0)
         with pytest.raises(PlanError, match="noise_scale"):
             expand_model(w, spec, ExpansionPlan(12, 0, noise_scale=1e308))
+
+
+class TestGrowOnce:
+    """column_split draws every piece straight into the grown matrix, and
+    expand_matrix_cols checks those pieces and returns that matrix."""
+
+    @pytest.mark.parametrize("k", (1, 3))
+    @pytest.mark.parametrize("with_tail", (False, True))
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.integers(1, 4), d_s=st.integers(2, 6), pick=st.integers(0, 100),
+           mode=st.sampled_from(("rand", "circ")), policy=st.sampled_from(POLICIES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grown_matrix_is_its_pieces(self, k, with_tail, p, d_s, pick, mode, policy,
+                                        seed):
+        r = 1 + pick % (d_s - 1) if with_tail else 0
+        d_t = k * d_s + r
+        m = substream(seed, "m").standard_normal((p, d_s))
+        split = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
+        grown = expand_matrix_cols(m, d_t, mode, split)
+        extra = split.tail if mode == "rand" else split.residual
+        assert grown.shape == (p, d_t) and grown.flags.c_contiguous
+        assert grown.tobytes() == np.hstack(split.parts + [extra]).tobytes()
+        assert not np.shares_memory(grown, m)
+        # the same pieces as separate arrays are assembled into the same matrix
+        copies = ColumnSplit(parts=[a.copy() for a in split.parts],
+                             tail=None if split.tail is None else split.tail.copy(),
+                             residual=None if split.residual is None else split.residual.copy())
+        assembled = expand_matrix_cols(m, d_t, mode, copies)
+        assert assembled.tobytes() == grown.tobytes()
+        assert not np.shares_memory(assembled, m)
+
+    @pytest.mark.parametrize("mode", ("rand", "circ"))
+    def test_corrupted_replica_fails_the_check(self, rng, monkeypatch, mode):
+        calls = []
+
+        def corrupt_first(m, out, *args):
+            _split_copies(m, out, *args)
+            if not calls:
+                out[1][0, 0] += 1.0  # replica 1 of the first draw
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr("lemon.expander._split_copies", corrupt_first)
+        m = rng("corrupt").standard_normal((3, 4))
+        split = column_split(m, 10, mode, "lemon", rng("corrupt-split"), 0.02)
+        assert calls
+        with pytest.raises(SplitError):
+            expand_matrix_cols(m, 10, mode, split)
+
+    @pytest.mark.parametrize("mode", ("rand", "circ"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("d_s,d_t", ((1024, 1536), (512, 1280)))  # k = 1 and 2
+    def test_growing_a_matrix_allocates_it_once(self, rng, mode, policy, d_s, d_t):
+        # 384 rows: larger than a sum check's row chunk
+        m = rng("once").standard_normal((384, d_s))
+        g = rng("once-split", mode, policy)
+        tracemalloc.start()
+        try:
+            grown = expand_matrix_cols(m, d_t, mode, column_split(m, d_t, mode, policy, g, 0.02))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the grown matrix once, plus draw and check temporaries smaller than
+        # it; a second copy of it (concatenate, hstack) would reach 2x
+        assert peak < 1.9 * grown.nbytes
+
+    def test_type1_inserted_block_allocates_only_what_it_keeps(self, toy_spec):
+        spec = toy_spec(depth=1, width=64, head_dim=16, ratio=4.0)
+        blk = random_weights(spec, substream(6, "inserted")).blocks[0]
+        blocks = expand_depth(0, 2, blk, blk, blk, spec, spec.hidden_dim,
+                              ExpansionPlan(64, 2, depth_mode="type1"))
+        carrier, role = next(blocks)
+        assert carrier is blk and role == "carrier"
+        del carrier
+        tracemalloc.start()
+        try:
+            inserted, role = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert role == "inserted"
+        assert not inserted.attn.wo.any() and not inserted.mlp.w2.any()
+        # copies of what it keeps and zeros for both output projections: one
+        # block's worth; copying the whole donor first would add wo and w2
+        assert peak < 1.1 * sum(a.nbytes for a in flat_arrays(inserted))
 
 
 class TestModuleExpansion:

@@ -227,3 +227,12 @@ class TestValidation:
         w.blocks.pop()
         with pytest.raises(ShapeError):
             validate_weights(w, spec)
+
+
+class TestRandomWeights:
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_matrices_are_scaled_standard_normal_draws(self, toy_spec, dtype):
+        spec = toy_spec()
+        table = random_weights(spec, substream(7, "rw"), dtype=dtype).embedding.token_table
+        want = (substream(7, "rw").standard_normal(table.shape) * 0.25).astype(dtype)
+        assert table.dtype == dtype and table.tobytes() == want.tobytes()

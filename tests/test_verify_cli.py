@@ -252,6 +252,20 @@ class TestOtherCommands:
         assert main(["schedule", "--max-lr", "1e-3",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--max-lr", "inf", "--min-lr", "0", "--total", "4", "--warmup", "1"], "--max-lr"),
+        (["--max-lr", "nan", "--min-lr", "0", "--total", "4", "--warmup", "1"], "--max-lr"),
+        (["--max-lr", "1", "--min-lr", "nan", "--total", "4", "--warmup", "1"], "--min-lr"),
+        # max_lr * (t + 1) overflows at warmup step 1
+        (["--max-lr", "1e308", "--min-lr", "0", "--total", "4", "--warmup", "2"], "--warmup")])
+    def test_schedule_non_finite_rates_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "s.csv"
+        assert main(["schedule", *flags, "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
     def test_inspect(self, workdir, capsys):
         _, _, small = workdir
         assert main(["inspect", str(small)]) == 0
@@ -336,6 +350,17 @@ class TestExpandContract:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert names in err
+        assert not (tmp_path / "big.lmn").exists()
+
+    def test_inexact_split_names_the_noise_scale(self, workdir, capsys):
+        # 8 -> 12 wide: at this scale the circ split of wo fails its sum check
+        tmp_path, _, small = workdir
+        assert main(["expand", "--in", str(small), "--out", str(tmp_path / "big.lmn"),
+                     "--target-width", "12", "--target-depth", "3",
+                     "--noise-scale", "1e4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--noise-scale 10000" in err
         assert not (tmp_path / "big.lmn").exists()
 
     @pytest.mark.parametrize("eps,depth,warns", [(1e-5, "4", True), (0.0, "4", False),
