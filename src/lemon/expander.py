@@ -51,15 +51,16 @@ import numpy as np
 
 from .container import CheckpointReader, write_tensors
 from .errors import PlanError
-from .expand_ops import (COL_MODES, ColumnSplit, _check_extents, expand_bias,
-                         expand_layernorm, expand_matrix_cols,
-                         expand_matrix_rows, expand_rmsnorm, expand_vector)
+from .expand_ops import (COL_MODES, ColumnSplit, _blocks, _check_extents, _cols,
+                         _repeated_rows, expand_bias, expand_layernorm,
+                         expand_matrix_cols, expand_matrix_rows, expand_rmsnorm,
+                         expand_vector, row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
                     NormParams, block_schema, decoder_schema,
-                    embedding_schema, flat_arrays, spec_with,
-                    validate_weights)
-from .rng import substream
+                    embedding_schema, flat_arrays, released_arrays,
+                    spec_with, validate_weights)
+from .rng import check_seed, substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
 DEPTH_MODES = ("type1", "type2")
@@ -101,8 +102,7 @@ class ExpansionPlan:
             raise PlanError(f"unknown depth_source {self.depth_source!r}")
         if not (math.isfinite(self.noise_scale) and self.noise_scale > 0):
             raise PlanError("noise_scale must be finite and positive")
-        if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
-            raise PlanError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
         if self.target_width < spec.width:
             raise PlanError(f"target width {self.target_width} below source {spec.width}")
         if self.target_depth < spec.depth:
@@ -121,54 +121,64 @@ class ExpansionPlan:
 # policy-driven column splits
 
 
-def _split_copies(m: np.ndarray, out, policy: str,
+def _split_copies(src, out, policy: str,
                   rng: np.random.Generator, noise_scale: float):
-    """Split ``m`` into ``copies = len(out)`` replicas summing to ``m``,
-    written into ``out``, a sequence of float64 arrays or views shaped
-    like ``m``, which is returned.
+    """Split the matrix ``src`` into ``copies = len(out)`` replicas
+    summing to it, written into ``out``, a sequence of float64 arrays or
+    views shaped like that matrix, which is returned.
+
+    ``src`` is the matrix, or its ``(rows, block)`` pairs, as
+    :func:`lemon.expand_ops.row_blocks` gives a large row expansion, read
+    one block at a time; the draws are the same as for the built matrix.
 
     ``net2net_equal`` gives every replica an equal share and
-    ``zero_tail`` gives the first replica all of ``m`` and the rest
+    ``zero_tail`` gives the first replica all of the matrix and the rest
     zeros.  ``lemon`` adds N(0, noise_scale^2) noise to the equal shares
     and lets the last replica close the sum.  Every entry of every pair
     of lemon replicas must differ by more than ``MIN_SEPARATION *
     noise_scale``; the columns that miss it are redrawn, and
     :class:`PlanError` is raised if any still do after 64 attempts.
     """
-    copies = len(out)
+    copies, src = len(out), _blocks(src)
     if copies == 1 or policy == "zero_tail":
-        out[0][...] = m
+        for rows, block in src:
+            out[0][rows] = block
         for o in out[1:]:
             o[...] = 0.0
         return out
     if policy == "net2net_equal":
-        share = m / copies
-        for o in out:
-            o[...] = share
+        for rows, block in src:
+            share = block / copies
+            for o in out:
+                o[rows] = share
         return out
-    cols = np.arange(m.shape[1])
+    n = src[0][1].shape[1]
+    cols = np.arange(n)
     todo = slice(None)  # columns still to draw: all of them, then the close ones
     for _ in range(64):
-        sub = m[:, todo]
-        parts = rng.normal(0.0, noise_scale, size=(copies - 1,) + sub.shape)
-        parts += sub / copies
+        parts = rng.normal(0.0, noise_scale, size=(copies - 1, len(out[0]), n))
+        for rows, block in src:
+            parts[:, rows] += block[:, todo] / copies
         for o, part in zip(out, parts):
             o[:, todo] = part
-        close = np.zeros(sub.shape[1], dtype=bool)
+        close = np.zeros(n, dtype=bool)
         # an overflowing split is not close here, and its caller rejects it
         # (the column sum check, or _finite_noise): no warning on top.  Each
         # temporary is reused in place and dropped once written out.
         with np.errstate(over="ignore", invalid="ignore"):
             last = parts.sum(axis=0)
             del parts
-            out[-1][:, todo] = np.subtract(sub, last, out=last)
+            for rows, block in src:
+                np.subtract(block[:, todo], last[rows], out=last[rows])
+            out[-1][:, todo] = last
             del last
             for a, b in itertools.combinations([o[:, todo] for o in out], 2):
                 gap = np.subtract(a, b)
                 close |= (np.abs(gap, out=gap) <= MIN_SEPARATION * noise_scale).any(axis=0)
                 del gap
         todo = cols[todo][close]
-        if not todo.size:
+        n = todo.size
+        if not n:
             return out
     raise PlanError("could not draw separated split noise in 64 attempts")
 
@@ -182,7 +192,9 @@ def _finite_noise(z: np.ndarray, noise_scale: float) -> np.ndarray:
 
 
 def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
-                 rng: np.random.Generator, noise_scale: float) -> ColumnSplit:
+                 rng: np.random.Generator, noise_scale: float,
+                 rows: tuple[int, str] | None = None, out: np.ndarray | None = None
+                 ) -> ColumnSplit:
     """Draw the per-copy parts for a column expansion of ``m``.
 
     The parts always satisfy the sum constraints of
@@ -190,7 +202,17 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
     how the total is distributed between replicas (and what fills the
     free ``rand`` tail).
 
-    The grown ``(p, d_t)`` matrix is allocated once and every piece is
+    With ``rows = (d_rows, row_mode)`` the split is that of the row
+    expansion ``expand_matrix_rows(m, d_rows, row_mode)``, with the same
+    draws, but that matrix is built only when it is small
+    (:func:`lemon.expand_ops.row_blocks`): each row block of the grown
+    matrix is filled straight from the rows of ``m`` it repeats (``m``
+    itself, then its leading rows, its row-mean or zeros).  The split
+    records ``rows``, so ``expand_matrix_cols(m, d_t, mode, split)``
+    checks it against the same row expansion.
+
+    The grown ``(p, d_t)`` matrix is allocated once, or is ``out`` when
+    given (a float64 array or view of that shape), and every piece is
     drawn straight into its column block: the split's parts and its tail
     (or residual) are views of that matrix, recorded as ``grown``, which
     ``expand_matrix_cols`` checks and returns without another copy.  It
@@ -201,31 +223,37 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
     if mode not in COL_MODES:
         raise PlanError(f"unknown column mode {mode!r}")
     m = np.asarray(m)
-    p, d_s = m.shape
+    if rows is None:
+        src, (p, d_s) = m, m.shape
+    else:
+        src, (p, d_s) = row_blocks(m, *rows), (rows[0], m.shape[1])
     k, r = _check_extents(d_s, d_t)
-    grown = np.empty((p, d_t))  # float64: every split is drawn in it
+    grown = np.empty((p, d_t)) if out is None else out  # float64: every split is drawn in it
     # k parts of d_s columns, then the r tail or residual columns
     blocks = [grown[:, i * d_s:(i + 1) * d_s] for i in range(k + 1)]
     if mode == "rand":
-        _split_copies(m, blocks[:k], policy, rng, noise_scale)
+        _split_copies(src, blocks[:k], policy, rng, noise_scale)
         if policy == "lemon":
             blocks[k][...] = _finite_noise(rng.normal(0.0, noise_scale, size=(p, r)),
                                            noise_scale)
         elif policy == "zero_tail":
             blocks[k][...] = 0.0
         else:
-            blocks[k][...] = m[:, :r]  # circular wrap keeps replicas identical
+            for rows_k, block in _blocks(src):  # circular wrap keeps replicas identical
+                blocks[k][rows_k] = block[:, :r]
     else:
         # the leading r columns wrap around, so they are consumed k+1 times:
         # once in each part and once more in the residual after the last
-        _split_copies(m[:, :r], [b[:, :r] for b in blocks], policy, rng, noise_scale)
-        _split_copies(m[:, r:], [b[:, r:] for b in blocks[:k]], policy, rng, noise_scale)
+        _split_copies(_cols(src, slice(None, r)), [b[:, :r] for b in blocks], policy, rng,
+                      noise_scale)
+        _split_copies(_cols(src, slice(r, None)), [b[:, r:] for b in blocks[:k]], policy, rng,
+                      noise_scale)
     if m.dtype != grown.dtype:
         # cast like the float64 pieces; expand_matrix_cols assembles them
         blocks, grown = [b.astype(m.dtype) for b in blocks], None
     if mode == "rand":
-        return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown)
-    return ColumnSplit(parts=blocks[:k], residual=blocks[k], grown=grown)
+        return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown, rows=rows)
+    return ColumnSplit(parts=blocks[:k], residual=blocks[k], grown=grown, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +263,10 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
 def _row_expanded_cols(m: np.ndarray, d_rows: int, row_mode: str, d_cols: int,
                        policy: str, rng: np.random.Generator,
                        noise_scale: float) -> np.ndarray:
-    """Row expansion followed by a policy-driven circular column split."""
-    grown = expand_matrix_rows(m, d_rows, row_mode)
-    split = column_split(grown, d_cols, "circ", policy, rng, noise_scale)
-    return expand_matrix_cols(grown, d_cols, "circ", split)
+    """Row expansion followed by a policy-driven circular column split,
+    drawn straight into the grown matrix from the rows of ``m``."""
+    split = column_split(m, d_cols, "circ", policy, rng, noise_scale, rows=(d_rows, row_mode))
+    return expand_matrix_cols(m, d_cols, "circ", split)
 
 
 def _expand_head(head: HeadWeights, d_t: int, policy: str,
@@ -281,9 +309,8 @@ def expand_mlp(mlp: MlpWeights, spec: ModelSpec, d_t: int, hidden_t: int,
     the second grows rows by ``row_mode`` and columns by a policy-driven
     circular split (the fan-out of the replicated hidden units).
     """
-    w1_rows = expand_matrix_rows(mlp.w1, hidden_t, "circ")
-    split1 = column_split(w1_rows, d_t, "rand", policy, rng, noise_scale)
-    w1_t = expand_matrix_cols(w1_rows, d_t, "rand", split1)
+    split1 = column_split(mlp.w1, d_t, "rand", policy, rng, noise_scale, rows=(hidden_t, "circ"))
+    w1_t = expand_matrix_cols(mlp.w1, d_t, "rand", split1)
     b1_t = expand_bias(mlp.b1, hidden_t, "circ")
     w2_t = _row_expanded_cols(mlp.w2, d_t, row_mode, hidden_t, policy, rng, noise_scale)
     b2_t = expand_bias(mlp.b2, d_t, row_mode)
@@ -396,17 +423,19 @@ def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
     return w
 
 
-def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
-                      d_t: int, hidden_t: int, policy: str,
+def _cancelling_block(src: BlockWeights, ln1: NormParams, ln2: NormParams,
+                      spec: ModelSpec, d_t: int, hidden_t: int, policy: str,
                       rng: np.random.Generator, noise_scale: float) -> BlockWeights:
     """type2: replicas share bitwise-identical incoming weights and their
     fan-out forms ± pairs, one pair per output element, so the module
     output is exactly zero on any input while the output projections stay
     trainable.
 
-    Units without a replica (including every unit when the width is not
-    grown) get zero fan-out, which is the only zero-sum choice for a
-    group of one.
+    The block is built from the source block ``src``; of the carrier it
+    reads only the width-expanded norms ``ln1`` and ``ln2``, which it
+    copies.  Units without a replica (including every unit when the width
+    is not grown) get zero fan-out, which is the only zero-sum choice for
+    a group of one.
     """
     hd, h_s, h_t = spec.head_dim, spec.n_heads, d_t // spec.head_dim
     base_heads = [_expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
@@ -416,17 +445,22 @@ def _cancelling_block(src: BlockWeights, wide: BlockWeights, spec: ModelSpec,
     wo = _cancelling_fanout(d_t, h_s, h_t, hd, src.attn.wo.dtype, rng, noise_scale)
     bo = np.zeros(d_t, dtype=src.attn.bo.dtype)
 
-    split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale)
-    w1 = expand_matrix_rows(expand_matrix_cols(src.mlp.w1, d_t, "rand", split1),
-                            hidden_t, "circ")
+    # the columns grow first, so every replica row is the same; the split
+    # is drawn into the leading rows of w1, and the replicas copy them
+    w1 = np.empty((hidden_t, d_t))
+    top = w1[:spec.hidden_dim]
+    split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale, out=top)
+    expand_matrix_cols(src.mlp.w1, d_t, "rand", split1)  # checks the split drawn in top
+    for rows, block in _repeated_rows(top, hidden_t, "circ")[1:]:
+        w1[rows] = block
     b1 = expand_bias(src.mlp.b1, hidden_t, "circ")
     w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,
                             rng, noise_scale)
     b2 = np.zeros(d_t, dtype=src.mlp.b2.dtype)
 
-    return BlockWeights(map_arrays(wide.ln1, np.copy),
+    return BlockWeights(map_arrays(ln1, np.copy),
                         AttentionWeights(heads, wo, bo),
-                        map_arrays(wide.ln2, np.copy),
+                        map_arrays(ln2, np.copy),
                         MlpWeights(w1, b1, w2, b2))
 
 
@@ -470,31 +504,53 @@ def _post_ln_chain(wide: BlockWeights,
     yield last, "mlp_carrier"
 
 
-def expand_depth(i: int, count: int, wide: BlockWeights, donor_wide: BlockWeights,
-                 donor_src: BlockWeights, spec: ModelSpec, hidden_t: int,
+def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
+    """How inserted blocks are built, and so what they read of the block
+    they copy: ``post_ln`` (the chain reads only the carrier),
+    ``zero_norm`` and ``zero_output`` (they copy its width-expanded form)
+    or ``cancelling`` (type2: built from its source form)."""
+    if spec.norm_style == "post_ln":
+        return "post_ln"
+    if spec.norm_style == "post_res_norm":
+        return "zero_norm"
+    return "zero_output" if plan.depth_mode == "type1" else "cancelling"
+
+
+def expand_depth(i: int, count: int, wide: BlockWeights, donor: BlockWeights | None,
+                 spec: ModelSpec, hidden_t: int,
                  plan: ExpansionPlan) -> Iterator[tuple[BlockWeights, str]]:
     """Grow source block ``i`` into ``count`` target blocks.
 
-    ``wide`` is block ``i`` width-expanded; ``donor_wide`` and
-    ``donor_src`` are the block that inserted blocks copy (``i`` itself,
-    or ``i + 1`` under ``depth_source="next"``), width-expanded and as
-    in the source.  Yields each target block with a role tag, building
-    the next only once the previous has been taken: ``carrier`` blocks
-    compute the source function (``attn_carrier``/``mlp_carrier`` for the
-    split roles of the post-norm chain) and ``inserted`` blocks
-    contribute nothing at initialization.
+    ``wide`` is block ``i`` width-expanded.  ``donor`` is what the
+    inserted blocks read of the block they copy (``i`` itself, or
+    ``i + 1`` under ``depth_source="next"``): its width-expanded form
+    when they copy it (type1, and every post_res_norm model), its source
+    form for type2, which builds from it, and None for post_ln, whose
+    chain reads only ``wide`` (see ``_insert_kind``).  Yields each target
+    block with a role tag, building the next only once the previous has
+    been taken: ``carrier`` blocks compute the source function
+    (``attn_carrier``/``mlp_carrier`` for the split roles of the
+    post-norm chain) and ``inserted`` blocks contribute nothing at
+    initialization.
+
+    Once the carrier is taken, ``wide`` is kept only as far as a later
+    block reads it: whole for the post_ln chain or when it is the donor,
+    its two norms for type2, and not at all otherwise.
     """
-    if spec.norm_style == "post_ln":
+    kind = _insert_kind(spec, plan)
+    if kind == "post_ln":
         yield from _post_ln_chain(wide, count)
         return
     yield wide, "carrier"
+    norms = (wide.ln1, wide.ln2)  # all a type2 insert reads of the carrier
+    del wide
     for c in range(count - 1):
-        if spec.norm_style == "post_res_norm":
-            blk = _zero_norm_block(donor_wide)
-        elif plan.depth_mode == "type1":
-            blk = _zero_output_block(donor_wide)
+        if kind == "zero_norm":
+            blk = _zero_norm_block(donor)
+        elif kind == "zero_output":
+            blk = _zero_output_block(donor)
         else:
-            blk = _cancelling_block(donor_src, wide, spec, plan.target_width, hidden_t,
+            blk = _cancelling_block(donor, *norms, spec, plan.target_width, hidden_t,
                                     plan.policy, substream(plan.seed, "depth", i, c),
                                     plan.noise_scale)
         yield blk, "inserted"
@@ -536,18 +592,6 @@ def _as32(w):
     return map_arrays(w, lambda a: a.astype(np.float32))
 
 
-def _released(parts) -> Iterator[np.ndarray]:
-    """The tensors of ``parts`` in checkpoint order.  Each is dropped here
-    as it is taken, so nothing of a written part is still held while the
-    next part is built (a generator expression over the parts would hold
-    the last one, a whole block, until the next is ready)."""
-    for part in parts:
-        arrays = flat_arrays(part)[::-1]
-        del part
-        while arrays:
-            yield arrays.pop()
-
-
 def _stream_mode(style: str) -> str:
     return "zero" if style in ("post_res_norm", "rms_pre") else "avg"
 
@@ -573,10 +617,20 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
     ``shell`` holds the source's embedding, final norm and decoder in
     float64; its blocks are not read.  ``source_block(j)`` gives source
     block ``j`` in its stored dtype: each is asked for once, when first
-    needed, then promoted to float64 and checked for NaN and Inf.  It is
-    dropped together with its width-expanded form, so at most two source
-    blocks and two width-expanded ones are alive at a time: block ``i``
-    and, for ``depth_source="next"``, block ``i + 1``.
+    needed, then promoted to float64 and checked for NaN and Inf.
+
+    No source or width-expanded block is held once no later part reads
+    it.  Block ``i``'s width-expanded form goes to ``expand_depth`` as
+    the carrier, and only ``expand_depth`` keeps what its inserted
+    blocks read of it.  The block they copy (the donor: ``i``, or
+    ``i + 1`` for ``depth_source="next"``) is passed in the one form
+    they read (``_insert_kind``): width-expanded for type1 and
+    post_res_norm, as in the source for type2, and not at all for
+    post_ln or a block that is not repeated.  Source block ``i`` is
+    dropped once widened unless it is that donor.  A donor ``i + 1`` is
+    read (type2) or widened (type1, post_res_norm) one group early and
+    kept for its own group.  So besides the block being built, at most
+    one source block and one width-expanded block are held.
 
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
@@ -586,30 +640,35 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
     seed, policy, noise = plan.seed, plan.policy, plan.noise_scale
     yield expand_embeddings(shell.embedding, spec, d_t, _stream_mode(spec.norm_style))
 
-    src: dict[int, BlockWeights] = {}
-    wide: dict[int, BlockWeights] = {}
+    kind = _insert_kind(spec, plan)
+    src: dict[int, BlockWeights] = {}   # a type2 donor read one group early
+    wide: dict[int, BlockWeights] = {}  # a type1/post_res_norm donor widened one group early
 
     def source(j: int) -> BlockWeights:
-        if j not in src:
-            src[j] = _checked_finite(_as64(source_block(j)),
-                                     block_schema(spec, j, np.float64))
-        return src[j]
+        if j in src:
+            return src.pop(j)
+        return _checked_finite(_as64(source_block(j)), block_schema(spec, j, np.float64))
 
-    def widened(j: int) -> BlockWeights:
-        if j not in wide:
-            wide[j] = expand_block_width(source(j), spec, d_t, hidden_t, policy,
-                                         substream(seed, "block", j), noise)
-        return wide[j]
+    def widened(j: int, block: BlockWeights) -> BlockWeights:
+        return expand_block_width(block, spec, d_t, hidden_t, policy,
+                                  substream(seed, "block", j), noise)
 
     for i, count in enumerate(layer_multiplicities(spec.depth, plan.target_depth)):
-        donor = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
-        for blk, role in expand_depth(i, count, widened(i), widened(donor),
-                                      source(donor), spec, hidden_t, plan):
+        j = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
+        block = None if i in wide else source(i)
+        carrier = wide.pop(i) if i in wide else widened(i, block)
+        donor = None
+        if count > 1 and kind == "cancelling":
+            donor = block if j == i else src.setdefault(j, source(j))
+        elif count > 1 and kind != "post_ln":
+            donor = carrier if j == i else wide.setdefault(j, widened(j, source(j)))
+        del block
+        blocks = expand_depth(i, count, carrier, donor, spec, hidden_t, plan)
+        del carrier, donor  # expand_depth keeps what its blocks read
+        for blk, role in blocks:
             roles.append(role)
             yield blk
             del blk  # before the next block is built
-        wide.pop(i)
-        src.pop(i)
 
     final_norm = None
     if shell.final_norm is not None:
@@ -682,7 +741,7 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
         parts = map(_as32, parts)
 
     if out is not None:
-        write_tensors(out, target_spec, in_dtype, _released(parts))
+        write_tensors(out, target_spec, in_dtype, released_arrays(parts))
         expanded = None
     else:
         embedding = next(parts)

@@ -51,7 +51,10 @@ def _check_finite(x: np.ndarray, op: str) -> np.ndarray:
 _CHUNK = 256
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _multiply_then_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # an overflow or inf * 0 here is reported by matmul's finiteness check,
+    # not as a numpy warning (einsum raises none for either)
     out = None
     for s in range(0, max(a.shape[1], 1), _CHUNK):
         part = (a[:, s:s + _CHUNK, None] * b[None, s:s + _CHUNK, :]).sum(axis=1)
@@ -106,9 +109,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
     if _inner is None:
         _inner = _einsum if _einsum_is_trustworthy() else _multiply_then_sum
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _inner(a, b)
-    return _check_finite(out, "matmul")
+    return _check_finite(_inner(a, b), "matmul")
 
 
 def layernorm(x: np.ndarray, mu: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PlanError
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -26,6 +28,15 @@ def fnv1a64(text: str) -> int:
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, or :class:`PlanError` if it does not fit in 64 unsigned
+    bits: :func:`substream` keys on the seed modulo 2**64, so such a seed
+    would silently act as another one."""
+    if seed < 0 or seed > _MASK64:
+        raise PlanError("seed must fit in 64 unsigned bits")
+    return seed
 
 
 def substream(seed: int, *tags: object) -> np.random.Generator:

@@ -13,6 +13,7 @@ under training while equal fan-out keeps them locked together.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -22,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .container import CheckpointReader, write_checkpoint
+from .container import CheckpointReader, write_tensors
 # not called here: kept for perfbench/tests, which look the binding up in this module
 from .container import read_checkpoint  # noqa: F401
 from .errors import PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
 from .model import (ModelSpec, ModelWeights, block_forward, decode, embed,
-                    random_weights)
-from .rng import substream
+                    random_parts, released_arrays)
+from .rng import check_seed, substream
 
 #: environment variable capping verification parallelism
 THREADS_ENV = "LEMON_THREADS"
@@ -125,6 +126,7 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         raise PlanError(f"--seq-len must be at least 1, got {seq_len}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise PlanError(f"--tol must be finite and non-negative, got {tol}")
+    check_seed(seed)
     with CheckpointReader(small_path) as small, CheckpointReader(big_path) as big, \
             _sample_map() as each:
         small_spec = small.spec
@@ -268,10 +270,16 @@ def duplicate_map_path(ckpt_path) -> str:
 
 
 def init_random_model(spec: ModelSpec, seed: int, out_path, dtype=np.float64) -> None:
-    """Write a deterministic random checkpoint for a spec."""
+    """Write a deterministic random checkpoint for a spec: the weights
+    :func:`~lemon.model.random_weights` draws from ``substream(seed,
+    "init")``, drawn and written one part at a time, so about one block
+    is held.  The embedding is drawn before the checkpoint is laid out,
+    so a spec too large to draw fails at once, before its tensor table
+    is built."""
     spec.validate()
-    weights = random_weights(spec, substream(seed, "init"), dtype=dtype)
-    write_checkpoint(weights, spec, out_path)
+    parts = random_parts(spec, substream(check_seed(seed), "init"), dtype)
+    parts = itertools.chain([next(parts)], parts)
+    write_tensors(out_path, spec, dtype, released_arrays(parts))
 
 
 # ---------------------------------------------------------------------------

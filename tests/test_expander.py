@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import fields, is_dataclass
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from lemon import (ColumnSplit, ExpansionPlan, ModelSpec, PlanError, SplitError,
                    mha_forward, mlp_forward, model_forward, random_weights,
                    toy_mlp_gradient_step, validate_weights)
 from lemon.container import named_tensors
-from lemon.expand_ops import expand_matrix_cols
+from lemon.expand_ops import expand_matrix_cols, expand_matrix_rows
 from lemon.expander import (MIN_SEPARATION, POLICIES, _split_copies, column_split,
                             expand_block_width, expand_decoder, expand_depth,
                             expand_embeddings, layer_multiplicities,
                             map_arrays, replica_groups)
 from lemon.model import flat_arrays
-from lemon import kernels
+from lemon import expand_ops, kernels
 from lemon.rng import substream
 
 
@@ -191,10 +192,23 @@ class TestGrowOnce:
         # it; a second copy of it (concatenate, hstack) would reach 2x
         assert peak < 1.9 * grown.nbytes
 
+    def test_expand_mlp_builds_no_row_expanded_copy(self, toy_spec):
+        spec = toy_spec(depth=1, width=256, head_dim=64, ratio=4.0)
+        mlp = random_weights(spec, substream(7, "mlp-peak")).blocks[0].mlp
+        tracemalloc.start()
+        try:
+            out = expand_mlp(mlp, spec, 384, 1536, "lemon", substream(8, "mlp-peak"), 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the grown w1 and w2 plus draw and check temporaries; a row-expanded
+        # copy of w1 (kept while w2 grows) and of w2 would add 2/3 of them
+        assert peak < 1.6 * sum(a.nbytes for a in flat_arrays(out))
+
     def test_type1_inserted_block_allocates_only_what_it_keeps(self, toy_spec):
         spec = toy_spec(depth=1, width=64, head_dim=16, ratio=4.0)
         blk = random_weights(spec, substream(6, "inserted")).blocks[0]
-        blocks = expand_depth(0, 2, blk, blk, blk, spec, spec.hidden_dim,
+        blocks = expand_depth(0, 2, blk, blk, spec, spec.hidden_dim,
                               ExpansionPlan(64, 2, depth_mode="type1"))
         carrier, role = next(blocks)
         assert carrier is blk and role == "carrier"
@@ -210,6 +224,56 @@ class TestGrowOnce:
         # copies of what it keeps and zeros for both output projections: one
         # block's worth; copying the whole donor first would add wo and w2
         assert peak < 1.1 * sum(a.nbytes for a in flat_arrays(inserted))
+
+
+class TestRowsInSplit:
+    """column_split with a row expansion draws what the split of the built
+    row expansion draws, whether it builds a small one or reads the
+    blocks of a large one."""
+
+    # a row expansion under _CHECK_BYTES is built as one block; with a
+    # zero budget every one is read as its repeated blocks, one row at a time
+    BUDGETS = {"built": expand_ops._CHECK_BYTES, "blocks": 0}
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("k", (1, 3))
+    @pytest.mark.parametrize("with_tail", (False, True))
+    @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
+    @pytest.mark.parametrize("mode", ("rand", "circ"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=4, deadline=None)
+    @given(p=st.integers(1, 4), row_copies=st.integers(1, 3), pick=st.integers(0, 100),
+           d_s=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_equals_row_expansion_then_split(self, budget, k, with_tail, row_mode, mode,
+                                             policy, p, row_copies, pick, d_s, seed):
+        d_rows = row_copies * p + pick % p
+        r = 1 + pick % (d_s - 1) if with_tail else 0
+        d_t = k * d_s + r
+        m = substream(seed, "m").standard_normal((p, d_s))
+        built = expand_matrix_rows(m, d_rows, row_mode)
+        want = expand_matrix_cols(built, d_t, mode, column_split(
+            built, d_t, mode, policy, substream(seed, "split"), 0.02))
+        with mock.patch.object(expand_ops, "_CHECK_BYTES", self.BUDGETS[budget]):
+            split = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02,
+                                 rows=(d_rows, row_mode))
+            got = expand_matrix_cols(m, d_t, mode, split)
+        assert got is split.grown
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("row", (4, 7))  # the second copy, then the tail rows
+    @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
+    @pytest.mark.parametrize("mode", ("rand", "circ"))
+    def test_corrupted_replica_row_fails_the_check(self, rng, monkeypatch, budget, row,
+                                                   row_mode, mode):
+        monkeypatch.setattr(expand_ops, "_CHECK_BYTES", self.BUDGETS[budget])
+        m = rng("replica-row").standard_normal((3, 4))
+        split = column_split(m, 10, mode, "lemon", rng("replica-split"), 0.02,
+                             rows=(8, row_mode))
+        assert expand_matrix_cols(m, 10, mode, split) is split.grown
+        split.parts[1][row, 2] += 1e-6
+        with pytest.raises(SplitError):
+            expand_matrix_cols(m, 10, mode, split)
 
 
 class TestModuleExpansion:

@@ -57,6 +57,19 @@ class TestMatmul:
         with pytest.raises(NumericsError):
             kernels.matmul(a, b)
 
+    @pytest.mark.parametrize("impl", ("einsum", "fallback"))
+    @pytest.mark.parametrize("a,b", [(np.full((1, 2), 1e308), np.full((2, 1), 1e308)),
+                                     (np.array([[np.inf, 1.0]]), np.array([[0.0], [1.0]]))],
+                             ids=["overflow", "inf_times_zero"])
+    def test_nonfinite_is_a_numerics_error_under_raising_seterr(self, monkeypatch, impl,
+                                                                a, b):
+        # an overflow or inf * 0 surfaces as NumericsError on either inner
+        # loop, never as a numpy FloatingPointError, whatever np.seterr says
+        inner = kernels._einsum if impl == "einsum" else kernels._multiply_then_sum
+        monkeypatch.setattr(kernels, "_inner", inner)
+        with np.errstate(all="raise"), pytest.raises(NumericsError):
+            kernels.matmul(a, b)
+
     @pytest.mark.parametrize("impl", ("active", "fallback"))
     def test_accumulation_contracts(self, rng, monkeypatch, impl):
         # both inner loops must keep replicated columns bitwise equal and

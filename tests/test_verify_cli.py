@@ -192,6 +192,34 @@ class TestVerify:
         assert err.startswith("error: ") and "--tol" in err and err.count("\n") == 1
 
 
+class TestSeedRange:
+    """Every command that takes ``--seed`` rejects one outside 64 unsigned
+    bits, which the random streams would otherwise wrap to another seed."""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    @pytest.mark.parametrize("command", ["init-random", "verify", "expand"])
+    def test_seed_outside_64_bits_usage_error(self, workdir, capsys, command, seed):
+        tmp_path, cfg, small = workdir
+        out = tmp_path / "out.lmn"
+        argv = {"init-random": ["--config", str(cfg), "--out", str(out)],
+                "verify": ["--small", str(small), "--big", str(small)],
+                "expand": ["--in", str(small), "--out", str(out),
+                           "--target-width", "12", "--target-depth", "3"]}[command]
+        capsys.readouterr()
+        assert main([command, *argv, "--seed", seed]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == "error: seed must fit in 64 unsigned bits\n"
+        assert not out.exists()
+
+    def test_largest_seed_is_its_own(self, workdir):
+        tmp_path, cfg, _ = workdir
+        paths = [tmp_path / f"{n}.lmn" for n in ("top", "zero")]
+        for seed, path in zip([str(2**64 - 1), "0"], paths):
+            assert main(["init-random", "--config", str(cfg), "--out", str(path),
+                         "--seed", seed]) == 0
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
 class TestSymmetryCommand:
     def test_lemon_groups_positive(self, workdir, capsys):
         tmp_path, _, small = workdir
