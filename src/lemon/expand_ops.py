@@ -112,20 +112,6 @@ def _tail_rows(m: np.ndarray, r: int, mode: str) -> np.ndarray:
     return m[:r]
 
 
-def _repeated_rows(m: np.ndarray, d_t: int,
-                   mode: str) -> list[tuple[slice, np.ndarray]]:
-    """``expand_matrix_rows(m, d_t, mode)`` as ``(rows, block)`` pairs,
-    without building it: ``block`` is what that matrix holds in ``rows``,
-    ``m`` itself ``floor(d_t/d_s)`` times, then the tail rows, broadcast
-    from one row for ``avg`` and ``zero``."""
-    m, k, r = _row_extents(m, d_t, mode)
-    p, n = m.shape
-    blocks = [(slice(i * p, (i + 1) * p), m) for i in range(k)]
-    if r > 0:
-        blocks.append((slice(k * p, d_t), np.broadcast_to(_tail_rows(m, r, mode), (r, n))))
-    return blocks
-
-
 def expand_matrix_rows(m: np.ndarray, d_t: int, mode: str) -> np.ndarray:
     """Grow the row count of ``m`` from d_s to d_t.
 
@@ -142,34 +128,57 @@ def expand_matrix_rows(m: np.ndarray, d_t: int, mode: str) -> np.ndarray:
     return grown
 
 
-def row_blocks(m: np.ndarray, d_t: int, mode: str):
-    """The row expansion ``expand_matrix_rows(m, d_t, mode)`` in the form
-    column splits and their sum checks read it: a matrix, or the
-    ``(rows, block)`` pairs of one.
+class RowBlocks:
+    """The row expansion ``expand_matrix_rows(m, d_t, mode)``, not built.
 
-    One that takes more than ``_CHECK_BYTES`` is never built: it is given
-    as its blocks, ``m`` itself, repeated, and the tail rows (``m``'s
-    leading rows, or its row-mean or zeros, broadcast).  A smaller one
-    is built, no larger than one chunk of a sum check, because on a small
-    matrix each block costs more in per-call overhead than the copy does.
+    ``blocks`` holds its ``(rows, block)`` pairs: ``block`` is what the
+    matrix holds in ``rows``, ``m`` itself ``floor(d_t/d_s)`` times, then
+    the tail rows (``m``'s leading rows, or its row-mean or zeros,
+    broadcast from one row).  A column split and its sum checks take it
+    in place of the built matrix and read it one block at a time; for a
+    float64 ``m`` they draw and write the same bytes.  ``x[:, cols]`` is
+    the same columns of every block.
     """
+
+    ndim = 2
+
+    def __init__(self, blocks: list[tuple[slice, np.ndarray]]):
+        self.blocks = blocks
+        self.shape = (blocks[-1][0].stop, blocks[0][1].shape[1])
+        self.dtype = blocks[0][1].dtype
+
+    @classmethod
+    def of(cls, m: np.ndarray, d_t: int, mode: str) -> RowBlocks:
+        m, k, r = _row_extents(m, d_t, mode)
+        p, n = m.shape
+        blocks = [(slice(i * p, (i + 1) * p), m) for i in range(k)]
+        if r > 0:
+            blocks.append((slice(k * p, d_t), np.broadcast_to(_tail_rows(m, r, mode), (r, n))))
+        return cls(blocks)
+
+    def __getitem__(self, key) -> RowBlocks:
+        every_row, cols = key
+        if every_row != slice(None):
+            raise TypeError("RowBlocks are indexed by columns only, as x[:, cols]")
+        return RowBlocks([(rows, block[:, cols]) for rows, block in self.blocks])
+
+    def write_to(self, out: np.ndarray, cols=slice(None)) -> None:
+        """Write the columns ``cols`` of the expansion into the same
+        columns of ``out``, a matrix of its shape."""
+        for rows, block in self.blocks:
+            out[rows, cols] = block[:, cols]
+
+
+def row_blocks(m: np.ndarray, d_t: int, mode: str) -> np.ndarray | RowBlocks:
+    """The row expansion ``expand_matrix_rows(m, d_t, mode)`` as a column
+    split reads it: built, or as :class:`RowBlocks` when ``m`` is float64
+    and the built matrix would take more than ``_CHECK_BYTES``.  A small
+    one is built because its blocks would cost more in per-call overhead
+    than the copy does."""
     m = np.asarray(m)
-    if m.ndim == 2 and d_t * m.shape[1] * m.itemsize <= _CHECK_BYTES:
-        return expand_matrix_rows(m, d_t, mode)
-    return _repeated_rows(m, d_t, mode)
-
-
-def _blocks(src) -> list[tuple[slice, np.ndarray]]:
-    """``src``, a matrix or the ``(rows, block)`` pairs of one, as pairs."""
-    return [(slice(None), src)] if isinstance(src, np.ndarray) else src
-
-
-def _cols(src, cols: slice):
-    """The columns ``cols`` of ``src``, a matrix or the ``(rows, block)``
-    pairs of one, in the same form."""
-    if isinstance(src, np.ndarray):
-        return src[:, cols]
-    return [(rows, block[:, cols]) for rows, block in src]
+    if m.ndim == 2 and m.dtype == np.float64 and d_t * m.shape[1] * 8 > _CHECK_BYTES:
+        return RowBlocks.of(m, d_t, mode)
+    return expand_matrix_rows(m, d_t, mode)
 
 
 @dataclass
@@ -186,52 +195,41 @@ class ColumnSplit:
     The split is where fan-out policy lives: choosing unequal parts is
     what breaks the symmetry of replicated units.
 
-    With ``rows = (d_rows, row_mode)`` the source is the row expansion
-    ``expand_matrix_rows(m, d_rows, row_mode)`` of the matrix ``m``
-    passed along with the split, and the parts and the tail (or
-    residual) have ``d_rows`` rows.
-
     A split drawn by :func:`lemon.expander.column_split` records the
-    grown matrix as ``grown``: its parts and its tail (or residual) are
-    views of that matrix's column blocks, in order, so each piece is
-    written once, where it ends up.  A split built from separate arrays
-    has no ``grown``.
+    grown ``(p, d_t)`` matrix as ``grown``: its parts and its tail (or
+    residual) are views of that matrix's column blocks, in order, so
+    each piece is written once, where it ends up.  ``drawn`` holds that
+    matrix and those pieces as drawn, so a split whose pieces were
+    replaced or reordered since is told apart.  A split built from
+    separate arrays has neither.
     """
 
     parts: list[np.ndarray] = field(default_factory=list)
     tail: np.ndarray | None = None       # rand mode, shape (p, d_t mod d_s)
     residual: np.ndarray | None = None   # circ mode, shape (p, d_t mod d_s)
     grown: np.ndarray | None = None      # the matrix the pieces are views of
-    rows: tuple[int, str] | None = None  # (d_rows, row_mode): a row-expanded source
+    drawn: tuple = ()                    # (grown, *parts, tail or residual) as drawn
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _split_close(target, *terms: np.ndarray) -> bool:
-    """Whether the sum of ``terms`` is within ``SPLIT_TOL`` of the matrix
-    ``target``, relative to its largest magnitude.  A sum that overflows
-    or turns NaN is not, and gives no warning: the caller raises
-    SplitError.
+def _split_close(target, *terms: np.ndarray, scale: float | None = None) -> bool:
+    """Whether the sum of ``terms`` is within ``SPLIT_TOL`` of ``target``,
+    relative to ``scale``, by default its largest magnitude.  A sum that
+    overflows or turns NaN is not, and gives no warning: the caller
+    raises SplitError.
 
-    ``target`` is a matrix, or its ``(rows, block)`` pairs, as
-    :func:`row_blocks` gives a large row expansion, read one block at a
-    time."""
-    if isinstance(target, np.ndarray):
-        if not target.size:
-            return True
-        return _rows_close(target, terms, max(1.0, float(target.max()), -float(target.min())))
-    if not target[0][1].size:
+    The rows are checked about ``_CHECK_BYTES`` at a time, so the check's
+    temporaries stay that small however large the matrix is; a
+    :class:`RowBlocks` target is checked one block at a time."""
+    if isinstance(target, RowBlocks):
+        scale = max([1.0] + [max(float(block.max()), -float(block.min()))
+                             for _, block in target.blocks if block.size])
+        return all(_split_close(block, *(term[rows] for term in terms), scale=scale)
+                   for rows, block in target.blocks)
+    if not target.size:
         return True
-    scale = max(1.0, *(float(block.max()) for _, block in target),
-                *(-float(block.min()) for _, block in target))
-    return all(_rows_close(block, [term[rows] for term in terms], scale)
-               for rows, block in target)
-
-
-def _rows_close(target: np.ndarray, terms, scale: float) -> bool:
-    """:func:`_split_close` of one matrix, against ``scale``, the largest
-    magnitude of the whole target.  The rows are checked about
-    ``_CHECK_BYTES`` at a time, so the check's temporaries stay that
-    small however large the matrix is."""
+    if scale is None:
+        scale = max(1.0, float(target.max()), -float(target.min()))
     limit = SPLIT_TOL * scale
     step = max(1, _CHECK_BYTES // (target.shape[1] * target.itemsize))
     for i in range(0, target.shape[0], step):
@@ -244,7 +242,7 @@ def _rows_close(target: np.ndarray, terms, scale: float) -> bool:
     return True
 
 
-def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
+def expand_matrix_cols(m: np.ndarray | RowBlocks, d_t: int, mode: str,
                        split: ColumnSplit) -> np.ndarray:
     """Grow the column count of ``m`` from d_s to d_t using ``split``.
 
@@ -255,26 +253,25 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
     ``m* @ circ_expand(x) == m @ x``.  Violations beyond ``SPLIT_TOL``
     (relative) raise :class:`SplitError`.
 
-    When the split has ``rows``, ``m`` in these constraints is the row
-    expansion of ``m``.  Every check reads it one row block at a time, as
-    :func:`row_blocks` gives it (built only when small), so a corrupted
-    row of any replica fails it as it would against the built matrix.
+    ``m`` may be a row expansion given as :class:`RowBlocks`, as
+    :func:`row_blocks` gives a large one; every check then reads it one
+    block at a time, so a corrupted row of any replica fails it as it
+    would against the built matrix.
 
-    Every check runs on the split's pieces as they are.  When they are
-    all views of the split's recorded ``grown`` matrix (a split drawn by
-    :func:`lemon.expander.column_split`), that matrix is returned as it
-    is; otherwise the pieces are copied into one new C-contiguous
-    ``(p, d_t)`` matrix.
+    Every check runs on the split's pieces as they are.  When they and
+    the split's ``grown`` matrix are still those it records as
+    ``drawn`` (a split drawn by :func:`lemon.expander.column_split`), so
+    that the pieces are that matrix's column blocks in order, the matrix
+    is returned as it is; otherwise the pieces are copied into one new
+    C-contiguous ``(p, d_t)`` matrix.
     """
-    m = np.asarray(m)
+    if not isinstance(m, RowBlocks):
+        m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"expand_matrix_cols expects a matrix, got shape {m.shape}")
     if mode not in COL_MODES:
         raise ShapeError(f"unknown column expansion mode {mode!r}")
-    if split.rows is None:
-        target, (p, d_s) = m, m.shape
-    else:
-        target, (p, d_s) = row_blocks(m, *split.rows), (split.rows[0], m.shape[1])
+    p, d_s = m.shape
     k, r = _check_extents(d_s, d_t)
     if len(split.parts) != k:
         raise SplitError(f"split has {len(split.parts)} parts, want {k}")
@@ -283,7 +280,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
         if part.shape != (p, d_s):
             raise SplitError(f"part {i} has shape {part.shape}, want {(p, d_s)}")
     if mode == "rand":
-        if not _split_close(target, *parts):
+        if not _split_close(m, *parts):
             raise SplitError("rand split parts do not sum to the source matrix")
         extra = split.tail
         if r == 0:
@@ -302,7 +299,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
             extra = np.zeros((p, 0), dtype=m.dtype) if extra is None else np.asarray(extra)
             if extra.shape != (p, 0):
                 raise SplitError("residual must be empty when d_t is a multiple of d_s")
-            if not _split_close(target, *parts):
+            if not _split_close(m, *parts):
                 raise SplitError("circ split parts do not sum to the source matrix")
         else:
             if extra is None:
@@ -310,18 +307,15 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
             extra = np.asarray(extra, dtype=m.dtype)
             if extra.shape != (p, r):
                 raise SplitError(f"residual has shape {extra.shape}, want {(p, r)}")
-            if not _split_close(_cols(target, slice(None, r)),
-                                *(part[:, :r] for part in parts), extra):
+            if not _split_close(m[:, :r], *(part[:, :r] for part in parts), extra):
                 raise SplitError("circ split violates the wrapped-column constraint")
-            if not _split_close(_cols(target, slice(r, None)),
-                                *(part[:, r:] for part in parts)):
+            if not _split_close(m[:, r:], *(part[:, r:] for part in parts)):
                 raise SplitError("circ split parts do not sum to the source columns")
     grown = split.grown
     pieces = parts + [extra]
-    # a split drawn into part of a larger matrix has views of that matrix
-    owner = grown if grown is None or grown.base is None else grown.base
     if (grown is None or grown.shape != (p, d_t) or grown.dtype != m.dtype
-            or any(piece.base is not owner for piece in pieces)):
+            or len(split.drawn) != len(pieces) + 1
+            or any(a is not b for a, b in zip((grown, *pieces), split.drawn))):
         grown = np.empty((p, d_t), dtype=m.dtype)
         for i, piece in enumerate(pieces):
             grown[:, i * d_s:i * d_s + piece.shape[1]] = piece

@@ -51,15 +51,15 @@ import numpy as np
 
 from .container import CheckpointReader, write_tensors
 from .errors import PlanError
-from .expand_ops import (COL_MODES, ColumnSplit, _blocks, _check_extents, _cols,
-                         _repeated_rows, expand_bias, expand_layernorm,
-                         expand_matrix_cols, expand_matrix_rows, expand_rmsnorm,
-                         expand_vector, row_blocks)
+from .expand_ops import (COL_MODES, ColumnSplit, RowBlocks, _check_extents,
+                         expand_bias, expand_layernorm, expand_matrix_cols,
+                         expand_matrix_rows, expand_rmsnorm, expand_vector,
+                         row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
                     NormParams, block_schema, decoder_schema,
-                    embedding_schema, flat_arrays, released_arrays,
-                    spec_with, validate_weights)
+                    embedding_schema, flat_arrays, spec_with,
+                    validate_weights)
 from .rng import check_seed, substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
@@ -121,65 +121,68 @@ class ExpansionPlan:
 # policy-driven column splits
 
 
-def _split_copies(src, out, policy: str,
+def _split_copies(m: np.ndarray | RowBlocks, out, policy: str,
                   rng: np.random.Generator, noise_scale: float):
-    """Split the matrix ``src`` into ``copies = len(out)`` replicas
-    summing to it, written into ``out``, a sequence of float64 arrays or
-    views shaped like that matrix, which is returned.
-
-    ``src`` is the matrix, or its ``(rows, block)`` pairs, as
-    :func:`lemon.expand_ops.row_blocks` gives a large row expansion, read
-    one block at a time; the draws are the same as for the built matrix.
+    """Split ``m`` into ``copies = len(out)`` replicas summing to ``m``,
+    written into ``out``, a sequence of float64 arrays or views shaped
+    like ``m``, which is returned.
 
     ``net2net_equal`` gives every replica an equal share and
-    ``zero_tail`` gives the first replica all of the matrix and the rest
+    ``zero_tail`` gives the first replica all of ``m`` and the rest
     zeros.  ``lemon`` adds N(0, noise_scale^2) noise to the equal shares
     and lets the last replica close the sum.  Every entry of every pair
     of lemon replicas must differ by more than ``MIN_SEPARATION *
     noise_scale``; the columns that miss it are redrawn, and
     :class:`PlanError` is raised if any still do after 64 attempts.
+
+    A row expansion given as :class:`~lemon.expand_ops.RowBlocks` is
+    first written into the last replica, which every policy writes last,
+    and read from there as the matrix; the columns a redraw reads again
+    are written again first.  The draws are those of the built matrix.
     """
-    copies, src = len(out), _blocks(src)
+    copies = len(out)
+    expansion = None
+    if isinstance(m, RowBlocks):
+        expansion, m = m, out[-1]
+        expansion.write_to(m)
+        if copies == 1:
+            return out
     if copies == 1 or policy == "zero_tail":
-        for rows, block in src:
-            out[0][rows] = block
+        out[0][...] = m
         for o in out[1:]:
             o[...] = 0.0
         return out
     if policy == "net2net_equal":
-        for rows, block in src:
-            share = block / copies
-            for o in out:
-                o[rows] = share
+        share = m / copies
+        for o in out:
+            o[...] = share
         return out
-    n = src[0][1].shape[1]
-    cols = np.arange(n)
+    cols = np.arange(m.shape[1])
     todo = slice(None)  # columns still to draw: all of them, then the close ones
     for _ in range(64):
-        parts = rng.normal(0.0, noise_scale, size=(copies - 1, len(out[0]), n))
-        for rows, block in src:
-            parts[:, rows] += block[:, todo] / copies
+        sub = m[:, todo]
+        parts = rng.normal(0.0, noise_scale, size=(copies - 1,) + sub.shape)
+        parts += sub / copies
         for o, part in zip(out, parts):
             o[:, todo] = part
-        close = np.zeros(n, dtype=bool)
+        close = np.zeros(sub.shape[1], dtype=bool)
         # an overflowing split is not close here, and its caller rejects it
         # (the column sum check, or _finite_noise): no warning on top.  Each
         # temporary is reused in place and dropped once written out.
         with np.errstate(over="ignore", invalid="ignore"):
             last = parts.sum(axis=0)
             del parts
-            for rows, block in src:
-                np.subtract(block[:, todo], last[rows], out=last[rows])
-            out[-1][:, todo] = last
+            out[-1][:, todo] = np.subtract(sub, last, out=last)
             del last
             for a, b in itertools.combinations([o[:, todo] for o in out], 2):
                 gap = np.subtract(a, b)
                 close |= (np.abs(gap, out=gap) <= MIN_SEPARATION * noise_scale).any(axis=0)
                 del gap
         todo = cols[todo][close]
-        n = todo.size
-        if not n:
+        if not todo.size:
             return out
+        if expansion is not None:
+            expansion.write_to(m, todo)
     raise PlanError("could not draw separated split noise in 64 attempts")
 
 
@@ -191,10 +194,9 @@ def _finite_noise(z: np.ndarray, noise_scale: float) -> np.ndarray:
     return z
 
 
-def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
+def column_split(m: np.ndarray | RowBlocks, d_t: int, mode: str, policy: str,
                  rng: np.random.Generator, noise_scale: float,
-                 rows: tuple[int, str] | None = None, out: np.ndarray | None = None
-                 ) -> ColumnSplit:
+                 out: np.ndarray | None = None) -> ColumnSplit:
     """Draw the per-copy parts for a column expansion of ``m``.
 
     The parts always satisfy the sum constraints of
@@ -202,58 +204,55 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
     how the total is distributed between replicas (and what fills the
     free ``rand`` tail).
 
-    With ``rows = (d_rows, row_mode)`` the split is that of the row
-    expansion ``expand_matrix_rows(m, d_rows, row_mode)``, with the same
-    draws, but that matrix is built only when it is small
-    (:func:`lemon.expand_ops.row_blocks`): each row block of the grown
-    matrix is filled straight from the rows of ``m`` it repeats (``m``
-    itself, then its leading rows, its row-mean or zeros).  The split
-    records ``rows``, so ``expand_matrix_cols(m, d_t, mode, split)``
-    checks it against the same row expansion.
+    ``m`` may be a row expansion given as
+    :class:`~lemon.expand_ops.RowBlocks`, as
+    :func:`~lemon.expand_ops.row_blocks` gives a large one: each row
+    block of the grown matrix is then filled from the rows of the source
+    it repeats, with the draws of the built matrix, and no row-expanded
+    copy is made.  ``expand_matrix_cols`` takes the same ``m``.
 
     The grown ``(p, d_t)`` matrix is allocated once, or is ``out`` when
     given (a float64 array or view of that shape), and every piece is
     drawn straight into its column block: the split's parts and its tail
-    (or residual) are views of that matrix, recorded as ``grown``, which
-    ``expand_matrix_cols`` checks and returns without another copy.  It
-    never shares memory with ``m``.
+    (or residual) are views of that matrix, recorded as ``grown`` (and
+    with the pieces as ``drawn``), which ``expand_matrix_cols`` checks
+    and returns without another copy.  It never shares memory with
+    ``m``.
     """
     if policy not in POLICIES:
         raise PlanError(f"unknown policy {policy!r}")
     if mode not in COL_MODES:
         raise PlanError(f"unknown column mode {mode!r}")
-    m = np.asarray(m)
-    if rows is None:
-        src, (p, d_s) = m, m.shape
-    else:
-        src, (p, d_s) = row_blocks(m, *rows), (rows[0], m.shape[1])
+    if not isinstance(m, RowBlocks):
+        m = np.asarray(m)
+    p, d_s = m.shape
     k, r = _check_extents(d_s, d_t)
     grown = np.empty((p, d_t)) if out is None else out  # float64: every split is drawn in it
     # k parts of d_s columns, then the r tail or residual columns
     blocks = [grown[:, i * d_s:(i + 1) * d_s] for i in range(k + 1)]
     if mode == "rand":
-        _split_copies(src, blocks[:k], policy, rng, noise_scale)
+        _split_copies(m, blocks[:k], policy, rng, noise_scale)
         if policy == "lemon":
             blocks[k][...] = _finite_noise(rng.normal(0.0, noise_scale, size=(p, r)),
                                            noise_scale)
         elif policy == "zero_tail":
             blocks[k][...] = 0.0
+        elif isinstance(m, RowBlocks):
+            m[:, :r].write_to(blocks[k])
         else:
-            for rows_k, block in _blocks(src):  # circular wrap keeps replicas identical
-                blocks[k][rows_k] = block[:, :r]
+            blocks[k][...] = m[:, :r]  # circular wrap keeps replicas identical
     else:
         # the leading r columns wrap around, so they are consumed k+1 times:
         # once in each part and once more in the residual after the last
-        _split_copies(_cols(src, slice(None, r)), [b[:, :r] for b in blocks], policy, rng,
-                      noise_scale)
-        _split_copies(_cols(src, slice(r, None)), [b[:, r:] for b in blocks[:k]], policy, rng,
-                      noise_scale)
+        _split_copies(m[:, :r], [b[:, :r] for b in blocks], policy, rng, noise_scale)
+        _split_copies(m[:, r:], [b[:, r:] for b in blocks[:k]], policy, rng, noise_scale)
     if m.dtype != grown.dtype:
         # cast like the float64 pieces; expand_matrix_cols assembles them
         blocks, grown = [b.astype(m.dtype) for b in blocks], None
+    drawn = (grown, *blocks)
     if mode == "rand":
-        return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown, rows=rows)
-    return ColumnSplit(parts=blocks[:k], residual=blocks[k], grown=grown, rows=rows)
+        return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown, drawn=drawn)
+    return ColumnSplit(parts=blocks[:k], residual=blocks[k], grown=grown, drawn=drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,9 @@ def _row_expanded_cols(m: np.ndarray, d_rows: int, row_mode: str, d_cols: int,
                        noise_scale: float) -> np.ndarray:
     """Row expansion followed by a policy-driven circular column split,
     drawn straight into the grown matrix from the rows of ``m``."""
-    split = column_split(m, d_cols, "circ", policy, rng, noise_scale, rows=(d_rows, row_mode))
-    return expand_matrix_cols(m, d_cols, "circ", split)
+    grown = row_blocks(m, d_rows, row_mode)
+    split = column_split(grown, d_cols, "circ", policy, rng, noise_scale)
+    return expand_matrix_cols(grown, d_cols, "circ", split)
 
 
 def _expand_head(head: HeadWeights, d_t: int, policy: str,
@@ -309,8 +309,10 @@ def expand_mlp(mlp: MlpWeights, spec: ModelSpec, d_t: int, hidden_t: int,
     the second grows rows by ``row_mode`` and columns by a policy-driven
     circular split (the fan-out of the replicated hidden units).
     """
-    split1 = column_split(mlp.w1, d_t, "rand", policy, rng, noise_scale, rows=(hidden_t, "circ"))
-    w1_t = expand_matrix_cols(mlp.w1, d_t, "rand", split1)
+    w1_rows = row_blocks(mlp.w1, hidden_t, "circ")
+    split1 = column_split(w1_rows, d_t, "rand", policy, rng, noise_scale)
+    w1_t = expand_matrix_cols(w1_rows, d_t, "rand", split1)
+    del w1_rows  # a small row expansion is built: not kept while w2 grows
     b1_t = expand_bias(mlp.b1, hidden_t, "circ")
     w2_t = _row_expanded_cols(mlp.w2, d_t, row_mode, hidden_t, policy, rng, noise_scale)
     b2_t = expand_bias(mlp.b2, d_t, row_mode)
@@ -451,7 +453,7 @@ def _cancelling_block(src: BlockWeights, ln1: NormParams, ln2: NormParams,
     top = w1[:spec.hidden_dim]
     split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale, out=top)
     expand_matrix_cols(src.mlp.w1, d_t, "rand", split1)  # checks the split drawn in top
-    for rows, block in _repeated_rows(top, hidden_t, "circ")[1:]:
+    for rows, block in RowBlocks.of(top, hidden_t, "circ").blocks[1:]:
         w1[rows] = block
     b1 = expand_bias(src.mlp.b1, hidden_t, "circ")
     w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,
@@ -590,6 +592,18 @@ def _as64(w):
 def _as32(w):
     """A float32 copy of the weights."""
     return map_arrays(w, lambda a: a.astype(np.float32))
+
+
+def _released(parts) -> Iterator[np.ndarray]:
+    """The tensors of ``parts`` in checkpoint order.  Each is dropped here
+    as it is taken, so nothing of a written part is still held while the
+    next part is built (a generator expression over the parts would hold
+    the last one, a whole block, until the next is ready)."""
+    for part in parts:
+        arrays = flat_arrays(part)[::-1]
+        del part
+        while arrays:
+            yield arrays.pop()
 
 
 def _stream_mode(style: str) -> str:
@@ -741,7 +755,7 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
         parts = map(_as32, parts)
 
     if out is not None:
-        write_tensors(out, target_spec, in_dtype, released_arrays(parts))
+        write_tensors(out, target_spec, in_dtype, _released(parts))
         expanded = None
     else:
         embedding = next(parts)

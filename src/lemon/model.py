@@ -302,19 +302,6 @@ def _flatten(obj, out: list) -> None:
         out.append(np.asarray(obj, dtype=EPS_DTYPE))
 
 
-def released_arrays(parts):
-    """The arrays of ``parts``, an iterable of weight structures, in
-    checkpoint order.  Each part is dropped here as it is taken, so
-    nothing of a written part is still held while the next part is built
-    (a generator expression over the parts would hold the last one, a
-    whole block, until the next is ready)."""
-    for part in parts:
-        arrays = flat_arrays(part)[::-1]
-        del part
-        while arrays:
-            yield arrays.pop()
-
-
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeError(msg)
@@ -429,15 +416,9 @@ def decode(x: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.ndarray:
     return logits
 
 
-def random_parts(spec: ModelSpec, rng: np.random.Generator, dtype=np.float64):
-    """:func:`random_weights` part by part, in checkpoint order: the
-    embedding, each block, the final norm (or None), the decoder weight
-    (or None, when tied) and the decoder bias.
-
-    Every part is drawn from ``rng`` when it is asked for, in that order
-    (within a block: the heads, ``wo``, ``bo``, ``w1``, ``b1``, ``w2``,
-    ``b2``, ``ln1``, ``ln2``), so the parts hold the same values whether
-    they are kept or written and dropped one at a time."""
+def random_weights(spec: ModelSpec, rng: np.random.Generator,
+                   dtype=np.float64) -> ModelWeights:
+    """Deterministic random weights for a spec (test fixtures, init-random)."""
     spec.validate()
     d, hd, hidden = spec.width, spec.head_dim, spec.hidden_dim
 
@@ -452,35 +433,25 @@ def random_parts(spec: ModelSpec, rng: np.random.Generator, dtype=np.float64):
         return NormParams(mu, beta, spec.eps)
 
     if spec.input_kind == "token":
-        yield EmbeddingWeights(token_table=mat(spec.vocab_or_classes, d))
+        embedding = EmbeddingWeights(token_table=mat(spec.vocab_or_classes, d))
     else:
-        yield EmbeddingWeights(
+        embedding = EmbeddingWeights(
             patch_weight=mat(d, spec.patch_dim),
             patch_bias=mat(d),
             cls_token=mat(d),
             positions=mat(spec.num_patches + 1, d),
         )
+    blocks = []
     for _ in range(spec.depth):
         heads = [HeadWeights(mat(hd, d), mat(hd, d), mat(hd, d),
                              mat(hd), mat(hd), mat(hd))
                  for _ in range(spec.n_heads)]
         attn = AttentionWeights(heads, mat(d, spec.n_heads * hd), mat(d))
         mlp = MlpWeights(mat(hidden, d), mat(hidden), mat(d, hidden), mat(d))
-        yield BlockWeights(norm(), attn, norm(), mlp)
-        del heads, attn, mlp  # before the next block is drawn
-    yield norm() if spec.has_final_norm else None
-    yield None if spec.tied_decoder else mat(spec.vocab_or_classes, d)
-    yield mat(spec.vocab_or_classes)
-
-
-def random_weights(spec: ModelSpec, rng: np.random.Generator,
-                   dtype=np.float64) -> ModelWeights:
-    """Deterministic random weights for a spec (test fixtures); the
-    weights ``init-random`` writes, part by part, for the same stream."""
-    parts = random_parts(spec, rng, dtype)
-    embedding = next(parts)
-    blocks = [next(parts) for _ in range(spec.depth)]
-    weights = ModelWeights(embedding, blocks, *parts)
+        blocks.append(BlockWeights(norm(), attn, norm(), mlp))
+    final = norm() if spec.has_final_norm else None
+    dec_w = None if spec.tied_decoder else mat(spec.vocab_or_classes, d)
+    weights = ModelWeights(embedding, blocks, final, dec_w, mat(spec.vocab_or_classes))
     validate_weights(weights, spec)
     return weights
 

@@ -13,7 +13,6 @@ under training while equal fan-out keeps them locked together.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -23,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .container import CheckpointReader, write_tensors
+from .container import CheckpointReader, write_checkpoint
 # not called here: kept for perfbench/tests, which look the binding up in this module
 from .container import read_checkpoint  # noqa: F401
 from .errors import PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
 from .model import (ModelSpec, ModelWeights, block_forward, decode, embed,
-                    random_parts, released_arrays)
+                    random_weights)
 from .rng import check_seed, substream
 
 #: environment variable capping verification parallelism
@@ -270,16 +269,10 @@ def duplicate_map_path(ckpt_path) -> str:
 
 
 def init_random_model(spec: ModelSpec, seed: int, out_path, dtype=np.float64) -> None:
-    """Write a deterministic random checkpoint for a spec: the weights
-    :func:`~lemon.model.random_weights` draws from ``substream(seed,
-    "init")``, drawn and written one part at a time, so about one block
-    is held.  The embedding is drawn before the checkpoint is laid out,
-    so a spec too large to draw fails at once, before its tensor table
-    is built."""
+    """Write a deterministic random checkpoint for a spec."""
     spec.validate()
-    parts = random_parts(spec, substream(check_seed(seed), "init"), dtype)
-    parts = itertools.chain([next(parts)], parts)
-    write_tensors(out_path, spec, dtype, released_arrays(parts))
+    weights = random_weights(spec, substream(check_seed(seed), "init"), dtype=dtype)
+    write_checkpoint(weights, spec, out_path)
 
 
 # ---------------------------------------------------------------------------

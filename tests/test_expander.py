@@ -1,7 +1,6 @@
 import tracemalloc
 from dataclasses import fields, is_dataclass
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +13,13 @@ from lemon import (ColumnSplit, ExpansionPlan, ModelSpec, PlanError, SplitError,
                    mha_forward, mlp_forward, model_forward, random_weights,
                    toy_mlp_gradient_step, validate_weights)
 from lemon.container import named_tensors
-from lemon.expand_ops import expand_matrix_cols, expand_matrix_rows
+from lemon.expand_ops import RowBlocks, expand_matrix_cols, expand_matrix_rows, row_blocks
 from lemon.expander import (MIN_SEPARATION, POLICIES, _split_copies, column_split,
                             expand_block_width, expand_decoder, expand_depth,
                             expand_embeddings, layer_multiplicities,
                             map_arrays, replica_groups)
 from lemon.model import flat_arrays
-from lemon import expand_ops, kernels
+from lemon import kernels
 from lemon.rng import substream
 
 
@@ -226,54 +225,108 @@ class TestGrowOnce:
         assert peak < 1.1 * sum(a.nbytes for a in flat_arrays(inserted))
 
 
+class TooClose:
+    """A generator whose first two lemon draws have every third column
+    zero, so those replicas coincide and are redrawn."""
+
+    def __init__(self, seed):
+        self.g, self.draws = substream(seed, "too-close"), 0
+
+    def normal(self, loc, scale, size):
+        z = self.g.normal(loc, scale, size)
+        if len(size) == 3 and self.draws < 2:
+            self.draws += 1
+            z[..., ::3] = 0.0
+        return z
+
+
 class TestRowsInSplit:
-    """column_split with a row expansion draws what the split of the built
-    row expansion draws, whether it builds a small one or reads the
-    blocks of a large one."""
+    """column_split of a row expansion given as RowBlocks draws and grows
+    what the split of the built row expansion does, bit for bit."""
 
-    # a row expansion under _CHECK_BYTES is built as one block; with a
-    # zero budget every one is read as its repeated blocks, one row at a time
-    BUDGETS = {"built": expand_ops._CHECK_BYTES, "blocks": 0}
-
-    @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("k", (1, 3))
-    @pytest.mark.parametrize("with_tail", (False, True))
+    @pytest.mark.parametrize("col_tail", (False, True))
+    @pytest.mark.parametrize("row_tail", (False, True))
     @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     @pytest.mark.parametrize("policy", POLICIES)
     @settings(max_examples=4, deadline=None)
-    @given(p=st.integers(1, 4), row_copies=st.integers(1, 3), pick=st.integers(0, 100),
+    @given(p=st.integers(2, 4), row_copies=st.integers(1, 3), pick=st.integers(0, 100),
            d_s=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
-    def test_equals_row_expansion_then_split(self, budget, k, with_tail, row_mode, mode,
+    def test_equals_row_expansion_then_split(self, k, col_tail, row_tail, row_mode, mode,
                                              policy, p, row_copies, pick, d_s, seed):
-        d_rows = row_copies * p + pick % p
-        r = 1 + pick % (d_s - 1) if with_tail else 0
-        d_t = k * d_s + r
+        d_rows = row_copies * p + (1 + pick % (p - 1) if row_tail else 0)
+        d_t = k * d_s + (1 + pick % (d_s - 1) if col_tail else 0)
         m = substream(seed, "m").standard_normal((p, d_s))
         built = expand_matrix_rows(m, d_rows, row_mode)
         want = expand_matrix_cols(built, d_t, mode, column_split(
             built, d_t, mode, policy, substream(seed, "split"), 0.02))
-        with mock.patch.object(expand_ops, "_CHECK_BYTES", self.BUDGETS[budget]):
-            split = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02,
-                                 rows=(d_rows, row_mode))
-            got = expand_matrix_cols(m, d_t, mode, split)
+        blocks = RowBlocks.of(m, d_rows, row_mode)
+        split = column_split(blocks, d_t, mode, policy, substream(seed, "split"), 0.02)
+        got = expand_matrix_cols(blocks, d_t, mode, split)
         assert got is split.grown
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
+    @pytest.mark.parametrize("mode", ("rand", "circ"))
+    @pytest.mark.parametrize("d_t", (10, 16))  # k = 2 and 3: lemon draws replicas
+    def test_redrawn_columns_read_the_expansion_again(self, rng, row_mode, mode, d_t):
+        m = rng("redraw").standard_normal((6, 5))
+        built = expand_matrix_rows(m, 14, row_mode)
+        want = expand_matrix_cols(built, d_t, mode,
+                                  column_split(built, d_t, mode, "lemon", TooClose(1), 0.02))
+        blocks, g = RowBlocks.of(m, 14, row_mode), TooClose(1)
+        got = expand_matrix_cols(blocks, d_t, mode,
+                                 column_split(blocks, d_t, mode, "lemon", g, 0.02))
+        assert g.draws == 2 and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("row", (4, 7))  # the second copy, then the tail rows
     @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
     @pytest.mark.parametrize("mode", ("rand", "circ"))
-    def test_corrupted_replica_row_fails_the_check(self, rng, monkeypatch, budget, row,
-                                                   row_mode, mode):
-        monkeypatch.setattr(expand_ops, "_CHECK_BYTES", self.BUDGETS[budget])
-        m = rng("replica-row").standard_normal((3, 4))
-        split = column_split(m, 10, mode, "lemon", rng("replica-split"), 0.02,
-                             rows=(8, row_mode))
-        assert expand_matrix_cols(m, 10, mode, split) is split.grown
+    def test_corrupted_replica_row_fails_the_check(self, rng, row, row_mode, mode):
+        blocks = RowBlocks.of(rng("replica-row").standard_normal((3, 4)), 8, row_mode)
+        split = column_split(blocks, 10, mode, "lemon", rng("replica-split"), 0.02)
+        assert expand_matrix_cols(blocks, 10, mode, split) is split.grown
         split.parts[1][row, 2] += 1e-6
         with pytest.raises(SplitError):
-            expand_matrix_cols(m, 10, mode, split)
+            expand_matrix_cols(blocks, 10, mode, split)
+
+    def test_only_a_large_float64_expansion_is_left_unbuilt(self, rng):
+        m = rng("row-blocks").standard_normal((256, 512))
+        assert isinstance(row_blocks(m, 384, "avg"), RowBlocks)  # 1.5 MiB built
+        assert isinstance(row_blocks(m[:, :256], 384, "avg"), np.ndarray)  # 768 KiB
+        assert isinstance(row_blocks(m.astype(np.float32), 384, "avg"), np.ndarray)
+
+
+class TestSplitPiecesInPlace:
+    """expand_matrix_cols returns a split's grown matrix only when the
+    pieces are that matrix's own column blocks, in order."""
+
+    def test_split_drawn_into_a_view_is_returned_as_is(self, rng):
+        m = rng("in-view").standard_normal((3, 4))
+        buf = np.zeros((6, 10))
+        split = column_split(m, 10, "rand", "lemon", rng("in-view-split"), 0.02,
+                             out=buf[:3])
+        assert expand_matrix_cols(m, 10, "rand", split) is split.grown
+
+    def test_pieces_elsewhere_in_the_buffer_are_assembled(self, rng):
+        m = rng("foreign").standard_normal((3, 4))
+        buf = np.zeros((3, 20))
+        drawn = column_split(m, 10, "rand", "lemon", rng("foreign-split"), 0.02,
+                             out=buf[:, 10:])
+        # the pieces lie in buf, but not in the grown matrix the split names
+        split = ColumnSplit(parts=drawn.parts, tail=drawn.tail, grown=buf[:, :10])
+        got = expand_matrix_cols(m, 10, "rand", split)
+        assert got is not split.grown
+        assert got.tobytes() == np.hstack(drawn.parts + [drawn.tail]).tobytes()
+
+    def test_reordered_pieces_are_assembled(self, rng):
+        m = rng("reorder").standard_normal((3, 4))
+        drawn = column_split(m, 10, "rand", "lemon", rng("reorder-split"), 0.02)
+        split = ColumnSplit(parts=drawn.parts[::-1], tail=drawn.tail, grown=drawn.grown)
+        got = expand_matrix_cols(m, 10, "rand", split)
+        assert got is not drawn.grown
+        assert got.tobytes() == np.hstack(drawn.parts[::-1] + [drawn.tail]).tobytes()
 
 
 class TestModuleExpansion:

@@ -16,9 +16,9 @@ from lemon import (ExpansionPlan, ModelSpec, PlanError, ShapeError, expand_model
                    symmetry_report, verify_lossless, write_checkpoint)
 from lemon.cli import main
 from lemon.container import CheckpointReader, tensor_schema
-from lemon.model import block_schema, flat_arrays
+from lemon.model import block_schema
 from lemon.rng import substream
-from lemon.verify import _draw_input, init_random_model
+from lemon.verify import _draw_input
 
 
 def payload_bytes(spec: ModelSpec, dtype) -> int:
@@ -110,20 +110,6 @@ def test_streamed_type2_expand_holds_under_two_widened_blocks(toy_spec, tmp_path
     # include small row expansions, which are built); a written carrier kept
     # alive, or the next block widened a group early, adds a whole block
     assert peak < 2.0 * widened
-
-
-def test_init_random_draws_and_writes_a_block_at_a_time(toy_spec, tmp_path):
-    spec = toy_spec(depth=8, width=64, head_dim=16, ratio=4.0, vocab=50)
-    tracemalloc.start()
-    try:
-        init_random_model(spec, 3, tmp_path / "r.lmn")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.3 * payload_bytes(spec, np.float64)
-    w, _ = read_checkpoint(tmp_path / "r.lmn")
-    want = random_weights(spec, substream(3, "init"))
-    assert all(np.array_equal(a, b) for a, b in zip(flat_arrays(w), flat_arrays(want)))
 
 
 def test_verify_holds_under_half_the_big_payload(toy_spec, tmp_path):
