@@ -91,94 +91,44 @@ def invert_vector_expansion(xstar: np.ndarray, d_s: int) -> np.ndarray:
     return np.ascontiguousarray(xstar[..., :d_s])
 
 
-def _row_extents(m: np.ndarray, d_t: int, mode: str) -> tuple[np.ndarray, int, int]:
-    """``m`` as an array, and (copies, tail) for growing its rows to d_t."""
+def row_blocks(m: np.ndarray, d_t: int, mode: str) -> list[tuple[slice, np.ndarray]]:
+    """The row expansion of ``m`` to d_t rows as ``(rows, block)`` pairs,
+    in row order: ``block`` is what the grown matrix holds in ``rows``.
+    That is ``m`` itself ``floor(d_t/d_s)`` times, then the tail rows:
+    the leading rows of ``m`` (``circ``), or its row-mean (``avg``) or
+    zeros (``zero``) broadcast from one row."""
     m = np.asarray(m)
     if m.ndim != 2:
-        raise ShapeError(f"expand_matrix_rows expects a matrix, got shape {m.shape}")
+        raise ShapeError(f"a row expansion expects a matrix, got shape {m.shape}")
     if mode not in ROW_MODES:
         raise ShapeError(f"unknown row expansion mode {mode!r}")
-    return (m, *_check_extents(m.shape[0], d_t))
-
-
-def _tail_rows(m: np.ndarray, r: int, mode: str) -> np.ndarray:
-    """What the ``r`` tail rows of ``m``'s row expansion hold: its leading
-    rows (``circ``), or one row that each of them repeats (``avg``: the
-    row-mean, ``zero``: zeros)."""
-    if mode == "avg":
-        return m.mean(axis=0, keepdims=True)
-    if mode == "zero":
-        return np.zeros((1, m.shape[1]), dtype=m.dtype)
-    return m[:r]
+    p, n = m.shape
+    k, r = _check_extents(p, d_t)
+    blocks = [(slice(i * p, (i + 1) * p), m) for i in range(k)]
+    if r > 0:
+        if mode == "avg":
+            tail = np.broadcast_to(m.mean(axis=0, keepdims=True), (r, n))
+        elif mode == "zero":
+            tail = np.broadcast_to(np.zeros((1, n), dtype=m.dtype), (r, n))
+        else:
+            tail = m[:r]
+        blocks.append((slice(k * p, d_t), tail))
+    return blocks
 
 
 def expand_matrix_rows(m: np.ndarray, d_t: int, mode: str) -> np.ndarray:
     """Grow the row count of ``m`` from d_s to d_t.
 
     Rows repeat circularly; the tail rows are the row-mean (``avg``),
-    zeros (``zero``), or the leading rows again (``circ``).  The result
-    satisfies ``m* @ x == expand_vector(m @ x, d_t, mode)``.
+    zeros (``zero``), or the leading rows again (``circ``), as
+    :func:`row_blocks` lays them out.  The result satisfies
+    ``m* @ x == expand_vector(m @ x, d_t, mode)``.
     """
-    m, k, r = _row_extents(m, d_t, mode)
-    p, n = m.shape
-    grown = np.empty((d_t, n), dtype=m.dtype)
-    grown[:k * p].reshape(k, p, n)[...] = m
-    if r > 0:
-        grown[k * p:] = _tail_rows(m, r, mode)
+    blocks = row_blocks(m, d_t, mode)
+    grown = np.empty((d_t, blocks[0][1].shape[1]), dtype=blocks[0][1].dtype)
+    for rows, block in blocks:
+        grown[rows] = block
     return grown
-
-
-class RowBlocks:
-    """The row expansion ``expand_matrix_rows(m, d_t, mode)``, not built.
-
-    ``blocks`` holds its ``(rows, block)`` pairs: ``block`` is what the
-    matrix holds in ``rows``, ``m`` itself ``floor(d_t/d_s)`` times, then
-    the tail rows (``m``'s leading rows, or its row-mean or zeros,
-    broadcast from one row).  A column split and its sum checks take it
-    in place of the built matrix and read it one block at a time; for a
-    float64 ``m`` they draw and write the same bytes.  ``x[:, cols]`` is
-    the same columns of every block.
-    """
-
-    ndim = 2
-
-    def __init__(self, blocks: list[tuple[slice, np.ndarray]]):
-        self.blocks = blocks
-        self.shape = (blocks[-1][0].stop, blocks[0][1].shape[1])
-        self.dtype = blocks[0][1].dtype
-
-    @classmethod
-    def of(cls, m: np.ndarray, d_t: int, mode: str) -> RowBlocks:
-        m, k, r = _row_extents(m, d_t, mode)
-        p, n = m.shape
-        blocks = [(slice(i * p, (i + 1) * p), m) for i in range(k)]
-        if r > 0:
-            blocks.append((slice(k * p, d_t), np.broadcast_to(_tail_rows(m, r, mode), (r, n))))
-        return cls(blocks)
-
-    def __getitem__(self, key) -> RowBlocks:
-        every_row, cols = key
-        if every_row != slice(None):
-            raise TypeError("RowBlocks are indexed by columns only, as x[:, cols]")
-        return RowBlocks([(rows, block[:, cols]) for rows, block in self.blocks])
-
-    def write_to(self, out: np.ndarray, cols=slice(None)) -> None:
-        """Write the columns ``cols`` of the expansion into the same
-        columns of ``out``, a matrix of its shape."""
-        for rows, block in self.blocks:
-            out[rows, cols] = block[:, cols]
-
-
-def row_blocks(m: np.ndarray, d_t: int, mode: str) -> np.ndarray | RowBlocks:
-    """The row expansion ``expand_matrix_rows(m, d_t, mode)`` as a column
-    split reads it: built, or as :class:`RowBlocks` when ``m`` is float64
-    and the built matrix would take more than ``_CHECK_BYTES``.  A small
-    one is built because its blocks would cost more in per-call overhead
-    than the copy does."""
-    m = np.asarray(m)
-    if m.ndim == 2 and m.dtype == np.float64 and d_t * m.shape[1] * 8 > _CHECK_BYTES:
-        return RowBlocks.of(m, d_t, mode)
-    return expand_matrix_rows(m, d_t, mode)
 
 
 @dataclass
@@ -212,25 +162,16 @@ class ColumnSplit:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _split_close(target, *terms: np.ndarray, scale: float | None = None) -> bool:
+def _split_close(target: np.ndarray, *terms: np.ndarray) -> bool:
     """Whether the sum of ``terms`` is within ``SPLIT_TOL`` of ``target``,
-    relative to ``scale``, by default its largest magnitude.  A sum that
-    overflows or turns NaN is not, and gives no warning: the caller
-    raises SplitError.
+    relative to its largest magnitude.  A sum that overflows or turns NaN
+    is not, and gives no warning: the caller raises SplitError.
 
     The rows are checked about ``_CHECK_BYTES`` at a time, so the check's
-    temporaries stay that small however large the matrix is; a
-    :class:`RowBlocks` target is checked one block at a time."""
-    if isinstance(target, RowBlocks):
-        scale = max([1.0] + [max(float(block.max()), -float(block.min()))
-                             for _, block in target.blocks if block.size])
-        return all(_split_close(block, *(term[rows] for term in terms), scale=scale)
-                   for rows, block in target.blocks)
+    temporaries stay that small however large the matrix is."""
     if not target.size:
         return True
-    if scale is None:
-        scale = max(1.0, float(target.max()), -float(target.min()))
-    limit = SPLIT_TOL * scale
+    limit = SPLIT_TOL * max(1.0, float(target.max()), -float(target.min()))
     step = max(1, _CHECK_BYTES // (target.shape[1] * target.itemsize))
     for i in range(0, target.shape[0], step):
         rows = slice(i, i + step)
@@ -242,7 +183,7 @@ def _split_close(target, *terms: np.ndarray, scale: float | None = None) -> bool
     return True
 
 
-def expand_matrix_cols(m: np.ndarray | RowBlocks, d_t: int, mode: str,
+def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
                        split: ColumnSplit) -> np.ndarray:
     """Grow the column count of ``m`` from d_s to d_t using ``split``.
 
@@ -253,11 +194,6 @@ def expand_matrix_cols(m: np.ndarray | RowBlocks, d_t: int, mode: str,
     ``m* @ circ_expand(x) == m @ x``.  Violations beyond ``SPLIT_TOL``
     (relative) raise :class:`SplitError`.
 
-    ``m`` may be a row expansion given as :class:`RowBlocks`, as
-    :func:`row_blocks` gives a large one; every check then reads it one
-    block at a time, so a corrupted row of any replica fails it as it
-    would against the built matrix.
-
     Every check runs on the split's pieces as they are.  When they and
     the split's ``grown`` matrix are still those it records as
     ``drawn`` (a split drawn by :func:`lemon.expander.column_split`), so
@@ -265,8 +201,7 @@ def expand_matrix_cols(m: np.ndarray | RowBlocks, d_t: int, mode: str,
     is returned as it is; otherwise the pieces are copied into one new
     C-contiguous ``(p, d_t)`` matrix.
     """
-    if not isinstance(m, RowBlocks):
-        m = np.asarray(m)
+    m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"expand_matrix_cols expects a matrix, got shape {m.shape}")
     if mode not in COL_MODES:

@@ -42,17 +42,18 @@ the way in and cast back on the way out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .container import CheckpointReader, write_tensors
 from .errors import PlanError
-from .expand_ops import (COL_MODES, ColumnSplit, RowBlocks, _check_extents,
-                         expand_bias, expand_layernorm, expand_matrix_cols,
+from .expand_ops import (COL_MODES, ColumnSplit, _check_extents, expand_bias,
+                         expand_layernorm, expand_matrix_cols,
                          expand_matrix_rows, expand_rmsnorm, expand_vector,
                          row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
@@ -121,7 +122,7 @@ class ExpansionPlan:
 # policy-driven column splits
 
 
-def _split_copies(m: np.ndarray | RowBlocks, out, policy: str,
+def _split_copies(m: np.ndarray, out, policy: str,
                   rng: np.random.Generator, noise_scale: float):
     """Split ``m`` into ``copies = len(out)`` replicas summing to ``m``,
     written into ``out``, a sequence of float64 arrays or views shaped
@@ -134,19 +135,8 @@ def _split_copies(m: np.ndarray | RowBlocks, out, policy: str,
     of lemon replicas must differ by more than ``MIN_SEPARATION *
     noise_scale``; the columns that miss it are redrawn, and
     :class:`PlanError` is raised if any still do after 64 attempts.
-
-    A row expansion given as :class:`~lemon.expand_ops.RowBlocks` is
-    first written into the last replica, which every policy writes last,
-    and read from there as the matrix; the columns a redraw reads again
-    are written again first.  The draws are those of the built matrix.
     """
     copies = len(out)
-    expansion = None
-    if isinstance(m, RowBlocks):
-        expansion, m = m, out[-1]
-        expansion.write_to(m)
-        if copies == 1:
-            return out
     if copies == 1 or policy == "zero_tail":
         out[0][...] = m
         for o in out[1:]:
@@ -181,8 +171,6 @@ def _split_copies(m: np.ndarray | RowBlocks, out, policy: str,
         todo = cols[todo][close]
         if not todo.size:
             return out
-        if expansion is not None:
-            expansion.write_to(m, todo)
     raise PlanError("could not draw separated split noise in 64 attempts")
 
 
@@ -194,7 +182,7 @@ def _finite_noise(z: np.ndarray, noise_scale: float) -> np.ndarray:
     return z
 
 
-def column_split(m: np.ndarray | RowBlocks, d_t: int, mode: str, policy: str,
+def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
                  rng: np.random.Generator, noise_scale: float,
                  out: np.ndarray | None = None) -> ColumnSplit:
     """Draw the per-copy parts for a column expansion of ``m``.
@@ -203,13 +191,6 @@ def column_split(m: np.ndarray | RowBlocks, d_t: int, mode: str, policy: str,
     :func:`lemon.expand_ops.expand_matrix_cols`; the policy only decides
     how the total is distributed between replicas (and what fills the
     free ``rand`` tail).
-
-    ``m`` may be a row expansion given as
-    :class:`~lemon.expand_ops.RowBlocks`, as
-    :func:`~lemon.expand_ops.row_blocks` gives a large one: each row
-    block of the grown matrix is then filled from the rows of the source
-    it repeats, with the draws of the built matrix, and no row-expanded
-    copy is made.  ``expand_matrix_cols`` takes the same ``m``.
 
     The grown ``(p, d_t)`` matrix is allocated once, or is ``out`` when
     given (a float64 array or view of that shape), and every piece is
@@ -223,8 +204,7 @@ def column_split(m: np.ndarray | RowBlocks, d_t: int, mode: str, policy: str,
         raise PlanError(f"unknown policy {policy!r}")
     if mode not in COL_MODES:
         raise PlanError(f"unknown column mode {mode!r}")
-    if not isinstance(m, RowBlocks):
-        m = np.asarray(m)
+    m = np.asarray(m)
     p, d_s = m.shape
     k, r = _check_extents(d_s, d_t)
     grown = np.empty((p, d_t)) if out is None else out  # float64: every split is drawn in it
@@ -237,8 +217,6 @@ def column_split(m: np.ndarray | RowBlocks, d_t: int, mode: str, policy: str,
                                            noise_scale)
         elif policy == "zero_tail":
             blocks[k][...] = 0.0
-        elif isinstance(m, RowBlocks):
-            m[:, :r].write_to(blocks[k])
         else:
             blocks[k][...] = m[:, :r]  # circular wrap keeps replicas identical
     else:
@@ -260,13 +238,18 @@ def column_split(m: np.ndarray | RowBlocks, d_t: int, mode: str, policy: str,
 
 
 def _row_expanded_cols(m: np.ndarray, d_rows: int, row_mode: str, d_cols: int,
-                       policy: str, rng: np.random.Generator,
+                       col_mode: str, policy: str, rng: np.random.Generator,
                        noise_scale: float) -> np.ndarray:
-    """Row expansion followed by a policy-driven circular column split,
-    drawn straight into the grown matrix from the rows of ``m``."""
-    grown = row_blocks(m, d_rows, row_mode)
-    split = column_split(grown, d_cols, "circ", policy, rng, noise_scale)
-    return expand_matrix_cols(grown, d_cols, "circ", split)
+    """Row expansion followed by a policy-driven column split, drawn and
+    checked one row block (:func:`~lemon.expand_ops.row_blocks`) at a
+    time, in row order, straight into one grown float64 matrix, which is
+    cast back to the dtype of ``m``, as ``column_split`` casts its pieces."""
+    grown = np.empty((d_rows, d_cols))
+    for rows, block in row_blocks(m, d_rows, row_mode):
+        split = column_split(block, d_cols, col_mode, policy, rng, noise_scale,
+                             out=grown[rows])
+        expand_matrix_cols(block, d_cols, col_mode, split)
+    return grown.astype(m.dtype, copy=False)
 
 
 def _expand_head(head: HeadWeights, d_t: int, policy: str,
@@ -295,7 +278,7 @@ def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
     h_t = d_t // spec.head_dim
     heads = [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
              for m in range(h_t)]
-    wo_t = _row_expanded_cols(attn.wo, d_t, row_mode, d_t, policy, rng, noise_scale)
+    wo_t = _row_expanded_cols(attn.wo, d_t, row_mode, d_t, "circ", policy, rng, noise_scale)
     bo_t = expand_bias(attn.bo, d_t, row_mode)
     return AttentionWeights(heads, wo_t, bo_t)
 
@@ -309,12 +292,10 @@ def expand_mlp(mlp: MlpWeights, spec: ModelSpec, d_t: int, hidden_t: int,
     the second grows rows by ``row_mode`` and columns by a policy-driven
     circular split (the fan-out of the replicated hidden units).
     """
-    w1_rows = row_blocks(mlp.w1, hidden_t, "circ")
-    split1 = column_split(w1_rows, d_t, "rand", policy, rng, noise_scale)
-    w1_t = expand_matrix_cols(w1_rows, d_t, "rand", split1)
-    del w1_rows  # a small row expansion is built: not kept while w2 grows
+    w1_t = _row_expanded_cols(mlp.w1, hidden_t, "circ", d_t, "rand", policy, rng, noise_scale)
     b1_t = expand_bias(mlp.b1, hidden_t, "circ")
-    w2_t = _row_expanded_cols(mlp.w2, d_t, row_mode, hidden_t, policy, rng, noise_scale)
+    w2_t = _row_expanded_cols(mlp.w2, d_t, row_mode, hidden_t, "circ", policy, rng,
+                              noise_scale)
     b2_t = expand_bias(mlp.b2, d_t, row_mode)
     return MlpWeights(w1_t, b1_t, w2_t, b2_t)
 
@@ -453,7 +434,7 @@ def _cancelling_block(src: BlockWeights, ln1: NormParams, ln2: NormParams,
     top = w1[:spec.hidden_dim]
     split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale, out=top)
     expand_matrix_cols(src.mlp.w1, d_t, "rand", split1)  # checks the split drawn in top
-    for rows, block in RowBlocks.of(top, hidden_t, "circ").blocks[1:]:
+    for rows, block in row_blocks(top, hidden_t, "circ")[1:]:
         w1[rows] = block
     b1 = expand_bias(src.mlp.b1, hidden_t, "circ")
     w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,
@@ -518,21 +499,23 @@ def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
     return "zero_output" if plan.depth_mode == "type1" else "cancelling"
 
 
-def expand_depth(i: int, count: int, wide: BlockWeights, donor: BlockWeights | None,
-                 spec: ModelSpec, hidden_t: int,
-                 plan: ExpansionPlan) -> Iterator[tuple[BlockWeights, str]]:
+def expand_depth(i: int, count: int, wide: BlockWeights,
+                 donor: Callable[[], BlockWeights] | None, spec: ModelSpec,
+                 hidden_t: int, plan: ExpansionPlan) -> Iterator[tuple[BlockWeights, str]]:
     """Grow source block ``i`` into ``count`` target blocks.
 
-    ``wide`` is block ``i`` width-expanded.  ``donor`` is what the
+    ``wide`` is block ``i`` width-expanded.  ``donor()`` gives what the
     inserted blocks read of the block they copy (``i`` itself, or
     ``i + 1`` under ``depth_source="next"``): its width-expanded form
     when they copy it (type1, and every post_res_norm model), its source
-    form for type2, which builds from it, and None for post_ln, whose
-    chain reads only ``wide`` (see ``_insert_kind``).  Yields each target
-    block with a role tag, building the next only once the previous has
-    been taken: ``carrier`` blocks compute the source function
-    (``attn_carrier``/``mlp_carrier`` for the split roles of the
-    post-norm chain) and ``inserted`` blocks contribute nothing at
+    form for type2, which builds from it.  It is called once, after the
+    carrier is taken, and only when a block is inserted; ``donor`` is
+    None for post_ln, whose chain reads only ``wide`` (see
+    ``_insert_kind``), and may be None when ``count`` is 1.  Yields
+    each target block with a role tag, building the next only once the
+    previous has been taken: ``carrier`` blocks compute the source
+    function (``attn_carrier``/``mlp_carrier`` for the split roles of
+    the post-norm chain) and ``inserted`` blocks contribute nothing at
     initialization.
 
     Once the carrier is taken, ``wide`` is kept only as far as a later
@@ -546,6 +529,8 @@ def expand_depth(i: int, count: int, wide: BlockWeights, donor: BlockWeights | N
     yield wide, "carrier"
     norms = (wide.ln1, wide.ln2)  # all a type2 insert reads of the carrier
     del wide
+    if count > 1:
+        donor = donor()  # built only now that the carrier is taken
     for c in range(count - 1):
         if kind == "zero_norm":
             blk = _zero_norm_block(donor)
@@ -642,9 +627,10 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
     post_res_norm, as in the source for type2, and not at all for
     post_ln or a block that is not repeated.  Source block ``i`` is
     dropped once widened unless it is that donor.  A donor ``i + 1`` is
-    read (type2) or widened (type1, post_res_norm) one group early and
-    kept for its own group.  So besides the block being built, at most
-    one source block and one width-expanded block are held.
+    read (type2) or widened (type1, post_res_norm) one group early, only
+    once carrier ``i`` is taken, and kept for its own group.  So besides
+    the block being built, at most one source block and one
+    width-expanded block are held.
 
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
@@ -667,15 +653,25 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
         return expand_block_width(block, spec, d_t, hidden_t, policy,
                                   substream(seed, "block", j), noise)
 
+    def early(j: int) -> BlockWeights:
+        """Block ``j``, the donor of the group before its own, in the form
+        its inserted blocks read; kept for its own group."""
+        if kind == "cancelling":
+            return src.setdefault(j, source(j))
+        return wide.setdefault(j, widened(j, source(j)))
+
     for i, count in enumerate(layer_multiplicities(spec.depth, plan.target_depth)):
         j = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
         block = None if i in wide else source(i)
         carrier = wide.pop(i) if i in wide else widened(i, block)
         donor = None
-        if count > 1 and kind == "cancelling":
-            donor = block if j == i else src.setdefault(j, source(j))
-        elif count > 1 and kind != "post_ln":
-            donor = carrier if j == i else wide.setdefault(j, widened(j, source(j)))
+        if count > 1 and kind != "post_ln":
+            if j != i:
+                donor = functools.partial(early, j)
+            elif kind == "cancelling":
+                donor = lambda b=block: b
+            else:
+                donor = lambda b=carrier: b
         del block
         blocks = expand_depth(i, count, carrier, donor, spec, hidden_t, plan)
         del carrier, donor  # expand_depth keeps what its blocks read

@@ -28,6 +28,7 @@ from .container import read_checkpoint  # noqa: F401
 from .errors import PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
+from .kernels import activation
 from .model import (ModelSpec, ModelWeights, block_forward, decode, embed,
                     random_weights)
 from .rng import check_seed, substream
@@ -279,12 +280,6 @@ def init_random_model(spec: ModelSpec, seed: int, out_path, dtype=np.float64) ->
 # toy-network gradient step (symmetry-breaking demonstration)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
-
-
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return (z > 0).astype(z.dtype)
@@ -306,7 +301,7 @@ def toy_mlp_gradient_step(w1: np.ndarray, v: np.ndarray, x: np.ndarray,
     unequal fan-out drives them apart.
     """
     h = w1 @ x
-    a = _act(h, kind)
+    a = activation(h, kind)
     g = 2.0 * (float(v @ a) - target)
     grad_v = g * a
     grad_w1 = (g * v * _act_grad(h, kind))[:, None] * x[None, :]

@@ -218,9 +218,8 @@ def test_criterion_5_symmetry_breaking_gradient_step():
                              substream(105, "split", policy), 0.02)
         v_big = expand_matrix_cols(v[None, :], 4, "circ", split)[0]
         # expansion preserved the toy network's output
-        from lemon.verify import _act
-        assert float(v_big @ _act(w1_big @ x, "gelu")) == pytest.approx(
-            float(v @ _act(w1 @ x, "gelu")), abs=1e-12)
+        assert float(v_big @ kernels.activation(w1_big @ x, "gelu")) == pytest.approx(
+            float(v @ kernels.activation(w1 @ x, "gelu")), abs=1e-12)
         new_w1, new_v = toy_mlp_gradient_step(w1_big, v_big, x, target, lr=0.1)
         results[policy] = (new_w1, new_v)
     lemon_w1, _ = results["lemon"]

@@ -13,8 +13,9 @@ from lemon import (ColumnSplit, ExpansionPlan, ModelSpec, PlanError, SplitError,
                    mha_forward, mlp_forward, model_forward, random_weights,
                    toy_mlp_gradient_step, validate_weights)
 from lemon.container import named_tensors
-from lemon.expand_ops import RowBlocks, expand_matrix_cols, expand_matrix_rows, row_blocks
-from lemon.expander import (MIN_SEPARATION, POLICIES, _split_copies, column_split,
+from lemon.expand_ops import expand_matrix_cols, expand_matrix_rows
+from lemon.expander import (MIN_SEPARATION, POLICIES, _row_expanded_cols,
+                            _split_copies, column_split,
                             expand_block_width, expand_decoder, expand_depth,
                             expand_embeddings, layer_multiplicities,
                             map_arrays, replica_groups)
@@ -207,7 +208,7 @@ class TestGrowOnce:
     def test_type1_inserted_block_allocates_only_what_it_keeps(self, toy_spec):
         spec = toy_spec(depth=1, width=64, head_dim=16, ratio=4.0)
         blk = random_weights(spec, substream(6, "inserted")).blocks[0]
-        blocks = expand_depth(0, 2, blk, blk, spec, spec.hidden_dim,
+        blocks = expand_depth(0, 2, blk, lambda: blk, spec, spec.hidden_dim,
                               ExpansionPlan(64, 2, depth_mode="type1"))
         carrier, role = next(blocks)
         assert carrier is blk and role == "carrier"
@@ -241,8 +242,36 @@ class TooClose:
 
 
 class TestRowsInSplit:
-    """column_split of a row expansion given as RowBlocks draws and grows
-    what the split of the built row expansion does, bit for bit."""
+    """A row-expanded matrix's column split, drawn one row block at a
+    time, is a column split of the built row expansion."""
+
+    @staticmethod
+    def pieces(grown: np.ndarray, d_s: int, mode: str) -> ColumnSplit:
+        """``grown`` cut into its column pieces, as separate arrays."""
+        k = grown.shape[1] // d_s
+        parts = [grown[:, i * d_s:(i + 1) * d_s].copy() for i in range(k)]
+        extra = grown[:, k * d_s:].copy()
+        if mode == "rand":
+            return ColumnSplit(parts=parts, tail=extra)
+        return ColumnSplit(parts=parts, residual=extra)
+
+    def check(self, m, d_rows, row_mode, d_t, mode, policy, rng):
+        """Grow ``m``; the pieces must pass the sum checks against the
+        built row expansion and, under lemon, every pair of replicas of a
+        source column must differ in every row."""
+        d_s = m.shape[1]
+        grown = _row_expanded_cols(m, d_rows, row_mode, d_t, mode, policy, rng, 0.02)
+        built = expand_matrix_rows(m, d_rows, row_mode)
+        again = expand_matrix_cols(built, d_t, mode, self.pieces(grown, d_s, mode))
+        assert again.tobytes() == grown.tobytes()
+        if policy != "lemon":
+            return
+        # the replicas of source column c: c + i*d_s in every part, and in
+        # the residual too when c is a wrapped column
+        for c in range(d_s):
+            cols = [j for j in range(c, d_t, d_s) if mode == "circ" or j < d_t - d_t % d_s]
+            for a, b in combinations(cols, 2):
+                assert (np.abs(grown[:, a] - grown[:, b]) > MIN_SEPARATION * 0.02).all()
 
     @pytest.mark.parametrize("k", (1, 3))
     @pytest.mark.parametrize("col_tail", (False, True))
@@ -250,7 +279,7 @@ class TestRowsInSplit:
     @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     @pytest.mark.parametrize("policy", POLICIES)
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=8, deadline=None)
     @given(p=st.integers(2, 4), row_copies=st.integers(1, 3), pick=st.integers(0, 100),
            d_s=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_equals_row_expansion_then_split(self, k, col_tail, row_tail, row_mode, mode,
@@ -258,44 +287,29 @@ class TestRowsInSplit:
         d_rows = row_copies * p + (1 + pick % (p - 1) if row_tail else 0)
         d_t = k * d_s + (1 + pick % (d_s - 1) if col_tail else 0)
         m = substream(seed, "m").standard_normal((p, d_s))
-        built = expand_matrix_rows(m, d_rows, row_mode)
-        want = expand_matrix_cols(built, d_t, mode, column_split(
-            built, d_t, mode, policy, substream(seed, "split"), 0.02))
-        blocks = RowBlocks.of(m, d_rows, row_mode)
-        split = column_split(blocks, d_t, mode, policy, substream(seed, "split"), 0.02)
-        got = expand_matrix_cols(blocks, d_t, mode, split)
-        assert got is split.grown
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        self.check(m, d_rows, row_mode, d_t, mode, policy, substream(seed, "split"))
 
     @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     @pytest.mark.parametrize("d_t", (10, 16))  # k = 2 and 3: lemon draws replicas
     def test_redrawn_columns_read_the_expansion_again(self, rng, row_mode, mode, d_t):
-        m = rng("redraw").standard_normal((6, 5))
-        built = expand_matrix_rows(m, 14, row_mode)
-        want = expand_matrix_cols(built, d_t, mode,
-                                  column_split(built, d_t, mode, "lemon", TooClose(1), 0.02))
-        blocks, g = RowBlocks.of(m, 14, row_mode), TooClose(1)
-        got = expand_matrix_cols(blocks, d_t, mode,
-                                 column_split(blocks, d_t, mode, "lemon", g, 0.02))
-        assert g.draws == 2 and got.tobytes() == want.tobytes()
+        g = TooClose(1)
+        self.check(rng("redraw").standard_normal((6, 5)), 14, row_mode, d_t, mode, "lemon", g)
+        assert g.draws == 2
 
-    @pytest.mark.parametrize("row", (4, 7))  # the second copy, then the tail rows
+    @pytest.mark.parametrize("row", (4, 7))  # the second row block, then the tail block
     @pytest.mark.parametrize("row_mode", ("circ", "avg", "zero"))
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     def test_corrupted_replica_row_fails_the_check(self, rng, row, row_mode, mode):
-        blocks = RowBlocks.of(rng("replica-row").standard_normal((3, 4)), 8, row_mode)
-        split = column_split(blocks, 10, mode, "lemon", rng("replica-split"), 0.02)
-        assert expand_matrix_cols(blocks, 10, mode, split) is split.grown
+        m = rng("corrupt").standard_normal((3, 4))
+        grown = _row_expanded_cols(m, 8, row_mode, 10, mode, "lemon", rng("corrupt-split"),
+                                   0.02)
+        built = expand_matrix_rows(m, 8, row_mode)
+        split = self.pieces(grown, 4, mode)
+        expand_matrix_cols(built, 10, mode, split)
         split.parts[1][row, 2] += 1e-6
         with pytest.raises(SplitError):
-            expand_matrix_cols(blocks, 10, mode, split)
-
-    def test_only_a_large_float64_expansion_is_left_unbuilt(self, rng):
-        m = rng("row-blocks").standard_normal((256, 512))
-        assert isinstance(row_blocks(m, 384, "avg"), RowBlocks)  # 1.5 MiB built
-        assert isinstance(row_blocks(m[:, :256], 384, "avg"), np.ndarray)  # 768 KiB
-        assert isinstance(row_blocks(m.astype(np.float32), 384, "avg"), np.ndarray)
+            expand_matrix_cols(built, 10, mode, split)
 
 
 class TestSplitPiecesInPlace:
@@ -737,8 +751,7 @@ class TestToyGradientStep:
         lr = 1.0
 
         def loss(w1_, v_):
-            from lemon.verify import _act
-            return float((v_ @ _act(w1_ @ x, "gelu") - y) ** 2)
+            return float((v_ @ kernels.activation(w1_ @ x, "gelu") - y) ** 2)
 
         new_w1, new_v = toy_mlp_gradient_step(w1, v, x, y, lr)
         eps = 1e-6
