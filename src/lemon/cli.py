@@ -123,6 +123,8 @@ def _cmd_verify(args) -> int:
           f"over {len(report.samples)} samples")
     if worst is not None:
         print(f"worst sample {worst.index} at position {worst.worst_position}")
+    print(f"skipped {report.skipped} of {report.modules} big-model modules whose output "
+          f"is exactly their bias")
     if report.embedding_diff is not None:
         print(f"embedding max_abs_diff {report.embedding_diff:.6e} over every token row")
     print("PASS" if report.passed else "FAIL")

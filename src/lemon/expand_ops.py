@@ -198,8 +198,9 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
     the split's ``grown`` matrix are still those it records as
     ``drawn`` (a split drawn by :func:`lemon.expander.column_split`), so
     that the pieces are that matrix's column blocks in order, the matrix
-    is returned as it is; otherwise the pieces are copied into one new
-    C-contiguous ``(p, d_t)`` matrix.
+    is returned as it is, in the float64 it was drawn in; otherwise the
+    pieces are copied into one new C-contiguous ``(p, d_t)`` matrix of
+    the dtype of ``m``.
     """
     m = np.asarray(m)
     if m.ndim != 2:
@@ -225,7 +226,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
         else:
             if extra is None:
                 raise SplitError("rand split requires a tail of extra columns")
-            extra = np.asarray(extra, dtype=m.dtype)
+            extra = np.asarray(extra)
             if extra.shape != (p, r):
                 raise SplitError(f"tail has shape {extra.shape}, want {(p, r)}")
     else:  # circ
@@ -239,7 +240,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
         else:
             if extra is None:
                 raise SplitError("circ split requires a residual block")
-            extra = np.asarray(extra, dtype=m.dtype)
+            extra = np.asarray(extra)
             if extra.shape != (p, r):
                 raise SplitError(f"residual has shape {extra.shape}, want {(p, r)}")
             if not _split_close(m[:, :r], *(part[:, :r] for part in parts), extra):
@@ -248,8 +249,7 @@ def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
                 raise SplitError("circ split parts do not sum to the source columns")
     grown = split.grown
     pieces = parts + [extra]
-    if (grown is None or grown.shape != (p, d_t) or grown.dtype != m.dtype
-            or len(split.drawn) != len(pieces) + 1
+    if (grown is None or grown.shape != (p, d_t) or len(split.drawn) != len(pieces) + 1
             or any(a is not b for a, b in zip((grown, *pieces), split.drawn))):
         grown = np.empty((p, d_t), dtype=m.dtype)
         for i, piece in enumerate(pieces):

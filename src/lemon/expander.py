@@ -192,22 +192,24 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
     how the total is distributed between replicas (and what fills the
     free ``rand`` tail).
 
-    The grown ``(p, d_t)`` matrix is allocated once, or is ``out`` when
-    given (a float64 array or view of that shape), and every piece is
-    drawn straight into its column block: the split's parts and its tail
-    (or residual) are views of that matrix, recorded as ``grown`` (and
-    with the pieces as ``drawn``), which ``expand_matrix_cols`` checks
-    and returns without another copy.  It never shares memory with
-    ``m``.
+    Every split is drawn in float64, from ``m`` promoted to float64, so
+    that its sums are checked at float64 precision; a caller that wants
+    another dtype casts the grown matrix once.  That ``(p, d_t)`` float64
+    matrix is allocated once, or is ``out`` when given (a float64 array
+    or view of that shape), and every piece is drawn straight into its
+    column block: the split's parts and its tail (or residual) are views
+    of that matrix, recorded as ``grown`` (and with the pieces as
+    ``drawn``), which ``expand_matrix_cols`` checks and returns without
+    another copy.  It never shares memory with ``m``.
     """
     if policy not in POLICIES:
         raise PlanError(f"unknown policy {policy!r}")
     if mode not in COL_MODES:
         raise PlanError(f"unknown column mode {mode!r}")
-    m = np.asarray(m)
+    m = np.asarray(m, dtype=np.float64)
     p, d_s = m.shape
     k, r = _check_extents(d_s, d_t)
-    grown = np.empty((p, d_t)) if out is None else out  # float64: every split is drawn in it
+    grown = np.empty((p, d_t)) if out is None else out
     # k parts of d_s columns, then the r tail or residual columns
     blocks = [grown[:, i * d_s:(i + 1) * d_s] for i in range(k + 1)]
     if mode == "rand":
@@ -224,9 +226,6 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
         # once in each part and once more in the residual after the last
         _split_copies(m[:, :r], [b[:, :r] for b in blocks], policy, rng, noise_scale)
         _split_copies(m[:, r:], [b[:, r:] for b in blocks[:k]], policy, rng, noise_scale)
-    if m.dtype != grown.dtype:
-        # cast like the float64 pieces; expand_matrix_cols assembles them
-        blocks, grown = [b.astype(m.dtype) for b in blocks], None
     drawn = (grown, *blocks)
     if mode == "rand":
         return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown, drawn=drawn)
@@ -243,7 +242,7 @@ def _row_expanded_cols(m: np.ndarray, d_rows: int, row_mode: str, d_cols: int,
     """Row expansion followed by a policy-driven column split, drawn and
     checked one row block (:func:`~lemon.expand_ops.row_blocks`) at a
     time, in row order, straight into one grown float64 matrix, which is
-    cast back to the dtype of ``m``, as ``column_split`` casts its pieces."""
+    cast once to the dtype of ``m``."""
     grown = np.empty((d_rows, d_cols))
     for rows, block in row_blocks(m, d_rows, row_mode):
         split = column_split(block, d_cols, col_mode, policy, rng, noise_scale,
@@ -256,8 +255,8 @@ def _expand_head(head: HeadWeights, d_t: int, policy: str,
                  rng: np.random.Generator, noise_scale: float) -> HeadWeights:
     """Expand one head's input dimension; its biases and output dim stay."""
     def grow(w: np.ndarray) -> np.ndarray:
-        split = column_split(w, d_t, "rand", policy, rng, noise_scale)
-        return expand_matrix_cols(w, d_t, "rand", split)
+        return _row_expanded_cols(w, w.shape[0], "circ", d_t, "rand", policy, rng,
+                                  noise_scale)
 
     return HeadWeights(grow(head.wq), grow(head.wk), grow(head.wv),
                        head.bq.copy(), head.bk.copy(), head.bv.copy())
@@ -344,8 +343,8 @@ def expand_decoder(dec_weight: np.ndarray, d_t: int, policy: str,
                    rng: np.random.Generator, noise_scale: float) -> np.ndarray:
     """Expand an untied decoder's input dimension; logits are unchanged
     because the extra columns only ever multiply zeros."""
-    split = column_split(dec_weight, d_t, "rand", policy, rng, noise_scale)
-    return expand_matrix_cols(dec_weight, d_t, "rand", split)
+    return _row_expanded_cols(dec_weight, dec_weight.shape[0], "circ", d_t, "rand",
+                              policy, rng, noise_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,7 @@ def _cancelling_block(src: BlockWeights, ln1: NormParams, ln2: NormParams,
     return BlockWeights(map_arrays(ln1, np.copy),
                         AttentionWeights(heads, wo, bo),
                         map_arrays(ln2, np.copy),
-                        MlpWeights(w1, b1, w2, b2))
+                        MlpWeights(w1.astype(src.mlp.w1.dtype, copy=False), b1, w2, b2))
 
 
 def _zero_norm_block(donor: BlockWeights) -> BlockWeights:

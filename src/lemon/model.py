@@ -15,14 +15,19 @@ class-token position.  All linear layers carry biases, and every weight
 matrix is stored (out, in): the forward pass multiplies by its ``.T``
 view, so a layer's fan-out from input unit ``j`` is column ``j``.
 
-An attention or MLP module whose stored output projection (``attn.wo``
-or ``mlp.w2``) is all zero contributes exactly its output bias, so it is
-not evaluated: no q/k/v, softmax, ``w1`` or activation runs for it.  The
-rule looks at the stored weights only, never at how they were made, and
-is exact for finite activations: the full path's zero matmul yields +0
-(einsum sums its ±0 products from +0), and ``+0 + bias`` is what both
-paths return.  A NaN or Inf that would
-arise inside such a module is therefore not reported.
+An attention or MLP module that contributes exactly its output bias is
+not evaluated: no q/k/v, softmax, ``w1`` or activation runs for it.
+:func:`bias_only` decides that from the stored weights alone, never
+from how they were made.  Every row of the output projection
+(``attn.wo`` or ``mlp.w2``) must be all zero (the blocks ``type1``
+depth growth inserts), or hold exactly two nonzero entries ``a`` and
+``-a`` at the same offset in two units, heads or hidden units, whose
+incoming weights and biases are bitwise equal (the ``type2`` ± pairs).
+Those two units then emit bitwise-equal values, so every partial sum
+of the row is 0, x or -x, and ``kernels.matmul`` sums it to exactly +0
+(its non-BLAS loop sums from +0); ``+0 + bias`` is what both paths
+return.  The rule is therefore exact for finite activations, and a NaN
+or Inf that would arise inside such a module is not reported.
 
 Everything here is a pure function of the weights; there is no training
 machinery of any kind.
@@ -327,11 +332,70 @@ def apply_norm(x: np.ndarray, norm: NormParams, spec: ModelSpec) -> np.ndarray:
     return kernels.layernorm(x, norm.mu, norm.beta, norm.eps)
 
 
-def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec) -> np.ndarray:
-    """Bidirectional multi-head attention over a (tokens, width) input."""
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` hold the same bits (so -0.0 is not 0.0,
+    and a NaN may equal itself)."""
+    kind = f"u{a.itemsize}"
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and bool((a.view(kind) == b.view(kind)).all()))
+
+
+def _cancels(proj: np.ndarray, size: int, same) -> bool:
+    """The :func:`bias_only` rule on an output projection ``proj`` whose
+    columns are units of ``size`` columns each.  ``same(a, b, n)`` says
+    whether units ``a .. a+n-1`` have the same incoming weights and
+    biases, bit for bit, as units ``b .. b+n-1``."""
+    if np.count_nonzero(proj[0]) not in (0, 2):
+        return False  # a block that carries a function fails here, on one row
+    if not proj.any():
+        return True  # no pairs at all; checked without a temporary
+    # flat indices in row order, so a row's entries are adjacent
+    rows, cols = np.divmod(np.flatnonzero(proj != 0), proj.shape[1])
+    if rows.size % 2:
+        return False
+    r, lo, hi = rows[0::2], cols[0::2], cols[1::2]
+    if ((rows[1::2] != r).any() or (r[1:] == r[:-1]).any()
+            or (lo % size != hi % size).any()):
+        return False  # a row with one, or more than two, nonzero entries
+    a = proj[r, lo]
+    if not (np.isfinite(a).all() and (a == -proj[r, hi]).all()):
+        return False
+    units = proj.shape[1] // size
+    first, second = np.divmod(np.unique(lo // size * units + hi // size), units)
+    # compare the units a run of pairs names as one slice each: a run
+    # steps both of its units by one
+    cut = np.flatnonzero((first[1:] - first[:-1] != 1) | (second[1:] - second[:-1] != 1)) + 1
+    return all(same(first[s], second[s], e - s)
+               for s, e in zip([0, *cut], [*cut, first.size]))
+
+
+#: the incoming weights and biases of a head, which its replicas share
+_HEAD_INPUTS = ("wq", "wk", "wv", "bq", "bk", "bv")
+
+
+def bias_only(module: AttentionWeights | MlpWeights) -> bool:
+    """Whether an attention or MLP module contributes exactly its output
+    bias on every input that keeps it finite; see the module docstring
+    for the rule.  A module that carries a function is rejected on the
+    first row of its output projection."""
+    if isinstance(module, AttentionWeights):
+        heads = module.heads
+        return _cancels(module.wo, heads[0].wq.shape[0], lambda a, b, n: all(
+            _same_bits(getattr(heads[a + i], f), getattr(heads[b + i], f))
+            for i in range(n) for f in _HEAD_INPUTS))
+    w1, b1 = module.w1, module.b1
+    return _cancels(module.w2, 1, lambda a, b, n: (
+        _same_bits(w1[a:a + n], w1[b:b + n]) and _same_bits(b1[a:a + n], b1[b:b + n])))
+
+
+def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec,
+                skip: bool | None = None) -> np.ndarray:
+    """Bidirectional multi-head attention over a (tokens, width) input.
+    ``skip`` is ``bias_only(attn)`` when the caller has decided it
+    already; None decides it here."""
     if x.ndim != 2 or x.shape[1] != attn.heads[0].wq.shape[1]:
         raise ShapeError(f"attention input shape {x.shape} does not match weights")
-    if not attn.wo.any():  # the module contributes exactly its bias
+    if bias_only(attn) if skip is None else skip:
         return np.zeros((x.shape[0], attn.wo.shape[0]), x.dtype) + attn.bo
     scale = 1.0 / math.sqrt(spec.head_dim)
     outs = []
@@ -344,29 +408,36 @@ def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec) -> np.nd
     return kernels.matmul(np.hstack(outs), attn.wo.T) + attn.bo
 
 
-def mlp_forward(x: np.ndarray, mlp: MlpWeights, spec: ModelSpec) -> np.ndarray:
-    """Per-token two-layer MLP: w2 @ act(w1 @ x + b1) + b2."""
+def mlp_forward(x: np.ndarray, mlp: MlpWeights, spec: ModelSpec,
+                skip: bool | None = None) -> np.ndarray:
+    """Per-token two-layer MLP: w2 @ act(w1 @ x + b1) + b2.  ``skip`` is
+    ``bias_only(mlp)`` when the caller has decided it already; None
+    decides it here."""
     if x.ndim != 2 or x.shape[1] != mlp.w1.shape[1]:
         raise ShapeError(f"MLP input shape {x.shape} does not match weights")
-    if not mlp.w2.any():  # the module contributes exactly its bias
+    if bias_only(mlp) if skip is None else skip:
         return np.zeros((x.shape[0], mlp.w2.shape[0]), x.dtype) + mlp.b2
     hidden = kernels.activation(kernels.matmul(x, mlp.w1.T) + mlp.b1, spec.activation)
     return kernels.matmul(hidden, mlp.w2.T) + mlp.b2
 
 
-def block_forward(x: np.ndarray, block: BlockWeights, spec: ModelSpec) -> np.ndarray:
+def block_forward(x: np.ndarray, block: BlockWeights, spec: ModelSpec,
+                  skip: tuple[bool | None, bool | None] = (None, None)) -> np.ndarray:
     """Apply the attention sub-block then the MLP sub-block, honoring the
-    spec's norm placement."""
+    spec's norm placement.  ``skip`` passes each module's ``skip`` on, so
+    a caller that runs many inputs through one block decides
+    :func:`bias_only` once for all of them."""
     style = spec.norm_style
+    skip_attn, skip_mlp = skip
     if style in ("pre_ln", "rms_pre"):
-        x = x + mha_forward(apply_norm(x, block.ln1, spec), block.attn, spec)
-        x = x + mlp_forward(apply_norm(x, block.ln2, spec), block.mlp, spec)
+        x = x + mha_forward(apply_norm(x, block.ln1, spec), block.attn, spec, skip_attn)
+        x = x + mlp_forward(apply_norm(x, block.ln2, spec), block.mlp, spec, skip_mlp)
     elif style == "post_res_norm":
-        x = x + apply_norm(mha_forward(x, block.attn, spec), block.ln1, spec)
-        x = x + apply_norm(mlp_forward(x, block.mlp, spec), block.ln2, spec)
+        x = x + apply_norm(mha_forward(x, block.attn, spec, skip_attn), block.ln1, spec)
+        x = x + apply_norm(mlp_forward(x, block.mlp, spec, skip_mlp), block.ln2, spec)
     elif style == "post_ln":
-        x = apply_norm(mha_forward(x, block.attn, spec) + x, block.ln1, spec)
-        x = apply_norm(mlp_forward(x, block.mlp, spec) + x, block.ln2, spec)
+        x = apply_norm(mha_forward(x, block.attn, spec, skip_attn) + x, block.ln1, spec)
+        x = apply_norm(mlp_forward(x, block.mlp, spec, skip_mlp) + x, block.ln2, spec)
     else:
         raise PlanError(f"unknown norm_style {style!r}")
     return x

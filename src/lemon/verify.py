@@ -29,8 +29,8 @@ from .errors import PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
 from .kernels import activation
-from .model import (ModelSpec, ModelWeights, block_forward, decode, embed,
-                    random_weights)
+from .model import (ModelSpec, ModelWeights, bias_only, block_forward, decode,
+                    embed, random_weights)
 from .rng import check_seed, substream
 
 #: environment variable capping verification parallelism
@@ -59,12 +59,16 @@ class SampleDiff:
 class VerifyReport:
     """The worst logit difference over the samples and, for token
     models, the worst difference between the big token table and the
-    expanded small one (None for vision models)."""
+    expanded small one (None for vision models).  ``skipped`` counts the
+    big model's attention and MLP modules that were evaluated as their
+    output bias alone (``model.bias_only``), out of ``modules``."""
 
     max_abs_diff: float
     tol: float
     samples: list[SampleDiff]
     embedding_diff: float | None = None
+    skipped: int = 0
+    modules: int = 0
 
     @property
     def passed(self) -> bool:
@@ -74,6 +78,7 @@ class VerifyReport:
     def to_dict(self) -> dict:
         return {"max_abs_diff": self.max_abs_diff, "tol": self.tol,
                 "embedding_diff": self.embedding_diff, "passed": self.passed,
+                "skipped_modules": self.skipped, "modules": self.modules,
                 "samples": [{"index": s.index,
                              "worst_position": list(s.worst_position),
                              "abs_diff": s.abs_diff} for s in self.samples]}
@@ -137,8 +142,9 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         embedding_diff = _embedding_diff(small_shell, small_spec, big_shell, big.spec)
         inputs = [_draw_input(small_spec, substream(seed, "verify", i), seq_len)
                   for i in range(samples)]
-        want = _logits(small, small_shell, inputs, each)
-        got = _logits(big, big_shell, inputs, each)
+        want, _ = _logits(small, small_shell, inputs, each)
+        got, skipped = _logits(big, big_shell, inputs, each)
+        modules = 2 * big.spec.depth
 
     results = []
     for i, (a, b) in enumerate(zip(got, want)):
@@ -146,7 +152,7 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         pos = np.unravel_index(int(np.argmax(diff)), diff.shape)
         results.append(SampleDiff(i, tuple(int(p) for p in pos), float(diff[pos])))
     worst = max((s.abs_diff for s in results), default=0.0)
-    return VerifyReport(worst, tol, results, embedding_diff)
+    return VerifyReport(worst, tol, results, embedding_diff, skipped, modules)
 
 
 def _embedding_diff(small: ModelWeights, small_spec: ModelSpec,
@@ -165,18 +171,24 @@ def _embedding_diff(small: ModelWeights, small_spec: ModelSpec,
     return float(np.abs(big.embedding.token_table - want).max())
 
 
-def _logits(reader: CheckpointReader, shell: ModelWeights, inputs: list, each) -> list:
+def _logits(reader: CheckpointReader, shell: ModelWeights, inputs: list,
+            each) -> tuple[list, int]:
     """The logits of every input under ``reader``'s model, whose float64
     embedding and decoder are ``shell``: the embedding, each block as it
     is read, then the decoder, which is exactly what ``model_forward``
-    computes."""
+    computes.  Whether a module is only its bias is decided once per
+    block, as it is read, for every input; the count of such modules
+    comes back with the logits."""
     spec = reader.spec
+    skipped = 0
     xs = each(lambda x: embed(x, shell, spec), inputs)
     for i in range(spec.depth):
         block = _as64(reader.block(i))
-        xs = each(lambda x: block_forward(x, block, spec), xs)
+        skip = (bias_only(block.attn), bias_only(block.mlp))
+        skipped += sum(skip)
+        xs = each(lambda x: block_forward(x, block, spec, skip), xs)
         del block  # before the next block is read
-    return each(lambda x: decode(x, shell, spec), xs)
+    return each(lambda x: decode(x, shell, spec), xs), skipped
 
 
 @contextlib.contextmanager

@@ -398,6 +398,28 @@ class TestModuleExpansion:
         want = expand_vector(mlp_forward(x, mlp, spec), d_t, "avg")
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("d_t", (12, 24))
+    def test_float32_layers_split_in_float64_and_stay_float32(self, toy_model, rng, d_t):
+        # every split is drawn and checked in float64, then cast once: a
+        # float32 split would miss the float64 sum check
+        w, spec = toy_model(depth=1, width=8)
+        w = map_arrays(w, lambda a: a.astype(np.float32))
+        blk = w.blocks[0]
+        big_spec = spec.__class__(**{**spec.__dict__, "width": d_t})
+        g = substream(12, "f32", d_t)
+        attn = expand_mha(blk.attn, spec, d_t, "lemon", g, 0.02)
+        mlp = expand_mlp(blk.mlp, spec, d_t, 2 * d_t, "lemon", g, 0.02)
+        dec = expand_decoder(w.dec_weight, d_t, "lemon", g, 0.02)
+        assert {a.dtype for a in flat_arrays([attn, mlp, dec])} == {np.dtype(np.float32)}
+        x = rng("f32", d_t).standard_normal((5, spec.width)).astype(np.float32)
+        wide = expand_vector(x, d_t, "zero")
+        for got, want in ((mha_forward(wide, attn, big_spec), mha_forward(x, blk.attn, spec)),
+                          (mlp_forward(wide, mlp, big_spec), mlp_forward(x, blk.mlp, spec))):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, expand_vector(want, d_t, "avg"), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(kernels.matmul(wide, dec.T), kernels.matmul(x, w.dec_weight.T),
+                                   rtol=0, atol=1e-5)
+
     def test_lemon_duplicated_hidden_units_have_distinct_fanout(self, toy_model):
         w, spec = toy_model(depth=1)
         big = expand_mlp(w.blocks[0].mlp, spec, 2 * spec.width, 2 * spec.hidden_dim,

@@ -114,6 +114,31 @@ class TestMatmul:
         pm[rows, z + k] = -pm[rows, z]
         assert np.all(kernels.matmul(h, pm.T) == 0.0)
 
+    @pytest.mark.parametrize("impl", ("einsum", "fallback"))
+    @pytest.mark.parametrize("k", (3, kernels._CHUNK - 1, kernels._CHUNK, kernels._CHUNK + 1,
+                                   2 * kernels._CHUNK + 3))
+    def test_pair_row_sums_to_positive_zero(self, rng, monkeypatch, impl, k):
+        # a module that is only its bias (model.bias_only) returns +0 + bias
+        # unevaluated: that is exact only while each inner loop sums a row
+        # holding one (a, -a) pair over two bitwise-equal columns among
+        # zeros to +0.0, never -0.0, wherever the chunks cut the row.  The
+        # negative columns make every zero product -0.0.
+        inner = kernels._einsum if impl == "einsum" else kernels._multiply_then_sum
+        monkeypatch.setattr(kernels, "_inner", inner)
+        g = rng("pair-zero", impl, k)
+        h = -np.abs(g.standard_normal((4, 2 * k)))
+        h[:, k:] = h[:, :k]
+        w = np.zeros((2 * k, 3))
+        for t, z in enumerate((0, k - 1, int(g.integers(0, k)))):
+            w[z, t] = g.standard_normal()
+            w[z + k, t] = -w[z, t]
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            out = kernels.matmul(h, layout(w))
+            assert np.all(out == 0.0) and not np.signbit(out).any()
+        # with no pair at all, every product is -0.0
+        out = kernels.matmul(h, np.zeros((2 * k, 3)))
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+
     def test_fallback_probe_runs(self):
         assert kernels._einsum_is_trustworthy() in (True, False)
 
