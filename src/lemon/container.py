@@ -33,9 +33,10 @@ Readers take the prefix and header first, checking ``header_len``
 against the file size before reading it, then check the tensor table
 against the schema of the stored spec, and only then read tensors, each
 straight into its own array.  :class:`CheckpointReader` reads them on
-demand, one block at a time: ``expand`` reads its source this way,
-``verify`` both of its models, and ``symmetry`` only the projections its
-map names; :func:`read_checkpoint` (whole model) serves library callers.
+demand, a part at a time: ``expand`` reads its source a block at a
+time, ``verify`` both of its models an attention or MLP module at a
+time, and ``symmetry`` only the projections its map names;
+:func:`read_checkpoint` (whole model) serves library callers.
 The file is never held whole in memory and never mapped, because a
 mapped reader of a file truncated under it dies of SIGBUS instead of
 raising :class:`TruncatedPayloadError`.
@@ -59,8 +60,8 @@ from .errors import (BadMagicError, ContainerError, MalformedHeaderError,
                      UnsupportedVersionError)
 from .model import (EPS_DTYPE, AttentionWeights, BlockWeights,
                     EmbeddingWeights, HeadWeights, MlpWeights, ModelSpec,
-                    ModelWeights, NormParams, TensorEntry, block_schema,
-                    decoder_schema, embedding_schema, flat_arrays,
+                    ModelWeights, NormParams, TensorEntry, attention_schema,
+                    decoder_schema, embedding_schema, flat_arrays, mlp_schema,
                     tensor_schema)
 
 MAGIC = b"LEMN"
@@ -84,6 +85,10 @@ class Diagnostic:
 
 def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
+
+
+def _nbytes(entry: TensorEntry) -> int:
+    return math.prod(entry.shape) * entry.dtype.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ def _spec_from_dict(d: dict) -> ModelSpec:
 def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[int]]:
     """The JSON header and the absolute offset of every tensor."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    lengths = [math.prod(e.shape) * e.dtype.itemsize for e in schema]
+    lengths = [_nbytes(e) for e in schema]
     # the records differ from layout to layout only in their offsets:
     # encode the rest once (the same text json.dumps gives the records)
     heads = [f'{{"name":{encode(e.name)},"dtype":"{_DTYPE_NAMES[e.dtype]}",'
@@ -391,11 +396,15 @@ class CheckpointReader:
     """An open checkpoint whose header and tensor table have been checked
     against the schema of its spec; tensors are read only when asked for.
 
-    Use as a context manager.  ``spec`` is the stored model spec and
-    ``dtype`` the weights' dtype (eps is always float64).
+    Use as a context manager.  ``spec`` is the stored model spec,
+    ``dtype`` the weights' dtype (eps is always float64) and ``path`` the
+    file's path.  A model is read in parts: the embedding, each block's
+    attention and MLP halves (or a whole block) and the decoder.
     """
 
     def __init__(self, path):
+        self.path = os.fspath(path)
+        self._layouts = {}
         self._fh = open(path, "rb")
         try:
             spec_dict, table = read_header(*_read_head(self._fh))
@@ -411,10 +420,11 @@ class CheckpointReader:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def tensor(self, name: str) -> np.ndarray:
-        """One tensor, read into its own array."""
+    def tensor(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """One tensor, read into its own array, or into ``out``, an array of
+        its shape and dtype."""
         entry = self._table[name]
-        arr = np.empty(entry["shape"], dtype=_DTYPES[entry["dtype"]])
+        arr = np.empty(entry["shape"], dtype=_DTYPES[entry["dtype"]]) if out is None else out
         self._fh.seek(entry["byte_offset"])
         if self._fh.readinto(arr) != arr.nbytes:
             raise TruncatedPayloadError(f"{name}: payload ends before its span")
@@ -423,25 +433,80 @@ class CheckpointReader:
     def _tensors(self, schema):
         return (self.tensor(entry.name) for entry in schema)
 
-    def block(self, i: int) -> BlockWeights:
-        """Block ``i``, read tensor by tensor."""
-        arrs = self._tensors(block_schema(self.spec, i, self.dtype))
+    def _module(self, module_schema, i: int, into):
+        """The tensors of block ``i``'s module, each in its own array or,
+        given ``into``, in views of those two buffers."""
+        schema = module_schema(self.spec, i, self.dtype)
+        if into is None:
+            return self._tensors(schema)
+        return (self.tensor(entry.name, np.ndarray(entry.shape, entry.dtype, into[b], offset))
+                for entry, (b, offset) in zip(schema, self._layout(module_schema)[0]))
+
+    def _layout(self, module_schema) -> tuple[list[tuple[int, int]], list[int]]:
+        """Where each tensor of a module goes in two buffers (the buffer, 0
+        or 1, and an aligned offset) and the two buffers' sizes; the same
+        for every block, so worked out once.  The output projection and
+        output bias, a module's last two tensors, go to buffer 1 and the
+        rest to buffer 0: at 12×768 that keeps each buffer at 18.9 MB,
+        under glibc's 32 MiB mmap ceiling, so a process that keeps its
+        freed heap reuses the buffers instead of faulting in fresh pages
+        on every call."""
+        if module_schema not in self._layouts:
+            entries = list(module_schema(self.spec, 0, self.dtype))
+            places, ends = [], [0, 0]
+            for k, entry in enumerate(entries):
+                b = int(k >= len(entries) - 2)
+                places.append((b, ends[b]))
+                ends[b] = _align(ends[b] + _nbytes(entry))
+            self._layouts[module_schema] = places, ends
+        return self._layouts[module_schema]
+
+    def module_bytes(self) -> tuple[int, int]:
+        """The sizes of two byte buffers that hold any attention or MLP
+        module of the model (see :meth:`attention`)."""
+        sizes = [self._layout(m)[1] for m in (attention_schema, mlp_schema)]
+        return max(s[0] for s in sizes), max(s[1] for s in sizes)
+
+    def embedding(self) -> EmbeddingWeights:
+        """The token table, or the vision model's patch embedding."""
+        return EmbeddingWeights(**{entry.name.split(".", 1)[1]: self.tensor(entry.name)
+                                   for entry in embedding_schema(self.spec, self.dtype)})
+
+    def attention(self, i: int, into: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[NormParams, AttentionWeights]:
+        """Block ``i``'s ``ln1`` and attention.  Given ``into``, two byte
+        buffers at least as large as :meth:`module_bytes`, every tensor is
+        a view of one of them, overwritten by the next read into them; a
+        caller that holds one module at a time then reuses the same two
+        allocations."""
+        arrs = self._module(attention_schema, i, into)
         ln1 = self._norm(arrs)
         heads = [HeadWeights(*(next(arrs) for _ in range(6)))
                  for _ in range(self.spec.n_heads)]
-        attn = AttentionWeights(heads, next(arrs), next(arrs))
-        ln2 = self._norm(arrs)
-        return BlockWeights(ln1, attn, ln2, MlpWeights(*arrs))
+        return ln1, AttentionWeights(heads, next(arrs), next(arrs))
+
+    def mlp(self, i: int, into: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> tuple[NormParams, MlpWeights]:
+        """Block ``i``'s ``ln2`` and MLP; ``into`` as for :meth:`attention`."""
+        arrs = self._module(mlp_schema, i, into)
+        return self._norm(arrs), MlpWeights(*arrs)
+
+    def decoder(self) -> tuple[NormParams | None, np.ndarray | None, np.ndarray]:
+        """The final norm (None without one), the decoder weight (None when
+        tied to the token table) and the decoder bias."""
+        arrs = self._tensors(decoder_schema(self.spec, self.dtype))
+        final = self._norm(arrs) if self.spec.has_final_norm else None
+        dec_w = None if self.spec.tied_decoder else next(arrs)
+        return final, dec_w, next(arrs)
+
+    def block(self, i: int) -> BlockWeights:
+        """Block ``i``, read tensor by tensor."""
+        return BlockWeights(*self.attention(i), *self.mlp(i))
 
     def shell(self) -> ModelWeights:
         """Everything but the blocks: the embedding, the final norm and the
         decoder, in a :class:`ModelWeights` whose block list is empty."""
-        emb = {entry.name.split(".", 1)[1]: self.tensor(entry.name)
-               for entry in embedding_schema(self.spec, self.dtype)}
-        arrs = self._tensors(decoder_schema(self.spec, self.dtype))
-        final = self._norm(arrs) if self.spec.has_final_norm else None
-        dec_w = None if self.spec.tied_decoder else next(arrs)
-        return ModelWeights(EmbeddingWeights(**emb), [], final, dec_w, next(arrs))
+        return ModelWeights(self.embedding(), [], *self.decoder())
 
     def _norm(self, arrs) -> NormParams:
         mu = next(arrs)

@@ -59,8 +59,8 @@ from .expand_ops import (COL_MODES, ColumnSplit, _check_extents, expand_bias,
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
                     NormParams, block_schema, decoder_schema,
-                    embedding_schema, flat_arrays, spec_with,
-                    validate_weights)
+                    embedding_schema, flat_arrays, nonfinite_tensor,
+                    spec_with, validate_weights)
 from .rng import check_seed, substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
@@ -598,10 +598,9 @@ def _checked_finite(part, schema):
     """``part``, once none of its tensors (named by ``schema``, in
     checkpoint order) holds NaN or Inf; PlanError names the first that
     does."""
-    for entry, a in zip(schema, flat_arrays(part)):
-        # one reduction per tensor; a sum can also overflow, so confirm
-        if not math.isfinite(a.sum()) and not np.isfinite(a).all():
-            raise PlanError(f"source tensor {entry.name} holds NaN or Inf")
+    name = nonfinite_tensor(part, schema)
+    if name is not None:
+        raise PlanError(f"source tensor {name} holds NaN or Inf")
     return part
 
 

@@ -8,6 +8,10 @@ sits relative to the residual branch:
 * ``post_ln``        : LN(Module(x) + x); no final norm.
 * ``rms_pre``        : x + Module(RMS(x)); final RMS before the decoder.
 
+A block is two residual sub-layers, :func:`attention_sublayer` then
+:func:`mlp_sublayer`, which place the norm the same way; ``verify`` runs
+them one at a time, holding one module of the model at once.
+
 Attention is bidirectional (no causal mask).  Token models embed ids
 straight from a table; vision models project flattened patches, prepend
 a class token, add learned positional embeddings, and decode from the
@@ -27,7 +31,8 @@ Those two units then emit bitwise-equal values, so every partial sum
 of the row is 0, x or -x, and ``kernels.matmul`` sums it to exactly +0
 (its non-BLAS loop sums from +0); ``+0 + bias`` is what both paths
 return.  The rule is therefore exact for finite activations, and a NaN
-or Inf that would arise inside such a module is not reported.
+or Inf that would arise inside such a module is not reported here
+(``verify`` checks such a module's stored tensors for NaN and Inf).
 
 Everything here is a pure function of the weights; there is no training
 machinery of any kind.
@@ -35,6 +40,7 @@ machinery of any kind.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, is_dataclass, replace
@@ -231,9 +237,9 @@ def _norm_schema(prefix: str, spec: ModelSpec, dtype: np.dtype):
     yield TensorEntry(f"{prefix}.eps", (), EPS_DTYPE)
 
 
-def block_schema(spec: ModelSpec, i: int, dtype: np.dtype):
-    """The tensors of block ``i``, in checkpoint order."""
-    d, hd, hidden = spec.width, spec.head_dim, spec.hidden_dim
+def attention_schema(spec: ModelSpec, i: int, dtype: np.dtype):
+    """The attention half of block ``i``: ``ln1`` and the attention."""
+    d, hd = spec.width, spec.head_dim
     p = f"blocks.{i}"
     yield from _norm_schema(f"{p}.ln1", spec, dtype)
     for h in range(spec.n_heads):
@@ -243,11 +249,23 @@ def block_schema(spec: ModelSpec, i: int, dtype: np.dtype):
             yield TensorEntry(f"{p}.attn.head{h}.{f}", (hd,), dtype)
     yield TensorEntry(f"{p}.attn.wo", (d, spec.n_heads * hd), dtype)
     yield TensorEntry(f"{p}.attn.bo", (d,), dtype)
+
+
+def mlp_schema(spec: ModelSpec, i: int, dtype: np.dtype):
+    """The MLP half of block ``i``: ``ln2`` and the MLP."""
+    d, hidden = spec.width, spec.hidden_dim
+    p = f"blocks.{i}"
     yield from _norm_schema(f"{p}.ln2", spec, dtype)
     yield TensorEntry(f"{p}.mlp.w1", (hidden, d), dtype)
     yield TensorEntry(f"{p}.mlp.b1", (hidden,), dtype)
     yield TensorEntry(f"{p}.mlp.w2", (d, hidden), dtype)
     yield TensorEntry(f"{p}.mlp.b2", (d,), dtype)
+
+
+def block_schema(spec: ModelSpec, i: int, dtype: np.dtype):
+    """The tensors of block ``i``, in checkpoint order."""
+    yield from attention_schema(spec, i, dtype)
+    yield from mlp_schema(spec, i, dtype)
 
 
 def embedding_schema(spec: ModelSpec, dtype: np.dtype):
@@ -307,6 +325,17 @@ def _flatten(obj, out: list) -> None:
         out.append(np.asarray(obj, dtype=EPS_DTYPE))
 
 
+def nonfinite_tensor(part, schema) -> str | None:
+    """The name of the first tensor of ``part`` (named by ``schema``, in
+    checkpoint order) that holds NaN or Inf, or None if none does."""
+    for i, a in enumerate(flat_arrays(part)):
+        # one reduction per tensor, with no temporary; a sum can also
+        # overflow, so confirm
+        if not math.isfinite(a.sum()) and not np.isfinite(a).all():
+            return next(itertools.islice(schema, i, None)).name
+    return None
+
+
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeError(msg)
@@ -345,9 +374,10 @@ def _cancels(proj: np.ndarray, size: int, same) -> bool:
     columns are units of ``size`` columns each.  ``same(a, b, n)`` says
     whether units ``a .. a+n-1`` have the same incoming weights and
     biases, bit for bit, as units ``b .. b+n-1``."""
-    if np.count_nonzero(proj[0]) not in (0, 2):
+    first = np.count_nonzero(proj[0])
+    if first not in (0, 2):
         return False  # a block that carries a function fails here, on one row
-    if not proj.any():
+    if first == 0 and not proj.any():
         return True  # no pairs at all; checked without a temporary
     # flat indices in row order, so a row's entries are adjacent
     rows, cols = np.divmod(np.flatnonzero(proj != 0), proj.shape[1])
@@ -421,31 +451,44 @@ def mlp_forward(x: np.ndarray, mlp: MlpWeights, spec: ModelSpec,
     return kernels.matmul(hidden, mlp.w2.T) + mlp.b2
 
 
+def _residual(x: np.ndarray, norm: NormParams, spec: ModelSpec, module) -> np.ndarray:
+    """One residual sub-layer around ``module``, a function of the stream,
+    with the spec's norm placement."""
+    style = spec.norm_style
+    if style in ("pre_ln", "rms_pre"):
+        return x + module(apply_norm(x, norm, spec))
+    if style == "post_res_norm":
+        return x + apply_norm(module(x), norm, spec)
+    if style == "post_ln":
+        return apply_norm(module(x) + x, norm, spec)
+    raise PlanError(f"unknown norm_style {style!r}")
+
+
+def attention_sublayer(x: np.ndarray, ln1: NormParams, attn: AttentionWeights,
+                       spec: ModelSpec, skip: bool | None = None) -> np.ndarray:
+    """The attention half of a block: ``attn`` and its norm ``ln1`` around
+    the residual, with ``skip`` passed to :func:`mha_forward`."""
+    return _residual(x, ln1, spec, lambda h: mha_forward(h, attn, spec, skip))
+
+
+def mlp_sublayer(x: np.ndarray, ln2: NormParams, mlp: MlpWeights,
+                 spec: ModelSpec, skip: bool | None = None) -> np.ndarray:
+    """The MLP half of a block: ``mlp`` and its norm ``ln2`` around the
+    residual, with ``skip`` passed to :func:`mlp_forward`."""
+    return _residual(x, ln2, spec, lambda h: mlp_forward(h, mlp, spec, skip))
+
+
 def block_forward(x: np.ndarray, block: BlockWeights, spec: ModelSpec,
                   skip: tuple[bool | None, bool | None] = (None, None)) -> np.ndarray:
-    """Apply the attention sub-block then the MLP sub-block, honoring the
-    spec's norm placement.  ``skip`` passes each module's ``skip`` on, so
-    a caller that runs many inputs through one block decides
-    :func:`bias_only` once for all of them."""
-    style = spec.norm_style
-    skip_attn, skip_mlp = skip
-    if style in ("pre_ln", "rms_pre"):
-        x = x + mha_forward(apply_norm(x, block.ln1, spec), block.attn, spec, skip_attn)
-        x = x + mlp_forward(apply_norm(x, block.ln2, spec), block.mlp, spec, skip_mlp)
-    elif style == "post_res_norm":
-        x = x + apply_norm(mha_forward(x, block.attn, spec, skip_attn), block.ln1, spec)
-        x = x + apply_norm(mlp_forward(x, block.mlp, spec, skip_mlp), block.ln2, spec)
-    elif style == "post_ln":
-        x = apply_norm(mha_forward(x, block.attn, spec, skip_attn) + x, block.ln1, spec)
-        x = apply_norm(mlp_forward(x, block.mlp, spec, skip_mlp) + x, block.ln2, spec)
-    else:
-        raise PlanError(f"unknown norm_style {style!r}")
-    return x
+    """Apply the attention sub-layer then the MLP sub-layer.  ``skip``
+    passes each module's ``skip`` on, so a caller that runs many inputs
+    through one block decides :func:`bias_only` once for all of them."""
+    x = attention_sublayer(x, block.ln1, block.attn, spec, skip[0])
+    return mlp_sublayer(x, block.ln2, block.mlp, spec, skip[1])
 
 
-def embed(inputs: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.ndarray:
+def embed(inputs: np.ndarray, emb: EmbeddingWeights, spec: ModelSpec) -> np.ndarray:
     """Map raw inputs to the (tokens, width) stream entering the blocks."""
-    emb = w.embedding
     if spec.input_kind == "token":
         ids = np.asarray(inputs)
         if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
@@ -468,7 +511,7 @@ def model_forward(inputs: np.ndarray, w: ModelWeights, spec: ModelSpec) -> np.nd
     Token models return per-position logits ``(tokens, vocab)``; vision
     models return the class-token logits ``(classes,)``.
     """
-    x = embed(inputs, w, spec)
+    x = embed(inputs, w.embedding, spec)
     for block in w.blocks:
         x = block_forward(x, block, spec)
     return decode(x, w, spec)

@@ -25,12 +25,14 @@ from scipy.special import erf
 from .container import CheckpointReader, write_checkpoint
 # not called here: kept for perfbench/tests, which look the binding up in this module
 from .container import read_checkpoint  # noqa: F401
-from .errors import PlanError, ShapeError
+from .errors import NumericsError, PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
 from .kernels import activation
-from .model import (ModelSpec, ModelWeights, bias_only, block_forward, decode,
-                    embed, random_weights)
+from .model import (EmbeddingWeights, ModelSpec, ModelWeights,
+                    attention_schema, attention_sublayer, bias_only, decode,
+                    embed, mlp_schema, mlp_sublayer, nonfinite_tensor,
+                    random_weights)
 from .rng import check_seed, substream
 
 #: environment variable capping verification parallelism
@@ -120,10 +122,16 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     big width in the stream's vector mode, within ``tol``.  A big width
     that is no expansion of the small one raises :class:`ShapeError`.
 
-    Both models are read a block at a time, after their headers and
-    tensor tables have been checked: every sample passes through block
-    ``i`` before block ``i + 1`` is read, so no more than one block of
-    either model is held at once.
+    Both models are read a part at a time, after their headers and
+    tensor tables have been checked.  The two token tables come first,
+    for that comparison and the samples' embeddings, and are dropped.
+    Then every sample passes through each attention or MLP module before
+    the next is read, and last through the final norm and decoder.  So
+    no more than one module of either model is held at once, and each
+    tensor is read once (a tied decoder rereads its token table).  A
+    module that is only its bias (:func:`model.bias_only`) is not
+    evaluated; a NaN or Inf among its tensors raises
+    :class:`NumericsError`, as one in an evaluated module does.
     """
     if samples < 1:
         raise PlanError(f"--samples must be at least 1, got {samples}")
@@ -134,17 +142,23 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     check_seed(seed)
     with CheckpointReader(small_path) as small, CheckpointReader(big_path) as big, \
             _sample_map() as each:
-        small_spec = small.spec
-        _compatible(small_spec, big.spec)
+        small_spec, big_spec = small.spec, big.spec
+        _compatible(small_spec, big_spec)
         if tol is None:
             tol = max(DEFAULT_TOL[small.dtype], DEFAULT_TOL[big.dtype])
-        small_shell, big_shell = _as64(small.shell()), _as64(big.shell())
-        embedding_diff = _embedding_diff(small_shell, small_spec, big_shell, big.spec)
+        small_emb, big_emb = _as64(small.embedding()), _as64(big.embedding())
+        embedding_diff = _embedding_diff(small_emb, small_spec, big_emb, big_spec)
         inputs = [_draw_input(small_spec, substream(seed, "verify", i), seq_len)
                   for i in range(samples)]
-        want, _ = _logits(small, small_shell, inputs, each)
-        got, skipped = _logits(big, big_shell, inputs, each)
-        modules = 2 * big.spec.depth
+        want = each(lambda x: embed(x, small_emb, small_spec), inputs)
+        got = each(lambda x: embed(x, big_emb, big_spec), inputs)
+        del small_emb, big_emb  # a tied decoder rereads its table
+        scratch = _module_scratch(small, big)
+        want, _ = _through_blocks(small, want, each, scratch)
+        got, skipped = _through_blocks(big, got, each, scratch)
+        del scratch  # before either decoder is read
+        want, got = _decoded(small, want, each), _decoded(big, got, each)
+        modules = 2 * big_spec.depth
 
     results = []
     for i, (a, b) in enumerate(zip(got, want)):
@@ -155,40 +169,72 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     return VerifyReport(worst, tol, results, embedding_diff, skipped, modules)
 
 
-def _embedding_diff(small: ModelWeights, small_spec: ModelSpec,
-                    big: ModelWeights, big_spec: ModelSpec) -> float | None:
+def _embedding_diff(small: EmbeddingWeights, small_spec: ModelSpec,
+                    big: EmbeddingWeights, big_spec: ModelSpec) -> float | None:
     """The largest difference between the big token table and the small
     one expanded to the big width, or None for vision models, whose
     embedding every sample reads whole."""
     if small_spec.input_kind != "token":
         return None
     try:
-        want = expand_vector(small.embedding.token_table, big_spec.width,
+        want = expand_vector(small.token_table, big_spec.width,
                              _stream_mode(small_spec.norm_style))
     except ShapeError as exc:
         raise ShapeError(f"big width {big_spec.width} is no expansion of small width "
                          f"{small_spec.width}") from exc
-    return float(np.abs(big.embedding.token_table - want).max())
+    return float(np.abs(big.token_table - want).max())
 
 
-def _logits(reader: CheckpointReader, shell: ModelWeights, inputs: list,
-            each) -> tuple[list, int]:
-    """The logits of every input under ``reader``'s model, whose float64
-    embedding and decoder are ``shell``: the embedding, each block as it
-    is read, then the decoder, which is exactly what ``model_forward``
-    computes.  Whether a module is only its bias is decided once per
-    block, as it is read, for every input; the count of such modules
-    comes back with the logits."""
+#: each block's two sub-layers: the reader method that reads one, its
+#: tensors' names, and the function that runs it
+_SUBLAYERS = {"attention": (attention_schema, attention_sublayer),
+              "mlp": (mlp_schema, mlp_sublayer)}
+
+
+def _module_scratch(*readers: CheckpointReader) -> tuple[np.ndarray, np.ndarray]:
+    """Byte buffers that hold the largest attention or MLP module of
+    ``readers``' models.  Each module is read into them over the one
+    before, so that no module leaves its memory behind as a hole in the
+    heap that the next, of another size, cannot reuse."""
+    sizes = [r.module_bytes() for r in readers]
+    return tuple(np.empty(max(s[b] for s in sizes), np.uint8) for b in (0, 1))
+
+
+def _through_blocks(reader: CheckpointReader, xs: list, each,
+                    scratch: tuple[np.ndarray, np.ndarray]) -> tuple[list, int]:
+    """``xs``, the streams ``reader``'s embedding gave, through each
+    attention or MLP module of its model in turn, as ``model_forward``
+    runs them.  Every stream passes through a module before the next is
+    read into ``scratch`` over it, so one module is held at a time.
+
+    Whether a module is only its bias is decided once, as it is read, for
+    every stream; such a module is not evaluated, so its tensors are
+    checked for NaN and Inf instead (:class:`NumericsError`, as an
+    evaluated one would raise).  The count of such modules comes back
+    with the streams."""
     spec = reader.spec
     skipped = 0
-    xs = each(lambda x: embed(x, shell, spec), inputs)
     for i in range(spec.depth):
-        block = _as64(reader.block(i))
-        skip = (bias_only(block.attn), bias_only(block.mlp))
-        skipped += sum(skip)
-        xs = each(lambda x: block_forward(x, block, spec, skip), xs)
-        del block  # before the next block is read
-    return each(lambda x: decode(x, shell, spec), xs), skipped
+        for part, (schema, sublayer) in _SUBLAYERS.items():
+            norm, module = map(_as64, getattr(reader, part)(i, scratch))
+            skip = bias_only(module)
+            if skip:
+                bad = nonfinite_tensor([norm, module], schema(spec, i, reader.dtype))
+                if bad is not None:
+                    raise NumericsError(f"{reader.path}: tensor {bad} holds NaN or Inf")
+                skipped += 1
+            xs = each(lambda x: sublayer(x, norm, module, spec, skip), xs)
+    return xs, skipped
+
+
+def _decoded(reader: CheckpointReader, xs: list, each) -> list:
+    """The logits of ``xs``, the streams leaving ``reader``'s last block:
+    its final norm and decoder, read here (a tied decoder rereads the
+    token table)."""
+    spec = reader.spec
+    emb = reader.embedding() if spec.tied_decoder else EmbeddingWeights()
+    shell = _as64(ModelWeights(emb, [], *reader.decoder()))
+    return each(lambda x: decode(x, shell, spec), xs)
 
 
 @contextlib.contextmanager

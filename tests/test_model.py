@@ -7,7 +7,8 @@ from lemon import (MlpWeights, ModelSpec, PlanError, ShapeError,
                    block_forward, mha_forward, mlp_forward, model_forward,
                    random_weights, validate_weights)
 from lemon import kernels
-from lemon.model import apply_norm
+from lemon.model import (NORM_STYLES, apply_norm, attention_sublayer,
+                         mlp_sublayer)
 from lemon.rng import substream
 
 
@@ -124,6 +125,18 @@ class TestBlock:
             mid = apply_norm(mha_forward(x, blk.attn, spec) + x, blk.ln1, spec)
             want = apply_norm(mlp_forward(mid, blk.mlp, spec) + mid, blk.ln2, spec)
         np.testing.assert_array_equal(block_forward(x, blk, spec), want)
+
+
+    @pytest.mark.parametrize("skip", ((None, None), (False, False), (True, False),
+                                      (False, True), (True, True)))
+    @pytest.mark.parametrize("style", NORM_STYLES)
+    def test_is_its_two_sublayers_bit_for_bit(self, toy_model, rng, style, skip):
+        w, spec = toy_model(style=style, depth=1)
+        blk = w.blocks[0]
+        x = rng("sub", style).standard_normal((5, spec.width))
+        mid = attention_sublayer(x, blk.ln1, blk.attn, spec, skip[0])
+        want = mlp_sublayer(mid, blk.ln2, blk.mlp, spec, skip[1])
+        assert block_forward(x, blk, spec, skip).tobytes() == want.tobytes()
 
 
 class TestModelForward:

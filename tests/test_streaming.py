@@ -3,6 +3,7 @@ exactly what the whole-model paths do, while holding a fraction of it."""
 
 import itertools
 import json
+from collections import Counter
 import math
 import os
 import tracemalloc
@@ -16,13 +17,18 @@ from lemon import (ExpansionPlan, ModelSpec, PlanError, ShapeError, expand_model
                    symmetry_report, verify_lossless, write_checkpoint)
 from lemon.cli import main
 from lemon.container import CheckpointReader, tensor_schema
-from lemon.model import block_schema
+from lemon.model import (attention_schema, block_schema, decoder_schema,
+                         embedding_schema, flat_arrays, mlp_schema)
 from lemon.rng import substream
 from lemon.verify import _draw_input
 
 
+def payload_bytes_of(schema) -> int:
+    return sum(math.prod(e.shape) * e.dtype.itemsize for e in schema)
+
+
 def payload_bytes(spec: ModelSpec, dtype) -> int:
-    return sum(math.prod(e.shape) * e.dtype.itemsize for e in tensor_schema(spec, dtype))
+    return payload_bytes_of(tensor_schema(spec, dtype))
 
 
 GRID = [dict(style=style, depth_mode=mode, depth_source=source, dtype=dtype)
@@ -131,6 +137,89 @@ def test_verify_holds_under_half_the_big_payload(toy_spec, tmp_path):
         tracemalloc.stop()
     assert report.passed
     assert peak < 0.5 * payload_bytes(big_spec, np.float64)
+
+
+@pytest.mark.parametrize("mode", ("type1", "type2"))
+def test_verify_holds_one_big_module_at_a_time(toy_spec, tmp_path, mode):
+    spec = toy_spec(depth=4, width=64, head_dim=32, ratio=4.0, vocab=50)
+    small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
+    w = random_weights(spec, substream(44, "mem"))
+    write_checkpoint(w, spec, small)
+    _, big_spec, _ = expand_model(w, spec, ExpansionPlan(256, 12, depth_mode=mode, seed=45),
+                                  out=big)
+    del w
+    tracemalloc.start()
+    try:
+        report = verify_lossless(small, big, samples=4, seed=1, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    f64 = np.dtype(np.float64)
+    module = max(payload_bytes_of(attention_schema(big_spec, 0, f64)),
+                 payload_bytes_of(mlp_schema(big_spec, 0, f64)))
+    # the largest module (the MLP, 4.2 MB), and a margin of 0.4 of it for
+    # both tensor tables, the samples' streams and one sample's
+    # activations; a whole block (6.3 MB) held at once exceeds both bounds
+    assert peak < 1.4 * module
+    assert peak < payload_bytes_of(block_schema(big_spec, 0, f64))
+
+
+def counted_reads(monkeypatch) -> Counter:
+    """A counter of (checkpoint path, tensor name) over every tensor read."""
+    read = Counter()
+    real = CheckpointReader.tensor
+    monkeypatch.setattr(CheckpointReader, "tensor", lambda self, name, out=None: (
+        read.update([(self.path, name)]) or real(self, name, out)))
+    return read
+
+
+@pytest.mark.parametrize("kw", (dict(), dict(tied_decoder=True), dict(style="rms_pre"),
+                                dict(style="post_ln"),
+                                dict(input_kind="vision", patch_dim=6, num_patches=3)),
+                         ids=("pre_ln", "tied", "rms_pre", "post_ln", "vision"))
+def test_reader_parts_read_each_of_their_tensors_once(toy_model, tmp_path, monkeypatch, kw):
+    w, spec = toy_model(depth=2, **kw)
+    path = tmp_path / "m.lmn"
+    write_checkpoint(w, spec, path)
+    read = counted_reads(monkeypatch)
+    with CheckpointReader(path) as reader:
+        dt = reader.dtype
+        scratch = [np.empty(n, np.uint8) for n in reader.module_bytes()]
+        parts = [(reader.embedding, embedding_schema(spec, dt)),
+                 (reader.decoder, decoder_schema(spec, dt)),
+                 (reader.shell, itertools.chain(embedding_schema(spec, dt),
+                                                decoder_schema(spec, dt)))]
+        for i in range(spec.depth):
+            parts += [(lambda i=i: reader.attention(i), attention_schema(spec, i, dt)),
+                      (lambda i=i: reader.attention(i, scratch), attention_schema(spec, i, dt)),
+                      (lambda i=i: reader.mlp(i), mlp_schema(spec, i, dt)),
+                      (lambda i=i: reader.mlp(i, scratch), mlp_schema(spec, i, dt)),
+                      (lambda i=i: reader.block(i), block_schema(spec, i, dt))]
+        for read_part, schema in parts:
+            schema = list(schema)
+            read.clear()
+            part = read_part()
+            got = flat_arrays(list(part) if isinstance(part, tuple) else part)
+            assert read == Counter((reader.path, e.name) for e in schema)
+            want = [reader.tensor(e.name) for e in schema]
+            assert all(a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("tied", (False, True))
+def test_verify_reads_every_tensor_once(toy_model, tmp_path, monkeypatch, tied):
+    w, spec = toy_model(depth=2, tied_decoder=tied)
+    small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
+    write_checkpoint(w, spec, small)
+    _, big_spec, _ = expand_model(w, spec, ExpansionPlan(12, 4, seed=51), out=big)
+    read = counted_reads(monkeypatch)
+    assert verify_lossless(small, big, samples=2, seed=1, tol=1e-10).passed
+    for path, s in ((small, spec), (big, big_spec)):
+        want = Counter((str(path), e.name) for e in tensor_schema(s, np.float64))
+        if tied:  # the decoder rereads the table the embedding dropped
+            want[(str(path), "embedding.token_table")] += 1
+        assert Counter({k: n for k, n in read.items() if k[0] == str(path)}) == want
 
 
 def test_cli_expand_reads_the_source_a_block_at_a_time(toy_spec, tmp_path, capsys):

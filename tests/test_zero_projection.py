@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemon import (AttentionWeights, ExpansionPlan, HeadWeights, MlpWeights, ShapeError,
-                   expand_model, mha_forward, mlp_forward, read_checkpoint,
+from lemon import (AttentionWeights, ExpansionPlan, HeadWeights, MlpWeights,
+                   NumericsError, ShapeError, expand_model, mha_forward, mlp_forward, read_checkpoint,
                    verify_lossless, write_checkpoint)
 from lemon import kernels
 from lemon.cli import main
@@ -129,6 +129,39 @@ class TestBrokenPairTakesTheFullPath:
             toy_model, tmp_path, capsys, lambda b: _add(b.attn.heads[2].bk, 0))
         assert (code, verdict) == (0, "PASS")
         assert skipped.startswith("skipped 3 of 8 ")
+
+
+class TestNonFiniteSkippedModuleIsAnError:
+    """A module that ``verify`` does not evaluate is checked for NaN and
+    Inf as it is read: exit 2 with one stderr line naming the tensor, as
+    for an evaluated module, and never PASS.  In a type2 insert both
+    replicas take the value, so the module still cancels."""
+
+    @pytest.mark.parametrize("depth_mode", ["type1", "type2"])
+    @pytest.mark.parametrize("tensor, value", [("mlp.w1", np.nan), ("attn.head0.wq", np.inf)])
+    def test_exits_2_naming_the_tensor(self, toy_model, tmp_path, capsys, depth_mode,
+                                       tensor, value):
+        small, big, _, big_spec, dup = expanded_pair(toy_model, tmp_path,
+                                                     depth_mode=depth_mode)
+        bi = inserted_blocks(dup, big_spec.depth)[0]
+        w, _ = read_checkpoint(big)
+        blk = w.blocks[bi]
+        paired = depth_mode == "type2"  # see TestBrokenPairTakesTheFullPath
+        if tensor == "mlp.w1":
+            for unit in (5, 21) if paired else (5,):
+                blk.mlp.w1[unit, 3] = value
+        else:
+            for head in (0, 2) if paired else (0,):
+                blk.attn.heads[head].wq[1, 2] = value
+        assert bias_only(blk.attn) and bias_only(blk.mlp)
+        write_checkpoint(w, big_spec, big)
+        name = f"blocks.{bi}.{tensor}"
+        with pytest.raises(NumericsError, match=name):
+            verify_lossless(small, big, samples=3, seed=0, tol=None)
+        code = main(["verify", "--small", str(small), "--big", str(big), "--samples", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and "PASS" not in out
+        assert err.count("\n") == 1 and name in err and "NaN or Inf" in err
 
 
 @pytest.mark.parametrize("depth_mode", ["type1", "type2"])
