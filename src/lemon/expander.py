@@ -262,6 +262,14 @@ def _expand_head(head: HeadWeights, d_t: int, policy: str,
                        head.bq.copy(), head.bk.copy(), head.bv.copy())
 
 
+def _expand_heads(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
+                  rng: np.random.Generator, noise_scale: float) -> list[HeadWeights]:
+    """The heads of ``attn`` replicated circularly to width ``d_t``, each
+    replica drawing its own input-dimension split."""
+    return [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
+            for m in range(d_t // spec.head_dim)]
+
+
 def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
                rng: np.random.Generator, noise_scale: float,
                row_mode: str = "avg") -> AttentionWeights:
@@ -274,9 +282,7 @@ def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
     the whole module map zero-expanded inputs to ``row_mode``-expanded
     outputs exactly as the source module maps the originals.
     """
-    h_t = d_t // spec.head_dim
-    heads = [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
-             for m in range(h_t)]
+    heads = _expand_heads(attn, spec, d_t, policy, rng, noise_scale)
     wo_t = _row_expanded_cols(attn.wo, d_t, row_mode, d_t, "circ", policy, rng, noise_scale)
     bo_t = expand_bias(attn.bo, d_t, row_mode)
     return AttentionWeights(heads, wo_t, bo_t)
@@ -311,17 +317,27 @@ def expand_norm_params(norm: NormParams, d_t: int, rng: np.random.Generator,
     return NormParams(mu, beta, eps)
 
 
+def _widened(block: BlockWeights, spec: ModelSpec, d_t: int, hidden_t: int,
+             policy: str, rng: np.random.Generator,
+             noise_scale: float) -> Iterator[list]:
+    """The width expansion of ``block``, a half at a time: ``[ln1, attn]``,
+    then ``[ln2, mlp]``, each drawn from ``rng`` only when asked for, in
+    that order.  The source attention half is dropped once widened."""
+    row_mode = "zero" if spec.is_rms else "avg"
+    ln2, mlp = block.ln2, block.mlp
+    yield [expand_norm_params(block.ln1, d_t, rng, spec.is_rms),
+           expand_mha(block.attn, spec, d_t, policy, rng, noise_scale, row_mode)]
+    del block
+    yield [expand_norm_params(ln2, d_t, rng, spec.is_rms),
+           expand_mlp(mlp, spec, d_t, hidden_t, policy, rng, noise_scale, row_mode)]
+
+
 def expand_block_width(block: BlockWeights, spec: ModelSpec, d_t: int,
                        hidden_t: int, policy: str, rng: np.random.Generator,
                        noise_scale: float) -> BlockWeights:
     """Expand one block: both norms, the attention module, and the MLP."""
-    row_mode = "zero" if spec.is_rms else "avg"
-    return BlockWeights(
-        ln1=expand_norm_params(block.ln1, d_t, rng, spec.is_rms),
-        attn=expand_mha(block.attn, spec, d_t, policy, rng, noise_scale, row_mode),
-        ln2=expand_norm_params(block.ln2, d_t, rng, spec.is_rms),
-        mlp=expand_mlp(block.mlp, spec, d_t, hidden_t, policy, rng, noise_scale, row_mode),
-    )
+    return BlockWeights(*itertools.chain.from_iterable(
+        _widened(block, spec, d_t, hidden_t, policy, rng, noise_scale)))
 
 
 def expand_embeddings(emb: EmbeddingWeights, spec: ModelSpec, d_t: int,
@@ -371,18 +387,23 @@ def layer_multiplicities(l_s: int, l_t: int) -> list[int]:
 # depth expansion
 
 
-def _copy_zeroing(w, *names: str):
-    """A copy of the weight structure ``w`` whose fields ``names`` hold
-    zeros shaped like the donor's; those fields are never copied first."""
-    zeros = {n: None if getattr(w, n) is None else np.zeros_like(getattr(w, n))
-             for n in names}
-    return replace(map_arrays(replace(w, **dict.fromkeys(names)), np.copy), **zeros)
+def _zeroed(w, *names: str):
+    """``w`` with its fields ``names`` holding zeros shaped like its own;
+    every other field holds ``w``'s own array, not a copy."""
+    return replace(w, **{n: None if getattr(w, n) is None else np.zeros_like(getattr(w, n))
+                         for n in names})
 
 
-def _zero_output_block(donor: BlockWeights) -> BlockWeights:
-    """type1: copy the donor and zero both output projections."""
-    return BlockWeights(_copy_zeroing(donor.ln1), _copy_zeroing(donor.attn, "wo", "bo"),
-                        _copy_zeroing(donor.ln2), _copy_zeroing(donor.mlp, "w2", "b2"))
+def _zero_output_halves(donor: list) -> Iterator[list]:
+    """type1: the donor's widened halves with both output projections
+    zeroed.  Only their norms, heads and first MLP layer are read, so the
+    donor's ``wo``, ``bo``, ``w2`` and ``b2`` may be None."""
+    (ln1, attn), (ln2, mlp) = donor
+    del donor
+    d_t = ln1.mu.shape[0]
+    yield [ln1, AttentionWeights(attn.heads, np.zeros((d_t, d_t)), np.zeros(d_t))]
+    del ln1, attn
+    yield [ln2, MlpWeights(mlp.w1, mlp.b1, np.zeros(mlp.w1.shape[::-1]), np.zeros(d_t))]
 
 
 def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
@@ -405,27 +426,29 @@ def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
     return w
 
 
-def _cancelling_block(src: BlockWeights, ln1: NormParams, ln2: NormParams,
-                      spec: ModelSpec, d_t: int, hidden_t: int, policy: str,
-                      rng: np.random.Generator, noise_scale: float) -> BlockWeights:
+def _cancelling_halves(src: BlockWeights, ln1: NormParams, ln2: NormParams,
+                       spec: ModelSpec, d_t: int, hidden_t: int, policy: str,
+                       rng: np.random.Generator, noise_scale: float) -> Iterator[list]:
     """type2: replicas share bitwise-identical incoming weights and their
     fan-out forms ± pairs, one pair per output element, so the module
     output is exactly zero on any input while the output projections stay
     trainable.
 
     The block is built from the source block ``src``; of the carrier it
-    reads only the width-expanded norms ``ln1`` and ``ln2``, which it
-    copies.  Units without a replica (including every unit when the width
-    is not grown) get zero fan-out, which is the only zero-sum choice for
-    a group of one.
+    reads only the width-expanded norms ``ln1`` and ``ln2``.  Units
+    without a replica (including every unit when the width is not grown)
+    get zero fan-out, which is the only zero-sum choice for a group of
+    one.  The attention half is drawn from ``rng`` first, the MLP half
+    only once that has been taken.
     """
     hd, h_s, h_t = spec.head_dim, spec.n_heads, d_t // spec.head_dim
-    base_heads = [_expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
-                  for s in range(h_s)]
+    heads = [_expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
+             for s in range(h_s)]
     # the first replica of each head keeps the grown head, later ones copy it
-    heads = base_heads + [map_arrays(base_heads[m % h_s], np.copy) for m in range(h_s, h_t)]
+    heads += [map_arrays(heads[m % h_s], np.copy) for m in range(h_s, h_t)]
     wo = _cancelling_fanout(d_t, h_s, h_t, hd, src.attn.wo.dtype, rng, noise_scale)
-    bo = np.zeros(d_t, dtype=src.attn.bo.dtype)
+    yield [ln1, AttentionWeights(heads, wo, np.zeros(d_t, dtype=src.attn.bo.dtype))]
+    del heads, wo
 
     # the columns grow first, so every replica row is the same; the split
     # is drawn into the leading rows of w1, and the replicas copy them
@@ -435,21 +458,18 @@ def _cancelling_block(src: BlockWeights, ln1: NormParams, ln2: NormParams,
     expand_matrix_cols(src.mlp.w1, d_t, "rand", split1)  # checks the split drawn in top
     for rows, block in row_blocks(top, hidden_t, "circ")[1:]:
         w1[rows] = block
-    b1 = expand_bias(src.mlp.b1, hidden_t, "circ")
     w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,
                             rng, noise_scale)
-    b2 = np.zeros(d_t, dtype=src.mlp.b2.dtype)
-
-    return BlockWeights(map_arrays(ln1, np.copy),
-                        AttentionWeights(heads, wo, bo),
-                        map_arrays(ln2, np.copy),
-                        MlpWeights(w1.astype(src.mlp.w1.dtype, copy=False), b1, w2, b2))
+    yield [ln2, MlpWeights(w1.astype(src.mlp.w1.dtype, copy=False),
+                           expand_bias(src.mlp.b1, hidden_t, "circ"), w2,
+                           np.zeros(d_t, dtype=src.mlp.b2.dtype))]
 
 
-def _zero_norm_block(donor: BlockWeights) -> BlockWeights:
-    """post_res_norm: zero both norm affines so the block is the identity."""
-    return BlockWeights(_copy_zeroing(donor.ln1, "mu", "beta"), _copy_zeroing(donor.attn),
-                        _copy_zeroing(donor.ln2, "mu", "beta"), _copy_zeroing(donor.mlp))
+def _zero_norm_halves(donor: list) -> Iterator[list]:
+    """post_res_norm: the donor's widened halves with both norm affines
+    zeroed, so the block is the identity."""
+    for norm, module in donor:
+        yield [_zeroed(norm, "mu", "beta"), module]
 
 
 def _identity_affine(like: NormParams) -> NormParams:
@@ -458,32 +478,31 @@ def _identity_affine(like: NormParams) -> NormParams:
                       like.eps)
 
 
-def _post_ln_chain(wide: BlockWeights,
-                   count: int) -> Iterator[tuple[BlockWeights, str]]:
-    """Grow one post-norm block into ``count`` blocks computing the same map.
+def _post_ln_chain(wide: Iterator[list], count: int) -> Iterator[tuple[list, str]]:
+    """Grow one post-norm block into ``count`` blocks computing the same
+    map, yielded a half at a time with each block's role.
 
     The first block keeps the real attention under a plain (identity
     affine) norm, the last keeps the real MLP under the original affines,
     and any middle blocks are pure re-normalizations.  Exact when the
     norm eps is zero, since re-normalizing a normalized stream is then
-    the identity.  Each block is built only when the previous one has
-    been taken.
+    the identity.  ``wide`` yields the widened halves; the MLP half is
+    drawn only once the first block's attention half has been taken.
     """
     if count == 1:
-        yield wide, "carrier"
+        for half in wide:
+            yield half, "carrier"
+            del half
         return
-    first = BlockWeights(_identity_affine(wide.ln1), _copy_zeroing(wide.attn),
-                         _identity_affine(wide.ln2), _copy_zeroing(wide.mlp, "w2", "b2"))
-    yield first, "attn_carrier"
-    del first
+    ln1, attn = next(wide)
+    yield [_identity_affine(ln1), attn], "attn_carrier"
+    ln2, mlp = next(wide)
+    yield [_identity_affine(ln2), _zeroed(mlp, "w2", "b2")], "attn_carrier"
     for _ in range(count - 2):
-        mid = BlockWeights(_identity_affine(wide.ln1), _copy_zeroing(wide.attn, "wo", "bo"),
-                           _identity_affine(wide.ln2), _copy_zeroing(wide.mlp, "w2", "b2"))
-        yield mid, "inserted"
-        del mid
-    last = BlockWeights(_copy_zeroing(wide.ln1), _copy_zeroing(wide.attn, "wo", "bo"),
-                        _copy_zeroing(wide.ln2), _copy_zeroing(wide.mlp))
-    yield last, "mlp_carrier"
+        yield [_identity_affine(ln1), _zeroed(attn, "wo", "bo")], "inserted"
+        yield [_identity_affine(ln2), _zeroed(mlp, "w2", "b2")], "inserted"
+    yield [ln1, _zeroed(attn, "wo", "bo")], "mlp_carrier"
+    yield [ln2, mlp], "mlp_carrier"
 
 
 def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
@@ -498,49 +517,57 @@ def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
     return "zero_output" if plan.depth_mode == "type1" else "cancelling"
 
 
-def expand_depth(i: int, count: int, wide: BlockWeights,
-                 donor: Callable[[], BlockWeights] | None, spec: ModelSpec,
-                 hidden_t: int, plan: ExpansionPlan) -> Iterator[tuple[BlockWeights, str]]:
-    """Grow source block ``i`` into ``count`` target blocks.
-
-    ``wide`` is block ``i`` width-expanded.  ``donor()`` gives what the
-    inserted blocks read of the block they copy (``i`` itself, or
-    ``i + 1`` under ``depth_source="next"``): its width-expanded form
-    when they copy it (type1, and every post_res_norm model), its source
-    form for type2, which builds from it.  It is called once, after the
-    carrier is taken, and only when a block is inserted; ``donor`` is
-    None for post_ln, whose chain reads only ``wide`` (see
-    ``_insert_kind``), and may be None when ``count`` is 1.  Yields
-    each target block with a role tag, building the next only once the
-    previous has been taken: ``carrier`` blocks compute the source
-    function (``attn_carrier``/``mlp_carrier`` for the split roles of
-    the post-norm chain) and ``inserted`` blocks contribute nothing at
+def expand_depth(i: int, count: int, wide: Iterator[list],
+                 donor: Callable[[], BlockWeights | list] | None, spec: ModelSpec,
+                 hidden_t: int, plan: ExpansionPlan) -> Iterator[tuple[list, str]]:
+    """Grow source block ``i`` into ``count`` target blocks, one target
+    module at a time: each block is yielded as its attention half
+    ``[ln1, attn]``, then its MLP half ``[ln2, mlp]``, each with the
+    block's role, and every half is built only once the one before it
+    has been taken.  ``carrier`` blocks compute the source function
+    (``attn_carrier``/``mlp_carrier`` for the split roles of the
+    post-norm chain) and ``inserted`` blocks contribute nothing at
     initialization.
 
-    Once the carrier is taken, ``wide`` is kept only as far as a later
-    block reads it: whole for the post_ln chain or when it is the donor,
-    its two norms for type2, and not at all otherwise.
+    ``wide`` yields block ``i``'s width expansion a half at a time, each
+    drawn as it is taken.  ``donor()`` gives what the inserted blocks
+    read of the block they copy (``i``, or ``i + 1`` under
+    ``depth_source="next"``): its source form for type2, which builds
+    from it, and otherwise its two widened halves, of which a type1
+    insert reads only the norms, heads and first MLP layer (see
+    ``_insert_kind``).  It is called once, after the carrier is taken,
+    and only when a block is inserted; ``donor`` is None for post_ln,
+    whose chain reads only ``wide``, and may be None when ``count`` is 1.
+
+    An inserted half holds the arrays it copies from a widened half
+    themselves, not copies.  Of the carrier, only the two norms a type2
+    insert reads are kept here.
     """
     kind = _insert_kind(spec, plan)
     if kind == "post_ln":
         yield from _post_ln_chain(wide, count)
         return
-    yield wide, "carrier"
-    norms = (wide.ln1, wide.ln2)  # all a type2 insert reads of the carrier
-    del wide
+    norms = []  # all a type2 insert reads of the carrier
+    for half in wide:
+        norms.append(half[0])
+        yield half, "carrier"
+        del half
     if count > 1:
         donor = donor()  # built only now that the carrier is taken
     for c in range(count - 1):
         if kind == "zero_norm":
-            blk = _zero_norm_block(donor)
+            halves = _zero_norm_halves(donor)
         elif kind == "zero_output":
-            blk = _zero_output_block(donor)
+            halves = _zero_output_halves(donor)
         else:
-            blk = _cancelling_block(donor, *norms, spec, plan.target_width, hidden_t,
-                                    plan.policy, substream(plan.seed, "depth", i, c),
-                                    plan.noise_scale)
-        yield blk, "inserted"
-        del blk
+            halves = _cancelling_halves(donor, *norms, spec, plan.target_width, hidden_t,
+                                        plan.policy, substream(plan.seed, "depth", i, c),
+                                        plan.noise_scale)
+        if c == count - 2:
+            del donor  # the last insert holds what it still reads of it
+        for half in halves:
+            yield half, "inserted"
+            del half
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +609,29 @@ def _released(parts) -> Iterator[np.ndarray]:
     """The tensors of ``parts`` in checkpoint order.  Each is dropped here
     as it is taken, so nothing of a written part is still held while the
     next part is built (a generator expression over the parts would hold
-    the last one, a whole block, until the next is ready)."""
+    the last one, a whole module, until the next is ready)."""
     for part in parts:
         arrays = flat_arrays(part)[::-1]
         del part
         while arrays:
             yield arrays.pop()
+
+
+def _unshared(parts) -> Iterator:
+    """``parts`` with a copy of every array an earlier part already
+    holds, so that the blocks of an assembled model share none (a
+    streamed inserted half holds the arrays it copies from a widened
+    half themselves)."""
+    seen: set[int] = set()
+
+    def own(a: np.ndarray) -> np.ndarray:
+        if id(a) in seen:
+            a = a.copy()
+        seen.add(id(a))  # every part is kept, so no id is reused
+        return a
+
+    for part in parts:
+        yield map_arrays(part, own)
 
 
 def _stream_mode(style: str) -> str:
@@ -604,31 +648,49 @@ def _checked_finite(part, schema):
     return part
 
 
+def _kept_mlp(halves: Iterator[list], kept: list) -> Iterator[list]:
+    """``halves``, a carrier's, with what a type1 insert reads of its MLP
+    half (ln2, ``w1`` and ``b1``) appended to ``kept`` as it is yielded."""
+    for half in halves:
+        if isinstance(half[1], MlpWeights):
+            kept.append([half[0], replace(half[1], w2=None, b2=None)])
+        yield half
+        del half
+
+
 def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
                     target_spec: ModelSpec, plan: ExpansionPlan, roles: list[str]):
     """The target model, part by part in checkpoint order: the embedding,
-    each block, the final norm (or None), the decoder weight (or None,
-    when tied) and the decoder bias.  Each block's role is appended to
-    ``roles`` as it is yielded.
+    each block as its attention half ``[ln1, attn]`` then its MLP half
+    ``[ln2, mlp]``, the final norm (or None), the decoder weight (or
+    None, when tied) and the decoder bias.  Each block's role is appended
+    to ``roles`` as its attention half is yielded.
 
     ``shell`` holds the source's embedding, final norm and decoder in
     float64; its blocks are not read.  ``source_block(j)`` gives source
     block ``j`` in its stored dtype: each is asked for once, when first
     needed, then promoted to float64 and checked for NaN and Inf.
 
-    No source or width-expanded block is held once no later part reads
-    it.  Block ``i``'s width-expanded form goes to ``expand_depth`` as
-    the carrier, and only ``expand_depth`` keeps what its inserted
-    blocks read of it.  The block they copy (the donor: ``i``, or
-    ``i + 1`` for ``depth_source="next"``) is passed in the one form
-    they read (``_insert_kind``): width-expanded for type1 and
-    post_res_norm, as in the source for type2, and not at all for
-    post_ln or a block that is not repeated.  Source block ``i`` is
-    dropped once widened unless it is that donor.  A donor ``i + 1`` is
-    read (type2) or widened (type1, post_res_norm) one group early, only
-    once carrier ``i`` is taken, and kept for its own group.  So besides
-    the block being built, at most one source block and one
-    width-expanded block are held.
+    No source block or widened module is held once no later part reads
+    it.  Block ``i``'s width expansion goes to ``expand_depth`` as the
+    carrier, drawn a half at a time.  The block the inserted blocks copy
+    (the donor: ``i``, or ``i + 1`` for ``depth_source="next"``) is
+    passed in the one form they read (``_insert_kind``): as in the
+    source for type2, width-expanded for type1 and post_res_norm, and
+    not at all for post_ln or a block that is not repeated.  A type1
+    insert copying block ``i`` keeps of the carrier only ln2 and the
+    first MLP layer, and draws ln1 and the heads again (``redrawn``),
+    so no widened attention is held while the carrier's MLP is built; a
+    post_res_norm insert copying block ``i`` keeps both its halves.
+    Source block ``i`` is dropped once its MLP half is widened unless
+    its inserts still read it.  A donor ``i + 1`` is read (type2) or
+    widened (type1, post_res_norm) one group early, only once carrier
+    ``i`` is taken, and kept for its own group.  So besides the one
+    target module being built, at most one source block and what the
+    inserts read of their donor are held: its source form (type2), ln2
+    and the first MLP layer (type1 copying block ``i``), or its whole
+    width expansion (post_res_norm, post_ln, and type1 copying block
+    ``i + 1``).
 
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
@@ -640,43 +702,62 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
 
     kind = _insert_kind(spec, plan)
     src: dict[int, BlockWeights] = {}   # a type2 donor read one group early
-    wide: dict[int, BlockWeights] = {}  # a type1/post_res_norm donor widened one group early
+    wide: dict[int, list] = {}          # a type1/post_res_norm donor widened one group early
 
     def source(j: int) -> BlockWeights:
         if j in src:
             return src.pop(j)
         return _checked_finite(_as64(source_block(j)), block_schema(spec, j, np.float64))
 
-    def widened(j: int, block: BlockWeights) -> BlockWeights:
-        return expand_block_width(block, spec, d_t, hidden_t, policy,
-                                  substream(seed, "block", j), noise)
+    def widened(j: int, block: BlockWeights) -> Iterator[list]:
+        return _widened(block, spec, d_t, hidden_t, policy, substream(seed, "block", j), noise)
 
-    def early(j: int) -> BlockWeights:
+    def redrawn(i: int, block: BlockWeights, kept: list) -> list:
+        """Block ``i``'s widened halves as far as a type1 insert copying
+        it reads them: ln1 and the heads drawn again from a fresh
+        substream of the block, as the carrier drew them first, so they
+        equal its own bit for bit (``wo`` and ``bo`` are not drawn), and
+        what ``kept`` holds of the carrier's MLP half."""
+        rng = substream(seed, "block", i)
+        return [[expand_norm_params(block.ln1, d_t, rng, spec.is_rms),
+                 AttentionWeights(_expand_heads(block.attn, spec, d_t, policy, rng, noise),
+                                  None, None)], *kept]
+
+    def early(j: int) -> BlockWeights | list:
         """Block ``j``, the donor of the group before its own, in the form
         its inserted blocks read; kept for its own group."""
         if kind == "cancelling":
             return src.setdefault(j, source(j))
-        return wide.setdefault(j, widened(j, source(j)))
+        return wide.setdefault(j, list(widened(j, source(j))))
 
     for i, count in enumerate(layer_multiplicities(spec.depth, plan.target_depth)):
         j = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
-        block = None if i in wide else source(i)
-        carrier = wide.pop(i) if i in wide else widened(i, block)
+        halves = wide.pop(i, None)  # block i, if widened one group early
+        block = source(i) if halves is None else None
+        carrier = widened(i, block) if halves is None else iter(halves)
         donor = None
         if count > 1 and kind != "post_ln":
             if j != i:
                 donor = functools.partial(early, j)
             elif kind == "cancelling":
                 donor = lambda b=block: b
-            else:
-                donor = lambda b=carrier: b
-        del block
-        blocks = expand_depth(i, count, carrier, donor, spec, hidden_t, plan)
+            elif kind == "zero_output" and halves is None:
+                kept: list = []
+                carrier = _kept_mlp(carrier, kept)
+                donor = functools.partial(redrawn, i, block, kept)
+                del kept
+            else:  # the inserts read both halves of block i's width expansion
+                if halves is None:
+                    halves = list(carrier)
+                carrier, donor = iter(halves), lambda h=halves: h
+        del block, halves
+        parts = expand_depth(i, count, carrier, donor, spec, hidden_t, plan)
         del carrier, donor  # expand_depth keeps what its blocks read
-        for blk, role in blocks:
-            roles.append(role)
-            yield blk
-            del blk  # before the next block is built
+        for half, role in parts:
+            if isinstance(half[1], AttentionWeights):
+                roles.append(role)  # one entry per block
+            yield half
+            del half  # before the next half is built
 
     final_norm = None
     if shell.final_norm is not None:
@@ -724,10 +805,11 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
     expansion reaches them, and dropped once their target blocks are
     built; both sources go through the same expansion and give the same
     result.  With ``out``, the model is written to that path as a
-    checkpoint instead, each block as soon as it is built, so no more
-    than about one target block is held at a time (plus, from memory,
-    the source); the returned weights are then None.  ``out`` is
-    replaced only once the whole checkpoint is written.
+    checkpoint instead, each block's attention half and then its MLP
+    half as soon as it is built, so no more than about one target module
+    is held at a time (plus one source block, or, from memory, the
+    source); the returned weights are then None.  ``out`` is replaced
+    only once the whole checkpoint is written.
     """
     spec.validate()
     if isinstance(weights, ModelWeights):
@@ -752,8 +834,10 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
         write_tensors(out, target_spec, in_dtype, _released(parts))
         expanded = None
     else:
+        parts = _unshared(parts)
         embedding = next(parts)
-        blocks = [next(parts) for _ in range(target_spec.depth)]
+        halves = [next(parts) for _ in range(2 * target_spec.depth)]
+        blocks = [BlockWeights(*attn, *mlp) for attn, mlp in zip(halves[::2], halves[1::2])]
         expanded = ModelWeights(embedding, blocks, *parts)
         validate_weights(expanded, target_spec)
     return expanded, target_spec, _duplicate_map(spec, target_spec, plan.policy, roles)

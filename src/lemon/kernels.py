@@ -119,12 +119,13 @@ def layernorm(x: np.ndarray, mu: np.ndarray, beta: np.ndarray, eps: float) -> np
     d = x.shape[-1]
     if mu.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm params must have shape ({d},), got {mu.shape}/{beta.shape}")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)  # population variance
+    centered = x - x.mean(axis=-1, keepdims=True)
+    # the population variance, as x.var computes it, without centering again
+    var = np.mean(np.square(centered), axis=-1, keepdims=True)
     denom = var + eps
     if np.any(denom <= 0.0):
         raise NumericsError("layernorm: Var[x] + eps is not positive")
-    out = (x - mean) / np.sqrt(denom) * mu + beta
+    out = centered / np.sqrt(denom) * mu + beta
     return _check_finite(out, "layernorm")
 
 

@@ -146,7 +146,7 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         _compatible(small_spec, big_spec)
         if tol is None:
             tol = max(DEFAULT_TOL[small.dtype], DEFAULT_TOL[big.dtype])
-        small_emb, big_emb = _as64(small.embedding()), _as64(big.embedding())
+        small_emb, big_emb = _in64(small, small.embedding()), _in64(big, big.embedding())
         embedding_diff = _embedding_diff(small_emb, small_spec, big_emb, big_spec)
         inputs = [_draw_input(small_spec, substream(seed, "verify", i), seq_len)
                   for i in range(samples)]
@@ -167,6 +167,12 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         results.append(SampleDiff(i, tuple(int(p) for p in pos), float(diff[pos])))
     worst = max((s.abs_diff for s in results), default=0.0)
     return VerifyReport(worst, tol, results, embedding_diff, skipped, modules)
+
+
+def _in64(reader: CheckpointReader, w):
+    """``w``, read from ``reader``, in float64: converted only when the
+    checkpoint holds another dtype, and otherwise ``w`` itself."""
+    return w if reader.dtype == np.float64 else _as64(w)
 
 
 def _embedding_diff(small: EmbeddingWeights, small_spec: ModelSpec,
@@ -216,7 +222,7 @@ def _through_blocks(reader: CheckpointReader, xs: list, each,
     skipped = 0
     for i in range(spec.depth):
         for part, (schema, sublayer) in _SUBLAYERS.items():
-            norm, module = map(_as64, getattr(reader, part)(i, scratch))
+            norm, module = (_in64(reader, w) for w in getattr(reader, part)(i, scratch))
             skip = bias_only(module)
             if skip:
                 bad = nonfinite_tensor([norm, module], schema(spec, i, reader.dtype))
@@ -233,7 +239,7 @@ def _decoded(reader: CheckpointReader, xs: list, each) -> list:
     token table)."""
     spec = reader.spec
     emb = reader.embedding() if spec.tied_decoder else EmbeddingWeights()
-    shell = _as64(ModelWeights(emb, [], *reader.decoder()))
+    shell = _in64(reader, ModelWeights(emb, [], *reader.decoder()))
     return each(lambda x: decode(x, shell, spec), xs)
 
 

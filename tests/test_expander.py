@@ -208,22 +208,28 @@ class TestGrowOnce:
     def test_type1_inserted_block_allocates_only_what_it_keeps(self, toy_spec):
         spec = toy_spec(depth=1, width=64, head_dim=16, ratio=4.0)
         blk = random_weights(spec, substream(6, "inserted")).blocks[0]
-        blocks = expand_depth(0, 2, blk, lambda: blk, spec, spec.hidden_dim,
-                              ExpansionPlan(64, 2, depth_mode="type1"))
-        carrier, role = next(blocks)
-        assert carrier is blk and role == "carrier"
-        del carrier
+        halves = [[blk.ln1, blk.attn], [blk.ln2, blk.mlp]]
+        parts = expand_depth(0, 2, iter(halves), lambda: halves, spec, spec.hidden_dim,
+                             ExpansionPlan(64, 2, depth_mode="type1"))
+        for want in halves:
+            half, role = next(parts)
+            assert half is want and role == "carrier"
+        del half
         tracemalloc.start()
         try:
-            inserted, role = next(blocks)
+            inserted = [next(parts) for _ in range(2)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert role == "inserted"
-        assert not inserted.attn.wo.any() and not inserted.mlp.w2.any()
-        # copies of what it keeps and zeros for both output projections: one
-        # block's worth; copying the whole donor first would add wo and w2
-        assert peak < 1.1 * sum(a.nbytes for a in flat_arrays(inserted))
+        assert [role for _, role in inserted] == ["inserted", "inserted"]
+        (ln1, attn), (ln2, mlp) = (half for half, _ in inserted)
+        zeros = (attn.wo, attn.bo, mlp.w2, mlp.b2)
+        assert not any(z.any() for z in zeros)
+        # every other array is the donor's own: copying its heads and w1
+        # would add more than the zeros themselves
+        assert ln1 is blk.ln1 and attn.heads is blk.attn.heads
+        assert ln2 is blk.ln2 and mlp.w1 is blk.mlp.w1 and mlp.b1 is blk.mlp.b1
+        assert peak < 1.1 * sum(z.nbytes for z in zeros)
 
 
 class TooClose:
@@ -642,6 +648,24 @@ class TestExpandModel:
         w = random_weights(spec, substream(20, "v"))
         big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(20, 4, seed=21))
         assert forward_diff(w, spec, big_w, big_spec) <= 1e-10
+
+    @pytest.mark.parametrize("style, mode, source", (
+        ("pre_ln", "type1", "self"), ("pre_ln", "type1", "next"), ("pre_ln", "type2", "self"),
+        ("post_res_norm", "type1", "self"), ("post_res_norm", "type1", "next"),
+        ("post_ln", "type1", "self")))
+    def test_assembled_model_shares_no_array(self, toy_model, style, mode, source):
+        # streamed inserted halves hold the widened arrays they copy; the
+        # assembled model gets its own, and leaves the source's alone
+        w, spec = toy_model(style=style, depth=2, eps=0.0 if style == "post_ln" else 1e-5)
+        width = 16 if style == "post_ln" else 12
+        big_w, big_spec, _ = expand_model(
+            w, spec, ExpansionPlan(width, 6, depth_mode=mode, depth_source=source, seed=23))
+        big = [a for _, a in named_tensors(big_w, big_spec)]
+        src = [a for _, a in named_tensors(w, spec)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(big)
+                       for b in big[i + 1:] + src)
+        assert len({id(c) for b in big_w.blocks for c in _containers(b)}) == sum(
+            len(list(_containers(b))) for b in big_w.blocks)
 
     def test_deterministic_given_seed(self, toy_model):
         w, spec = toy_model()

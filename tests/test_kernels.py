@@ -178,6 +178,24 @@ class TestLayernorm:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=tol)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=tol, atol=tol)
 
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 33), cols=st.integers(1, 65),
+           scale=st.sampled_from((1e-5, 1e-2, 1.0, 1e2, 1e5)),
+           dtype=st.sampled_from((np.float32, np.float64)),
+           eps=st.sampled_from((0.0, 1e-6, 1e-5)), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_the_var_form(self, rows, cols, scale, dtype, eps, seed):
+        # x - mean is computed once; the output keeps every bit of the form
+        # that let x.var compute the mean and the difference again
+        g = np.random.default_rng(seed)
+        x = (scale * g.standard_normal((rows, cols)) + scale * g.standard_normal()).astype(dtype)
+        if not (x.var(axis=-1) + eps > 0).all():
+            return  # constant rows at eps 0 are refused, not normalized
+        mu, beta = g.standard_normal(cols).astype(dtype), g.standard_normal(cols).astype(dtype)
+        want = ((x - x.mean(axis=-1, keepdims=True))
+                / np.sqrt(x.var(axis=-1, keepdims=True) + eps) * mu + beta)
+        got = kernels.layernorm(x, mu, beta, eps)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_zero_denominator(self):
         with pytest.raises(NumericsError):
             kernels.layernorm(np.full(4, 3.0), np.ones(4), np.zeros(4), 0.0)

@@ -121,6 +121,31 @@ def test_streamed_expand_holds_under_two_widened_blocks(toy_spec, tmp_path, mode
     assert peak < bound * widened
 
 
+@pytest.mark.parametrize("mode", ("type1", "type2"))
+def test_streamed_expand_holds_one_widened_module_at_a_time(toy_spec, tmp_path, mode):
+    spec = toy_spec(depth=4, width=64, head_dim=32, ratio=4.0, vocab=50)
+    write_checkpoint(random_weights(spec, substream(42, "mem")), spec, tmp_path / "small.lmn")
+    plan = ExpansionPlan(256, 8, depth_mode=mode, seed=43)
+    with CheckpointReader(tmp_path / "small.lmn") as reader:
+        tracemalloc.start()
+        try:
+            _, big_spec, _ = expand_model(reader, spec, plan, out=tmp_path / "big.lmn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    f64 = np.dtype(np.float64)
+    module = max(payload_bytes_of(attention_schema(big_spec, 0, f64)),
+                 payload_bytes_of(mlp_schema(big_spec, 0, f64)))
+    source = payload_bytes_of(block_schema(spec, 0, f64))
+    # one source block, the largest widened module (the MLP, 4.2 MB) and a
+    # margin of 0.35 of it for the split temporaries of one row block and
+    # the tensor tables.  A whole widened block (6.3 MB) held at once
+    # exceeds both bounds, and so does a type1 insert that keeps the
+    # carrier's widened attention while its MLP is built
+    assert peak < source + 1.35 * module
+    assert peak < payload_bytes_of(block_schema(big_spec, 0, f64))
+
+
 def test_verify_holds_under_half_the_big_payload(toy_spec, tmp_path):
     spec = toy_spec(depth=4, width=64, head_dim=16, ratio=4.0, vocab=50)
     small = tmp_path / "small.lmn"
