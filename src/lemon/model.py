@@ -391,7 +391,9 @@ def _cancels(proj: np.ndarray, size: int, same) -> bool:
     if not (np.isfinite(a).all() and (a == -proj[r, hi]).all()):
         return False
     units = proj.shape[1] // size
-    first, second = np.divmod(np.unique(lo // size * units + hi // size), units)
+    # the distinct unit pairs, in order; np.unique would import numpy.ma
+    keys = np.sort(lo // size * units + hi // size)
+    first, second = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], units)
     # compare the units a run of pairs names as one slice each: a run
     # steps both of its units by one
     cut = np.flatnonzero((first[1:] - first[:-1] != 1) | (second[1:] - second[:-1] != 1)) + 1

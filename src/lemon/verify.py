@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .container import CheckpointReader, write_checkpoint
 # not called here: kept for perfbench/tests, which look the binding up in this module
@@ -28,7 +27,7 @@ from .container import read_checkpoint  # noqa: F401
 from .errors import NumericsError, PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
-from .kernels import activation
+from .kernels import activation, erf
 from .model import (EmbeddingWeights, ModelSpec, ModelWeights,
                     attention_schema, attention_sublayer, bias_only, decode,
                     embed, mlp_schema, mlp_sublayer, nonfinite_tensor,

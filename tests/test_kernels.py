@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lemon import NumericsError, ShapeError
 from lemon import kernels
+from lemon.rng import substream
 
 
 class TestMatmul:
@@ -264,3 +265,161 @@ class TestActivation:
     def test_unknown_kind(self):
         with pytest.raises(ShapeError):
             kernels.activation(np.zeros(2), "tanh")
+
+    @given(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_gelu_against_math_erf(self, xs):
+        x = np.array(xs)
+        expected = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in xs])
+        # 1 + erf cancels far below 0 in both forms, so the tolerance
+        # scales with |x|, not with the result
+        err = np.abs(kernels.activation(x, "gelu") - expected)
+        assert (err <= 6e-16 * np.abs(x) + 5e-324).all()
+
+    def test_gelu_huge_inputs_stay_finite(self):
+        x = np.array([1e308, -1e308, 5e-324, -5e-324])
+        np.testing.assert_array_equal(kernels.activation(x, "gelu"), [1e308, 0.0, 0.0, -0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_gelu_replica_units_stay_bitwise_equal(self, rng, dtype, rows):
+        # 2 x 1366 units a row: whatever the row count, some replica
+        # pairs fall in different chunks
+        assert 1366 < kernels._CHUNK_ELEMS < 2 * 1366
+        base = (rng("replica", rows).standard_normal((rows, 1366)) * 4).astype(dtype)
+        out = kernels.activation(np.hstack([base, base]), "gelu")
+        assert out.dtype == dtype
+        assert _same_bits(out[:, :1366], out[:, 1366:])
+        assert _same_bits(out[:, :1366], kernels.activation(base, "gelu"))
+
+    def test_gelu_float32_rounds_the_float64_value_once(self, rng):
+        x = rng("f32").standard_normal(5000).astype(np.float32)
+        kept = x.copy()
+        got = kernels.activation(x, "gelu")
+        assert got.dtype == np.float32
+        assert _same_bits(x, kept)
+        assert _same_bits(got, kernels.activation(x.astype(np.float64), "gelu").astype(np.float32))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    kind = f"u{a.dtype.itemsize}"
+    return a.shape == b.shape and a.dtype == b.dtype and bool(
+        (np.ascontiguousarray(a).view(kind) == np.ascontiguousarray(b).view(kind)).all())
+
+
+def _ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between doubles of one sign."""
+    assert (np.signbit(got) == np.signbit(want)).all()
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+def _math_erf(x: np.ndarray) -> np.ndarray:
+    return np.array([math.erf(v) for v in x.ravel()]).reshape(x.shape)
+
+
+class TestErf:
+    """``kernels.erf`` against libm's erf (``math.erf``) and mpmath."""
+
+    def test_sweep_within_one_ulp_of_math_erf(self, rng):
+        g, grid = rng("erf-sweep"), kernels._ERF_GRID
+        tiny = np.exp(g.uniform(math.log(5e-324), math.log(1e-2), 40_000))
+        x = np.concatenate([g.uniform(-6.5, 6.5, 200_000), g.uniform(-0.05, 0.05, 40_000),
+                            tiny, -tiny, g.uniform(-30.0, 30.0, 10_000),
+                            np.arange(-6 * grid, 6 * grid + 1) / grid,
+                            (np.arange(-6 * grid, 6 * grid) + 0.5) / grid])
+        assert _ulps(kernels.erf(x), _math_erf(x)).max() <= 1
+
+    @given(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_within_one_ulp_of_math_erf(self, xs):
+        x = np.array(xs)
+        assert _ulps(kernels.erf(x), _math_erf(x)).max() <= 1
+
+    def test_special_values(self):
+        got = kernels.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 6.0, -1e308]))
+        assert _same_bits(got[:2], np.array([0.0, -0.0]))
+        np.testing.assert_array_equal(got[2:4], [1.0, -1.0])
+        assert np.isnan(got[4])
+        np.testing.assert_array_equal(got[5:], [1.0, -1.0])
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_odd_bit_for_bit(self, xs):
+        x = np.array(xs)
+        assert _same_bits(kernels.erf(-x), -kernels.erf(x))
+
+    @given(st.floats(min_value=-30.0, max_value=30.0),
+           st.sampled_from([1, kernels._CHUNK_ELEMS - 1, kernels._CHUNK_ELEMS,
+                            kernels._CHUNK_ELEMS + 1, 2 * kernels._CHUNK_ELEMS + 5]),
+           st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_independent_of_size_shape_and_offset(self, v, size, where):
+        chunk = kernels._CHUNK_ELEMS
+        alone = kernels.erf(np.array([v]))
+        x = substream(where, "erf-fill").uniform(-7.0, 7.0, 2 * size)
+        offsets = {where % size, (chunk - 1) % size, chunk % size, size - 1}
+        for o in offsets:
+            x[o] = v
+            x[size + o] = v
+            assert _same_bits(kernels.erf(x[:size])[o:o + 1], alone)
+            # a strided view, and a 2-D array
+            assert _same_bits(kernels.erf(x[o::size])[:1], alone)
+            if size % 3 == 0:
+                assert _same_bits(kernels.erf(x[:size].reshape(3, -1)).reshape(-1)[o:o + 1], alone)
+            assert _same_bits(kernels.erf(x)[size + o:size + o + 1], alone)
+
+    def test_dtypes(self):
+        assert kernels.erf(np.array([0.5], dtype=np.float32)).dtype == np.float32
+        assert kernels.erf(np.array([1, 2])).dtype == np.float64
+        assert kernels.erf(0.5) == pytest.approx(math.erf(0.5), rel=2e-16)
+
+    def test_within_one_ulp_of_the_exact_value(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        g = rng("erf-exact")
+        grid = kernels._ERF_GRID
+        # the ends of every grid point's interval carry the largest h
+        x = np.concatenate([g.uniform(0.0, 6.0, 1500), g.uniform(0.0, 0.05, 500),
+                            (np.arange(6 * grid) + 0.5 - 1e-9) / grid])
+        got = kernels.erf(x)
+        with mpmath.workprec(120):
+            err = [abs(mpmath.mpf(y) - mpmath.erf(mpmath.mpf(v))) / math.ulp(y)
+                   for v, y in zip(x.tolist(), got.tolist())]
+        assert max(err) < 0.9
+
+    def test_table_matches_mpmath_bit_for_bit(self):
+        mpmath = pytest.importorskip("mpmath")
+        from lemon.erf_table import ERF_HI_LO
+        assert len(ERF_HI_LO) == kernels._ERF_END * kernels._ERF_GRID + 1
+        with mpmath.workprec(200):
+            want = []
+            for k in range(len(ERF_HI_LO)):
+                e = mpmath.erf(mpmath.mpf(k) / kernels._ERF_GRID)
+                hi = float(e)
+                want.append((hi, float(e - hi)))
+        assert _same_bits(np.array(ERF_HI_LO), np.array(want))
+
+    def test_cutoffs_round_to_one(self):
+        # larger arguments are clamped to each cut-off, so erf must
+        # already round to 1.0 there
+        mpmath = pytest.importorskip("mpmath")
+        assert float(mpmath.erf(kernels._ERF_END)) == 1.0
+        assert float(mpmath.erf(kernels._GELU_HALF_END * mpmath.sqrt(2))) == 1.0
+
+
+class TestActGrad:
+    """``verify._act_grad``, the derivative ``toy_mlp_gradient_step`` uses."""
+
+    @pytest.mark.parametrize("kind, points", [
+        ("gelu", [-7.5, -6.2, -2.0, -0.3, 0.0, 0.4, 1.7, 6.1, 8.0]),
+        ("relu", [-7.5, -0.3, 0.4, 6.5]),
+    ])
+    def test_central_difference(self, kind, points):
+        from lemon.verify import _act_grad
+        z, step = np.array(points), 1e-5
+        numeric = (kernels.activation(z + step, kind)
+                   - kernels.activation(z - step, kind)) / (2 * step)
+        np.testing.assert_allclose(_act_grad(z, kind), numeric, rtol=0, atol=1e-9)
+
+    def test_relu_takes_zero_at_the_kink(self):
+        from lemon.verify import _act_grad
+        assert _act_grad(np.array([0.0]), "relu")[0] == 0.0
