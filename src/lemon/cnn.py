@@ -25,7 +25,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeError
-from .expand_ops import expand_matrix_cols
 from .expander import column_split, map_arrays
 
 
@@ -129,8 +128,7 @@ def expand_cnn_bottleneck(w: BottleneckWeights, d_t: int,
     def split_in_channels(weight: np.ndarray) -> np.ndarray:
         c_out, c_in, kh, kw = weight.shape
         m = weight.transpose(0, 2, 3, 1).reshape(-1, c_in).astype(np.float64, copy=False)
-        split = column_split(m, d_t, "circ", "lemon", rng, noise_scale)
-        grown = expand_matrix_cols(m, d_t, "circ", split)
+        grown = column_split(m, d_t, "circ", "lemon", rng, noise_scale)
         return np.ascontiguousarray(
             grown.reshape(c_out, kh, kw, d_t).transpose(0, 3, 1, 2), dtype=weight.dtype)
 

@@ -201,15 +201,18 @@ def write_tensors(path, spec: ModelSpec, dtype, arrays) -> None:
     dtype = np.dtype(dtype)
     if dtype not in _DTYPE_NAMES:
         raise PlanError(f"unsupported weight dtype {dtype}")
+    arrays = iter(arrays)
+    # taken before the schema is listed: a target too large to hold fails at
+    # its first allocation, not after listing a schema that may not fit either
+    arr = next(arrays, None)
     schema = list(tensor_schema(spec, dtype))
     header, offsets = _header(spec, schema)
     with replacing(path) as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
         fh.write(header)
         pos = _PREFIX.size + len(header)
-        arrays = iter(arrays)
+        del header  # dropped before the tensors are produced, so it cannot pin their heap
         for entry, offset in zip(schema, offsets):
-            arr = next(arrays, None)
             if arr is None:
                 raise ShapeError(f"tensor {entry.name} missing")
             arr = np.asarray(arr)
@@ -220,7 +223,8 @@ def write_tensors(path, spec: ModelSpec, dtype, arrays) -> None:
             fh.write(np.ascontiguousarray(arr) if arr.ndim else arr)
             pos = offset + arr.nbytes
             del arr  # before the next tensor is produced
-        if next(arrays, None) is not None:
+            arr = next(arrays, None)
+        if arr is not None:
             raise ShapeError(f"more tensors than the {len(schema)} the spec has")
 
 

@@ -15,18 +15,21 @@ Each operator carries a losslessness contract relating what happens to an
 expanded input with what happens to the original.  Row expansions leave
 inputs untouched and expand outputs (``M* @ x == expand(M @ x)``); column
 expansions accept expanded inputs and reproduce the original output
-(``M* @ expand(x) == M @ x``), provided the caller's split of ``M`` into
-per-copy parts satisfies the sum constraints validated here.
+(``M* @ expand(x) == M @ x``).  A column expansion splits ``M``'s fan-out
+between the copies; the split is the grown matrix itself, which
+:func:`expand_matrix_cols` checks.  Choosing unequal parts
+(:func:`lemon.expander.column_split`) is what breaks the symmetry of
+replicated units.
 
-Operators are pure and deterministic.  The ``rand`` tails are always
-explicit arguments; no operator draws randomness internally.
+Operators are pure and deterministic.  The ``rand`` tails and column
+splits are always explicit arguments; no operator draws randomness
+internally.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,36 +134,6 @@ def expand_matrix_rows(m: np.ndarray, d_t: int, mode: str) -> np.ndarray:
     return grown
 
 
-@dataclass
-class ColumnSplit:
-    """Per-copy parts of a matrix whose columns are being expanded.
-
-    ``parts`` holds ``floor(d_t/d_s)`` matrices shaped like the source.
-    For ``rand`` mode the parts must sum to the source matrix and ``tail``
-    supplies the extra columns (free, since they will only ever multiply
-    zero entries of a zero-expanded input).  For ``circ`` mode the
-    ``residual`` columns wrap around, so the source's leading columns are
-    consumed one extra time; the sum constraints account for that.
-
-    The split is where fan-out policy lives: choosing unequal parts is
-    what breaks the symmetry of replicated units.
-
-    A split drawn by :func:`lemon.expander.column_split` records the
-    grown ``(p, d_t)`` matrix as ``grown``: its parts and its tail (or
-    residual) are views of that matrix's column blocks, in order, so
-    each piece is written once, where it ends up.  ``drawn`` holds that
-    matrix and those pieces as drawn, so a split whose pieces were
-    replaced or reordered since is told apart.  A split built from
-    separate arrays has neither.
-    """
-
-    parts: list[np.ndarray] = field(default_factory=list)
-    tail: np.ndarray | None = None       # rand mode, shape (p, d_t mod d_s)
-    residual: np.ndarray | None = None   # circ mode, shape (p, d_t mod d_s)
-    grown: np.ndarray | None = None      # the matrix the pieces are views of
-    drawn: tuple = ()                    # (grown, *parts, tail or residual) as drawn
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _split_close(target: np.ndarray, *terms: np.ndarray) -> bool:
     """Whether the sum of ``terms`` is within ``SPLIT_TOL`` of ``target``,
@@ -184,76 +157,41 @@ def _split_close(target: np.ndarray, *terms: np.ndarray) -> bool:
 
 
 def expand_matrix_cols(m: np.ndarray, d_t: int, mode: str,
-                       split: ColumnSplit) -> np.ndarray:
-    """Grow the column count of ``m`` from d_s to d_t using ``split``.
+                       grown: np.ndarray) -> np.ndarray:
+    """Check that ``grown`` is a lossless column expansion of ``m`` to d_t
+    columns, and return it.
 
-    ``rand`` mode requires ``sum(parts) == m`` and yields an operator with
-    ``m* @ zero_expand(x) == m @ x``.  ``circ`` mode requires
-    ``residual + sum(parts)[:, :r] == m[:, :r]`` and
-    ``sum(parts)[:, r:] == m[:, r:]`` (r = d_t mod d_s), yielding
-    ``m* @ circ_expand(x) == m @ x``.  Violations beyond ``SPLIT_TOL``
-    (relative) raise :class:`SplitError`.
-
-    Every check runs on the split's pieces as they are.  When they and
-    the split's ``grown`` matrix are still those it records as
-    ``drawn`` (a split drawn by :func:`lemon.expander.column_split`), so
-    that the pieces are that matrix's column blocks in order, the matrix
-    is returned as it is, in the float64 it was drawn in; otherwise the
-    pieces are copied into one new C-contiguous ``(p, d_t)`` matrix of
-    the dtype of ``m``.
+    ``grown`` is the ``(p, d_t)`` matrix of a column split: its first
+    ``k = floor(d_t/d_s)`` column blocks of ``d_s`` columns are the
+    per-copy parts, and its last ``r = d_t mod d_s`` columns are the
+    ``rand`` tail or the ``circ`` residual.  ``rand`` mode requires
+    ``sum(parts) == m`` and yields ``grown @ zero_expand(x) == m @ x``;
+    the tail is free, since it only ever multiplies zeros.  ``circ``
+    mode requires ``residual + sum(parts)[:, :r] == m[:, :r]`` and
+    ``sum(parts)[:, r:] == m[:, r:]``, since the leading columns wrap
+    around once more, and yields ``grown @ circ_expand(x) == m @ x``.
+    Violations beyond ``SPLIT_TOL`` (relative) raise :class:`SplitError`.
     """
     m = np.asarray(m)
+    grown = np.asarray(grown)
     if m.ndim != 2:
         raise ShapeError(f"expand_matrix_cols expects a matrix, got shape {m.shape}")
     if mode not in COL_MODES:
         raise ShapeError(f"unknown column expansion mode {mode!r}")
     p, d_s = m.shape
     k, r = _check_extents(d_s, d_t)
-    if len(split.parts) != k:
-        raise SplitError(f"split has {len(split.parts)} parts, want {k}")
-    parts = [np.asarray(part) for part in split.parts]
-    for i, part in enumerate(parts):
-        if part.shape != (p, d_s):
-            raise SplitError(f"part {i} has shape {part.shape}, want {(p, d_s)}")
-    if mode == "rand":
+    if grown.shape != (p, d_t):
+        raise SplitError(f"split has shape {grown.shape}, want {(p, d_t)}")
+    parts = [grown[:, i * d_s:(i + 1) * d_s] for i in range(k)]
+    if mode == "rand" or r == 0:
         if not _split_close(m, *parts):
-            raise SplitError("rand split parts do not sum to the source matrix")
-        extra = split.tail
-        if r == 0:
-            extra = np.zeros((p, 0), dtype=m.dtype) if extra is None else np.asarray(extra)
-            if extra.shape != (p, 0):
-                raise SplitError("tail must be empty when d_t is a multiple of d_s")
-        else:
-            if extra is None:
-                raise SplitError("rand split requires a tail of extra columns")
-            extra = np.asarray(extra)
-            if extra.shape != (p, r):
-                raise SplitError(f"tail has shape {extra.shape}, want {(p, r)}")
+            raise SplitError(f"{mode} split parts do not sum to the source matrix")
     else:  # circ
-        extra = split.residual
-        if r == 0:
-            extra = np.zeros((p, 0), dtype=m.dtype) if extra is None else np.asarray(extra)
-            if extra.shape != (p, 0):
-                raise SplitError("residual must be empty when d_t is a multiple of d_s")
-            if not _split_close(m, *parts):
-                raise SplitError("circ split parts do not sum to the source matrix")
-        else:
-            if extra is None:
-                raise SplitError("circ split requires a residual block")
-            extra = np.asarray(extra)
-            if extra.shape != (p, r):
-                raise SplitError(f"residual has shape {extra.shape}, want {(p, r)}")
-            if not _split_close(m[:, :r], *(part[:, :r] for part in parts), extra):
-                raise SplitError("circ split violates the wrapped-column constraint")
-            if not _split_close(m[:, r:], *(part[:, r:] for part in parts)):
-                raise SplitError("circ split parts do not sum to the source columns")
-    grown = split.grown
-    pieces = parts + [extra]
-    if (grown is None or grown.shape != (p, d_t) or len(split.drawn) != len(pieces) + 1
-            or any(a is not b for a, b in zip((grown, *pieces), split.drawn))):
-        grown = np.empty((p, d_t), dtype=m.dtype)
-        for i, piece in enumerate(pieces):
-            grown[:, i * d_s:i * d_s + piece.shape[1]] = piece
+        extra = grown[:, k * d_s:]
+        if not _split_close(m[:, :r], *(part[:, :r] for part in parts), extra):
+            raise SplitError("circ split violates the wrapped-column constraint")
+        if not _split_close(m[:, r:], *(part[:, r:] for part in parts)):
+            raise SplitError("circ split parts do not sum to the source columns")
     return grown
 
 

@@ -52,10 +52,9 @@ import numpy as np
 
 from .container import CheckpointReader, write_tensors
 from .errors import PlanError
-from .expand_ops import (COL_MODES, ColumnSplit, _check_extents, expand_bias,
-                         expand_layernorm, expand_matrix_cols,
-                         expand_matrix_rows, expand_rmsnorm, expand_vector,
-                         row_blocks)
+from .expand_ops import (COL_MODES, _check_extents, expand_bias, expand_layernorm,
+                         expand_matrix_cols, expand_matrix_rows, expand_rmsnorm,
+                         expand_vector, row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
                     NormParams, block_schema, decoder_schema,
@@ -184,23 +183,21 @@ def _finite_noise(z: np.ndarray, noise_scale: float) -> np.ndarray:
 
 def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
                  rng: np.random.Generator, noise_scale: float,
-                 out: np.ndarray | None = None) -> ColumnSplit:
-    """Draw the per-copy parts for a column expansion of ``m``.
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Draw a column split of ``m`` to ``d_t`` columns, check it with
+    :func:`lemon.expand_ops.expand_matrix_cols`, and return it.
 
-    The parts always satisfy the sum constraints of
-    :func:`lemon.expand_ops.expand_matrix_cols`; the policy only decides
-    how the total is distributed between replicas (and what fills the
-    free ``rand`` tail).
+    The split is its grown ``(p, d_t)`` matrix: the per-copy parts, then
+    the ``rand`` tail or ``circ`` residual.  The parts always satisfy the
+    sum constraints; the policy only decides how the total is distributed
+    between replicas (and what fills the free ``rand`` tail).
 
     Every split is drawn in float64, from ``m`` promoted to float64, so
     that its sums are checked at float64 precision; a caller that wants
-    another dtype casts the grown matrix once.  That ``(p, d_t)`` float64
-    matrix is allocated once, or is ``out`` when given (a float64 array
-    or view of that shape), and every piece is drawn straight into its
-    column block: the split's parts and its tail (or residual) are views
-    of that matrix, recorded as ``grown`` (and with the pieces as
-    ``drawn``), which ``expand_matrix_cols`` checks and returns without
-    another copy.  It never shares memory with ``m``.
+    another dtype casts the grown matrix once.  That matrix is allocated
+    once, or is ``out`` when given (a float64 array or view of that
+    shape), and every piece is drawn straight into its column block.  It
+    never shares memory with ``m``.
     """
     if policy not in POLICIES:
         raise PlanError(f"unknown policy {policy!r}")
@@ -226,10 +223,7 @@ def column_split(m: np.ndarray, d_t: int, mode: str, policy: str,
         # once in each part and once more in the residual after the last
         _split_copies(m[:, :r], [b[:, :r] for b in blocks], policy, rng, noise_scale)
         _split_copies(m[:, r:], [b[:, r:] for b in blocks[:k]], policy, rng, noise_scale)
-    drawn = (grown, *blocks)
-    if mode == "rand":
-        return ColumnSplit(parts=blocks[:k], tail=blocks[k], grown=grown, drawn=drawn)
-    return ColumnSplit(parts=blocks[:k], residual=blocks[k], grown=grown, drawn=drawn)
+    return expand_matrix_cols(m, d_t, mode, grown)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +239,7 @@ def _row_expanded_cols(m: np.ndarray, d_rows: int, row_mode: str, d_cols: int,
     cast once to the dtype of ``m``."""
     grown = np.empty((d_rows, d_cols))
     for rows, block in row_blocks(m, d_rows, row_mode):
-        split = column_split(block, d_cols, col_mode, policy, rng, noise_scale,
-                             out=grown[rows])
-        expand_matrix_cols(block, d_cols, col_mode, split)
+        column_split(block, d_cols, col_mode, policy, rng, noise_scale, out=grown[rows])
     return grown.astype(m.dtype, copy=False)
 
 
@@ -454,8 +446,7 @@ def _cancelling_halves(src: BlockWeights, ln1: NormParams, ln2: NormParams,
     # is drawn into the leading rows of w1, and the replicas copy them
     w1 = np.empty((hidden_t, d_t))
     top = w1[:spec.hidden_dim]
-    split1 = column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale, out=top)
-    expand_matrix_cols(src.mlp.w1, d_t, "rand", split1)  # checks the split drawn in top
+    column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale, out=top)
     for rows, block in row_blocks(top, hidden_t, "circ")[1:]:
         w1[rows] = block
     w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,

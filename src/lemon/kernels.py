@@ -126,6 +126,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _check_finite(_inner(a, b), "matmul")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def layernorm(x: np.ndarray, mu: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
     """Normalize the trailing axis to zero mean / unit population variance,
     then scale by ``mu`` and shift by ``beta``."""
@@ -137,12 +138,13 @@ def layernorm(x: np.ndarray, mu: np.ndarray, beta: np.ndarray, eps: float) -> np
     # the population variance, as x.var computes it, without centering again
     var = np.mean(np.square(centered), axis=-1, keepdims=True)
     denom = var + eps
-    if np.any(denom <= 0.0):
-        raise NumericsError("layernorm: Var[x] + eps is not positive")
+    if not np.all((denom > 0.0) & (denom < np.inf)):
+        raise NumericsError("layernorm: Var[x] + eps is not positive and finite")
     out = centered / np.sqrt(denom) * mu + beta
     return _check_finite(out, "layernorm")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rmsnorm(x: np.ndarray, mu: np.ndarray, eps: float) -> np.ndarray:
     """Scale the trailing axis by 1/sqrt(mean(x^2) + eps), then by ``mu``."""
     x = _require_float(x, "rmsnorm input")
@@ -151,8 +153,8 @@ def rmsnorm(x: np.ndarray, mu: np.ndarray, eps: float) -> np.ndarray:
         raise ShapeError(f"rmsnorm mu must have shape ({d},), got {mu.shape}")
     ms = np.mean(np.square(x), axis=-1, keepdims=True)
     denom = ms + eps
-    if np.any(denom <= 0.0):
-        raise NumericsError("rmsnorm: mean(x^2) + eps is not positive")
+    if not np.all((denom > 0.0) & (denom < np.inf)):
+        raise NumericsError("rmsnorm: mean(x^2) + eps is not positive and finite")
     out = x / np.sqrt(denom) * mu
     return _check_finite(out, "rmsnorm")
 
@@ -240,8 +242,10 @@ def _erf64(x: np.ndarray) -> np.ndarray:
     return p
 
 
+@np.errstate(invalid="ignore")
 def _gelu64(x: np.ndarray) -> np.ndarray:
-    # x Phi(x) = x/2 + |x|/2 erf(|x| / sqrt 2), which cannot overflow
+    # x Phi(x) = x/2 + |x|/2 erf(|x| / sqrt 2), which cannot overflow; at
+    # x = -inf it is inf - inf, a NaN that activation's finiteness check reports
     half = x * 0.5
     abs_half = np.abs(half)
     # a NaN in x reaches the result through half

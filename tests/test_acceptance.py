@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lemon import (ColumnSplit, ExpansionPlan, ModelSpec, PlanError,
+from lemon import (ExpansionPlan, ModelSpec, PlanError,
                    ScheduleSpec, SplitError, block_forward, expand_bias,
                    expand_layernorm, expand_matrix_cols, expand_matrix_rows,
                    expand_model, expand_rmsnorm, expand_vector, model_forward,
@@ -197,10 +197,9 @@ def test_criterion_4_operator_algebra():
     # constraint violations are hard errors
     m = np.array([[4.0, 6.0]])
     with pytest.raises(SplitError):
-        expand_matrix_cols(m, 5, "rand",
-                           ColumnSplit(parts=[np.array([[1.0, 2.0]]),
-                                              np.array([[3.0, 4.1]])],
-                                       tail=np.array([[7.0]])))
+        expand_matrix_cols(m, 5, "rand", np.hstack([np.array([[1.0, 2.0]]),
+                                                    np.array([[3.0, 4.1]]),
+                                                    np.array([[7.0]])]))
     passline(4, "row/column/bias losslessness and two-layer composition hold "
                 "on 1000 instances each; bad splits rejected")
 

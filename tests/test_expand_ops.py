@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lemon import (ColumnSplit, ShapeError, SplitError, expand_bias,
+from lemon import (ShapeError, SplitError, expand_bias,
                    expand_layernorm, expand_matrix_cols, expand_matrix_rows,
                    expand_rmsnorm, expand_vector, invert_vector_expansion,
                    norm_expansion_gain)
@@ -16,7 +16,7 @@ def random_rand_split(m, d_t, g):
     k, r = d_t // d_s, d_t % d_s
     parts = [g.standard_normal((p, d_s)) for _ in range(k - 1)]
     parts.append(m - sum(parts) if parts else m.copy())
-    return ColumnSplit(parts=parts, tail=g.standard_normal((p, r)))
+    return np.hstack([*parts, g.standard_normal((p, r))])
 
 
 def random_circ_split(m, d_t, g):
@@ -28,7 +28,7 @@ def random_circ_split(m, d_t, g):
     last = m - (sum(parts) if parts else np.zeros_like(m))
     last[:, :r] -= residual
     parts.append(last)
-    return ColumnSplit(parts=parts, residual=residual)
+    return np.hstack([*parts, residual])
 
 
 class TestExpandVector:
@@ -151,9 +151,10 @@ class TestExpandMatrixRows:
 class TestExpandMatrixCols:
     def test_rand_hand(self):
         m = np.array([[4.0, 6.0]])
-        split = ColumnSplit(parts=[np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])],
-                            tail=np.array([[7.0]]))
+        split = np.hstack([np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]),
+                           np.array([[7.0]])])
         out = expand_matrix_cols(m, 5, "rand", split)
+        assert out is split
         np.testing.assert_array_equal(out, [[1, 2, 3, 4, 7]])
         x = np.array([1.0, 3.0])
         big = kernels.matmul(out, expand_vector(x, 5, "zero")[:, None])
@@ -162,9 +163,10 @@ class TestExpandMatrixCols:
 
     def test_circ_hand(self):
         m = np.array([[4.0, 6.0]])
-        split = ColumnSplit(parts=[np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]])],
-                            residual=np.array([[1.0]]))
+        split = np.hstack([np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]),
+                           np.array([[1.0]])])
         out = expand_matrix_cols(m, 5, "circ", split)
+        assert out is split
         np.testing.assert_array_equal(out, [[1, 2, 2, 4, 1]])
         x = np.array([1.0, 3.0])
         big = kernels.matmul(out, expand_vector(x, 5, "circ")[:, None])
@@ -172,9 +174,10 @@ class TestExpandMatrixCols:
 
     def test_identity_single_part(self, rng):
         m = rng("ci").standard_normal((2, 3))
-        out = expand_matrix_cols(m, 3, "rand", ColumnSplit(parts=[m]))
+        grown = m.copy()
+        out = expand_matrix_cols(m, 3, "rand", grown)
+        assert out is grown
         np.testing.assert_array_equal(out, m)
-        assert not np.shares_memory(out, m)
 
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     def test_losslessness_property(self, rng, mode):
@@ -194,35 +197,36 @@ class TestExpandMatrixCols:
 
     def test_sum_violation_rejected(self):
         m = np.array([[4.0, 6.0]])
-        bad = ColumnSplit(parts=[np.array([[1.0, 2.0]]), np.array([[3.0, 4.1]])],
-                          tail=np.array([[7.0]]))
+        bad = np.hstack([np.array([[1.0, 2.0]]), np.array([[3.0, 4.1]]),
+                         np.array([[7.0]])])
         with pytest.raises(SplitError):
             expand_matrix_cols(m, 5, "rand", bad)
 
     def test_tiny_violation_within_tolerance_accepted(self):
         m = np.array([[4.0, 6.0]])
-        split = ColumnSplit(parts=[np.array([[1.0, 2.0]]),
-                                   np.array([[3.0, 4.0 + 1e-14]])],
-                            tail=np.array([[7.0]]))
+        split = np.hstack([np.array([[1.0, 2.0]]), np.array([[3.0, 4.0 + 1e-14]]),
+                           np.array([[7.0]])])
         expand_matrix_cols(m, 5, "rand", split)  # within 1e-12 relative
 
     def test_circ_constraint_violation_rejected(self):
         m = np.array([[4.0, 6.0]])
-        bad = ColumnSplit(parts=[np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]])],
-                          residual=np.array([[2.0]]))  # wrapped sum off by 1
+        bad = np.hstack([np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]),
+                         np.array([[2.0]])])  # wrapped sum off by 1
         with pytest.raises(SplitError):
             expand_matrix_cols(m, 5, "circ", bad)
 
     def test_structural_errors(self):
         m = np.ones((1, 2))
         with pytest.raises(SplitError):
-            expand_matrix_cols(m, 5, "rand", ColumnSplit(parts=[m.copy()]))  # wrong count
+            expand_matrix_cols(m, 5, "rand", m.copy())  # one part, no tail
         with pytest.raises(SplitError):
-            expand_matrix_cols(m, 5, "rand",
-                               ColumnSplit(parts=[m.copy(), np.zeros((1, 2))]))  # no tail
+            expand_matrix_cols(m, 5, "rand", np.hstack([m, np.zeros((1, 2))]))  # no tail
         with pytest.raises(SplitError):
-            expand_matrix_cols(m, 5, "circ",
-                               ColumnSplit(parts=[m.copy(), np.zeros((1, 2))]))  # no residual
+            expand_matrix_cols(m, 5, "circ", np.hstack([m, np.zeros((1, 2))]))  # no residual
+        with pytest.raises(SplitError):
+            expand_matrix_cols(m, 4, "rand", np.hstack([m, np.zeros((1, 3))]))  # extra columns
+        with pytest.raises(SplitError):
+            expand_matrix_cols(m, 5, "circ", np.ones((2, 5)))  # wrong row count
 
 
 class TestExpandBias:

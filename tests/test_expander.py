@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lemon import (ColumnSplit, ExpansionPlan, ModelSpec, PlanError, SplitError,
+from lemon import (ExpansionPlan, ModelSpec, PlanError, SplitError,
                    block_forward,
                    expand_mha, expand_mlp, expand_model, expand_vector,
                    mha_forward, mlp_forward, model_forward, random_weights,
@@ -22,6 +22,12 @@ from lemon.expander import (MIN_SEPARATION, POLICIES, _row_expanded_cols,
 from lemon.model import flat_arrays
 from lemon import kernels
 from lemon.rng import substream
+
+
+def pieces(grown, d_s):
+    """A column split's per-copy parts and its tail or residual, as views."""
+    k = grown.shape[1] // d_s
+    return [grown[:, i * d_s:(i + 1) * d_s] for i in range(k)], grown[:, k * d_s:]
 
 
 def forward_diff(small_w, small_spec, big_w, big_spec, n=8, seed=0, seq=6):
@@ -40,46 +46,45 @@ def forward_diff(small_w, small_spec, big_w, big_spec, n=8, seed=0, seq=6):
 class TestColumnSplit:
     def test_net2net_parts_identical(self, rng):
         m = rng("s1").standard_normal((3, 4))
-        split = column_split(m, 8, "rand", "net2net_equal", rng("s2"), 0.02)
-        np.testing.assert_array_equal(split.parts[0], split.parts[1])
-        np.testing.assert_array_equal(split.parts[0], m / 2)
+        parts, _ = pieces(column_split(m, 8, "rand", "net2net_equal", rng("s2"), 0.02), 4)
+        np.testing.assert_array_equal(parts[0], parts[1])
+        np.testing.assert_array_equal(parts[0], m / 2)
 
     def test_lemon_parts_distinct(self, rng):
         m = rng("s3").standard_normal((3, 4))
-        split = column_split(m, 8, "rand", "lemon", rng("s4"), 0.02)
-        assert np.abs(split.parts[0] - split.parts[1]).max() > 1e-6 * 0.02
+        parts, _ = pieces(column_split(m, 8, "rand", "lemon", rng("s4"), 0.02), 4)
+        assert np.abs(parts[0] - parts[1]).max() > 1e-6 * 0.02
 
     def test_zero_tail_pattern(self, rng):
         m = rng("s5").standard_normal((3, 4))
-        split = column_split(m, 10, "rand", "zero_tail", rng("s6"), 0.02)
-        np.testing.assert_array_equal(split.parts[0], m)
-        np.testing.assert_array_equal(split.parts[1], np.zeros_like(m))
-        np.testing.assert_array_equal(split.tail, np.zeros((3, 2)))
+        parts, tail = pieces(column_split(m, 10, "rand", "zero_tail", rng("s6"), 0.02), 4)
+        np.testing.assert_array_equal(parts[0], m)
+        np.testing.assert_array_equal(parts[1], np.zeros_like(m))
+        np.testing.assert_array_equal(tail, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     @pytest.mark.parametrize("policy", ("lemon", "net2net_equal", "zero_tail"))
     def test_splits_satisfy_constraints(self, rng, mode, policy):
-        from lemon.expand_ops import expand_matrix_cols
         g = rng("s7", mode, policy)
         for _ in range(25):
             p, d_s = int(g.integers(1, 5)), int(g.integers(1, 6))
             d_t = int(g.integers(d_s, 3 * d_s + 1))
             m = g.standard_normal((p, d_s))
             split = column_split(m, d_t, mode, policy, g, 0.02)
-            expand_matrix_cols(m, d_t, mode, split)  # validates internally
+            assert expand_matrix_cols(m, d_t, mode, split) is split
 
     def test_circ_net2net_shares_per_column(self, rng):
         m = rng("s8").standard_normal((2, 3))
-        split = column_split(m, 5, "circ", "net2net_equal", rng("s9"), 0.02)
+        parts, residual = pieces(column_split(m, 5, "circ", "net2net_equal", rng("s9"), 0.02),
+                                 3)
         # wrapped columns are consumed twice, the rest once
-        np.testing.assert_array_equal(split.parts[0][:, 0], m[:, 0] / 2)
-        np.testing.assert_array_equal(split.residual[:, 0], m[:, 0] / 2)
-        np.testing.assert_array_equal(split.parts[0][:, 2], m[:, 2])
+        np.testing.assert_array_equal(parts[0][:, 0], m[:, 0] / 2)
+        np.testing.assert_array_equal(residual[:, 0], m[:, 0] / 2)
+        np.testing.assert_array_equal(parts[0][:, 2], m[:, 2])
 
     def test_identity_split(self, rng):
         m = rng("s10").standard_normal((2, 3))
-        split = column_split(m, 3, "circ", "lemon", rng("s11"), 0.02)
-        np.testing.assert_array_equal(split.parts[0], m)
+        np.testing.assert_array_equal(column_split(m, 3, "circ", "lemon", rng("s11"), 0.02), m)
 
 
 class TestSplitProperties:
@@ -93,15 +98,14 @@ class TestSplitProperties:
         split = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
         expand_matrix_cols(m, d_t, mode, split)  # raises SplitError on a bad split
         again = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
-        for a, b in zip(split.parts + [split.tail, split.residual],
-                        again.parts + [again.tail, again.residual]):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(split, again)
         if policy != "lemon":
             return
+        parts, residual = pieces(split, d_s)
         for z in range(d_s):
-            replicas = [part[:, z] for part in split.parts]
+            replicas = [part[:, z] for part in parts]
             if mode == "circ" and z < d_t % d_s:
-                replicas.append(split.residual[:, z])
+                replicas.append(residual[:, z])
             for a, b in combinations(replicas, 2):
                 assert np.abs(a - b).min() > MIN_SEPARATION * 0.02
 
@@ -130,7 +134,7 @@ class TestSplitProperties:
 
 class TestGrowOnce:
     """column_split draws every piece straight into the grown matrix, and
-    expand_matrix_cols checks those pieces and returns that matrix."""
+    expand_matrix_cols checks that matrix and returns it."""
 
     @pytest.mark.parametrize("k", (1, 3))
     @pytest.mark.parametrize("with_tail", (False, True))
@@ -143,19 +147,23 @@ class TestGrowOnce:
         r = 1 + pick % (d_s - 1) if with_tail else 0
         d_t = k * d_s + r
         m = substream(seed, "m").standard_normal((p, d_s))
-        split = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
-        grown = expand_matrix_cols(m, d_t, mode, split)
-        extra = split.tail if mode == "rand" else split.residual
+        grown = column_split(m, d_t, mode, policy, substream(seed, "split"), 0.02)
+        parts, extra = pieces(grown, d_s)
         assert grown.shape == (p, d_t) and grown.flags.c_contiguous
-        assert grown.tobytes() == np.hstack(split.parts + [extra]).tobytes()
+        assert len(parts) == k and extra.shape == (p, r)
+        assert grown.tobytes() == np.hstack(parts + [extra]).tobytes()
         assert not np.shares_memory(grown, m)
-        # the same pieces as separate arrays are assembled into the same matrix
-        copies = ColumnSplit(parts=[a.copy() for a in split.parts],
-                             tail=None if split.tail is None else split.tail.copy(),
-                             residual=None if split.residual is None else split.residual.copy())
-        assembled = expand_matrix_cols(m, d_t, mode, copies)
-        assert assembled.tobytes() == grown.tobytes()
-        assert not np.shares_memory(assembled, m)
+        # the check returns the matrix it is given, a copy passes it too
+        assert expand_matrix_cols(m, d_t, mode, grown) is grown
+        copy = grown.copy()
+        assert expand_matrix_cols(m, d_t, mode, copy) is copy
+
+    def test_split_drawn_into_out_returns_out(self, rng):
+        m = rng("in-view").standard_normal((3, 4))
+        buf = np.zeros((6, 10))
+        out = buf[:3]
+        assert column_split(m, 10, "rand", "lemon", rng("in-view-split"), 0.02, out=out) is out
+        assert not buf[3:].any()
 
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     def test_corrupted_replica_fails_the_check(self, rng, monkeypatch, mode):
@@ -170,10 +178,9 @@ class TestGrowOnce:
 
         monkeypatch.setattr("lemon.expander._split_copies", corrupt_first)
         m = rng("corrupt").standard_normal((3, 4))
-        split = column_split(m, 10, mode, "lemon", rng("corrupt-split"), 0.02)
-        assert calls
         with pytest.raises(SplitError):
-            expand_matrix_cols(m, 10, mode, split)
+            column_split(m, 10, mode, "lemon", rng("corrupt-split"), 0.02)
+        assert calls
 
     @pytest.mark.parametrize("mode", ("rand", "circ"))
     @pytest.mark.parametrize("policy", POLICIES)
@@ -184,7 +191,7 @@ class TestGrowOnce:
         g = rng("once-split", mode, policy)
         tracemalloc.start()
         try:
-            grown = expand_matrix_cols(m, d_t, mode, column_split(m, d_t, mode, policy, g, 0.02))
+            grown = column_split(m, d_t, mode, policy, g, 0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,25 +258,14 @@ class TestRowsInSplit:
     """A row-expanded matrix's column split, drawn one row block at a
     time, is a column split of the built row expansion."""
 
-    @staticmethod
-    def pieces(grown: np.ndarray, d_s: int, mode: str) -> ColumnSplit:
-        """``grown`` cut into its column pieces, as separate arrays."""
-        k = grown.shape[1] // d_s
-        parts = [grown[:, i * d_s:(i + 1) * d_s].copy() for i in range(k)]
-        extra = grown[:, k * d_s:].copy()
-        if mode == "rand":
-            return ColumnSplit(parts=parts, tail=extra)
-        return ColumnSplit(parts=parts, residual=extra)
-
     def check(self, m, d_rows, row_mode, d_t, mode, policy, rng):
-        """Grow ``m``; the pieces must pass the sum checks against the
+        """Grow ``m``; the grown matrix must pass the sum checks against the
         built row expansion and, under lemon, every pair of replicas of a
         source column must differ in every row."""
         d_s = m.shape[1]
         grown = _row_expanded_cols(m, d_rows, row_mode, d_t, mode, policy, rng, 0.02)
         built = expand_matrix_rows(m, d_rows, row_mode)
-        again = expand_matrix_cols(built, d_t, mode, self.pieces(grown, d_s, mode))
-        assert again.tobytes() == grown.tobytes()
+        assert expand_matrix_cols(built, d_t, mode, grown) is grown
         if policy != "lemon":
             return
         # the replicas of source column c: c + i*d_s in every part, and in
@@ -311,42 +307,10 @@ class TestRowsInSplit:
         grown = _row_expanded_cols(m, 8, row_mode, 10, mode, "lemon", rng("corrupt-split"),
                                    0.02)
         built = expand_matrix_rows(m, 8, row_mode)
-        split = self.pieces(grown, 4, mode)
-        expand_matrix_cols(built, 10, mode, split)
-        split.parts[1][row, 2] += 1e-6
+        expand_matrix_cols(built, 10, mode, grown)
+        pieces(grown, 4)[0][1][row, 2] += 1e-6
         with pytest.raises(SplitError):
-            expand_matrix_cols(built, 10, mode, split)
-
-
-class TestSplitPiecesInPlace:
-    """expand_matrix_cols returns a split's grown matrix only when the
-    pieces are that matrix's own column blocks, in order."""
-
-    def test_split_drawn_into_a_view_is_returned_as_is(self, rng):
-        m = rng("in-view").standard_normal((3, 4))
-        buf = np.zeros((6, 10))
-        split = column_split(m, 10, "rand", "lemon", rng("in-view-split"), 0.02,
-                             out=buf[:3])
-        assert expand_matrix_cols(m, 10, "rand", split) is split.grown
-
-    def test_pieces_elsewhere_in_the_buffer_are_assembled(self, rng):
-        m = rng("foreign").standard_normal((3, 4))
-        buf = np.zeros((3, 20))
-        drawn = column_split(m, 10, "rand", "lemon", rng("foreign-split"), 0.02,
-                             out=buf[:, 10:])
-        # the pieces lie in buf, but not in the grown matrix the split names
-        split = ColumnSplit(parts=drawn.parts, tail=drawn.tail, grown=buf[:, :10])
-        got = expand_matrix_cols(m, 10, "rand", split)
-        assert got is not split.grown
-        assert got.tobytes() == np.hstack(drawn.parts + [drawn.tail]).tobytes()
-
-    def test_reordered_pieces_are_assembled(self, rng):
-        m = rng("reorder").standard_normal((3, 4))
-        drawn = column_split(m, 10, "rand", "lemon", rng("reorder-split"), 0.02)
-        split = ColumnSplit(parts=drawn.parts[::-1], tail=drawn.tail, grown=drawn.grown)
-        got = expand_matrix_cols(m, 10, "rand", split)
-        assert got is not drawn.grown
-        assert got.tobytes() == np.hstack(drawn.parts[::-1] + [drawn.tail]).tobytes()
+            expand_matrix_cols(built, 10, mode, grown)
 
 
 class TestModuleExpansion:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,16 @@ class TestLayernorm:
         with pytest.raises(NumericsError):
             kernels.layernorm(np.full(4, 3.0), np.ones(4), np.zeros(4), 0.0)
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_overflowing_variance_is_an_error_not_beta(self, dtype):
+        # the true output is about [1.73, -0.58, -0.58, -0.58]; an overflowed
+        # variance would silently divide it down to beta, here zero
+        x = np.array([[1e200 if dtype == np.float64 else 1e30, 1.0, 2.0, 3.0]], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="finite"):
+                kernels.layernorm(x, np.ones(4, dtype=dtype), np.zeros(4, dtype=dtype), 1e-5)
+
     def test_param_shape_error(self):
         with pytest.raises(ShapeError):
             kernels.layernorm(np.ones(4), np.ones(3), np.zeros(4), 0.0)
@@ -222,6 +233,14 @@ class TestRmsnorm:
     def test_zero_denominator(self):
         with pytest.raises(NumericsError):
             kernels.rmsnorm(np.zeros(3), np.ones(3), 0.0)
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_overflowing_mean_square_is_an_error_not_zero(self, dtype):
+        x = np.array([[1e200 if dtype == np.float64 else 1e30, 1.0, 2.0, 3.0]], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="finite"):
+                kernels.rmsnorm(x, np.ones(4, dtype=dtype), 1e-5)
 
 
 class TestSoftmax:
@@ -279,6 +298,14 @@ class TestActivation:
     def test_gelu_huge_inputs_stay_finite(self):
         x = np.array([1e308, -1e308, 5e-324, -5e-324])
         np.testing.assert_array_equal(kernels.activation(x, "gelu"), [1e308, 0.0, 0.0, -0.0])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_gelu_non_finite_input_is_an_error_not_a_warning(self, value):
+        # a pre-activation reaches inf through a stored bias of inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError):
+                kernels.activation(np.array([1.0, value]), "gelu")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("rows", [1, 3, 7])

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,14 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
                    read_checkpoint, read_header, symmetry_report, verify_lossless,
                    write_checkpoint)
-from lemon import cli
+from lemon import cli, container
 from lemon.cli import main
+from lemon.container import ALIGNMENT, _PREFIX
 from lemon.rng import substream
 from lemon.verify import _draw_input
 
@@ -158,6 +160,20 @@ class TestVerify:
         assert lines[-2:] == ["embedding max_abs_diff 5.000000e+00 over every token row",
                               "FAIL"]
         assert float(lines[0].split()[1]) < 1e-10  # the samples alone would pass
+
+    def test_overflowing_norm_input_is_an_error_not_pass(self, workdir, capsys):
+        # every token row's variance overflows in the first layernorm, which
+        # would otherwise return its beta and make both sides agree
+        _, _, small = workdir
+        w, spec = read_checkpoint(small)
+        w.embedding.token_table[:, 1:] = 1e200
+        write_checkpoint(w, spec, small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--small", str(small), "--big", str(small),
+                         "--samples", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "layernorm" in err
 
     def test_narrower_big_model_usage_error(self, toy_model, tmp_path, capsys):
         small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
@@ -405,6 +421,31 @@ class TestExpandContract:
         assert (err.startswith("warning: ") and err.count("\n") == 1) == warns
         assert warns or err == ""
 
+    def test_target_too_large_to_hold_fails_before_its_schema_is_listed(
+            self, workdir, capsys, monkeypatch):
+        # 2^53 heads: the target's first tensor, its token table, cannot be
+        # allocated in any address space, and its schema would take longer
+        # than anyone waits to list
+        tmp_path, _, small = workdir
+        listed = []
+        real_schema = container.tensor_schema
+
+        def counted_schema(spec, dtype):
+            for entry in real_schema(spec, dtype):
+                if spec.width == 2 ** 56:  # the reader lists the source's
+                    listed.append(entry.name)
+                if len(listed) > 1000:
+                    raise AssertionError("the target schema is being listed")
+                yield entry
+
+        monkeypatch.setattr("lemon.container.tensor_schema", counted_schema)
+        assert main(["expand", "--in", str(small), "--out", str(tmp_path / "big.lmn"),
+                     "--target-width", str(2 ** 56), "--target-depth", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert listed == []
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "small.lmn"]
+
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
     def test_out_that_is_not_a_regular_file_io_error(self, workdir, capsys, kind):
         tmp_path, _, small = workdir
@@ -495,6 +536,81 @@ class TestFormatVersion:
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1 and "unsupported_version" in err
         assert not big.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _toy_pair() -> dict:
+    """A toy source, its type2 expansion and that expansion's duplicate
+    map, as bytes."""
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        cfg, small, big = (os.path.join(d, name) for name in ("cfg.json", "small", "big"))
+        with open(cfg, "w") as fh:
+            json.dump(CFG, fh)
+        assert main(["init-random", "--config", cfg, "--out", small, "--seed", "1"]) == 0
+        assert main(["expand", "--in", small, "--out", big, "--target-width", "12",
+                     "--target-depth", "3", "--depth-mode", "type2", "--seed", "7"]) == 0
+        files = {}
+        for name, path in (("small", small), ("big", big), ("map", big + ".duplicates.json")):
+            with open(path, "rb") as fh:
+                files[name] = fh.read()
+        return files
+
+
+def _corrupted(blob: bytes, kind: str, at: int, other: int, value: float) -> bytes:
+    """``blob`` with one bit flipped, two characters of its JSON header
+    swapped, its tail cut off at ``at``, or one float64 word of its payload
+    set to ``value``."""
+    blob = bytearray(blob)
+    head_end = _PREFIX.size + int.from_bytes(blob[8:16], "little")
+    if kind == "flip":
+        blob[at % len(blob)] ^= 1 << other % 8
+    elif kind == "swap":
+        i, j = (_PREFIX.size + n % (head_end - _PREFIX.size) for n in (at, other))
+        blob[i], blob[j] = blob[j], blob[i]
+    elif kind == "truncate":
+        del blob[at % len(blob):]
+    else:
+        first = -(-head_end // ALIGNMENT) * ALIGNMENT  # the first tensor's offset
+        struct.pack_into("<d", blob, first + 8 * (at % ((len(blob) - first) // 8)), value)
+    return bytes(blob)
+
+
+class TestCorruptedCheckpointExitCodes:
+    """inspect, verify, symmetry and expand exit 0, 1, 2 or 3 on a
+    corrupted checkpoint, with at most one line of error and never a
+    traceback or a warning."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.sampled_from(["small", "big"]),
+           kind=st.sampled_from(["flip", "swap", "truncate", "word"]),
+           at=st.integers(0, 2**32), other=st.integers(0, 2**32),
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308]))
+    # the token table's first word: its row's layernorm variance overflows
+    @example(which="small", kind="word", at=0, other=0, value=1e308)
+    # a first-layer MLP bias of -inf: gelu meets inf - inf
+    @example(which="big", kind="word", at=1168, other=0, value=-math.inf)
+    def test_exit_code_is_documented(self, which, kind, at, other, value):
+        files = dict(_toy_pair())
+        files[which] = _corrupted(files[which], kind, at, other, value)
+        with tempfile.TemporaryDirectory() as d:
+            paths = {name: os.path.join(d, name) for name in files}
+            for name, blob in files.items():
+                with open(paths[name], "wb") as fh:
+                    fh.write(blob)
+            for argv in (["inspect", paths[which]],
+                         ["verify", "--small", paths["small"], "--big", paths["big"]],
+                         ["symmetry", "--ckpt", paths["big"], "--map", paths["map"]],
+                         ["expand", "--in", paths[which], "--out", os.path.join(d, "out"),
+                          "--target-width", "16", "--target-depth", "4"]):
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), argv
+                assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+                assert not caught, (argv, [str(w.message) for w in caught])
 
 
 #: spec values for the init-random property: small finite ones, huge
