@@ -21,10 +21,11 @@ the validator rejects; nothing is partially loaded.
 Which tensors a model has, and their names, shapes and dtypes, follow
 from its spec and its one weight dtype alone:
 :func:`lemon.model.tensor_schema` is the only definition.  The writer lays out the header from the schema
-before it has a single tensor, then takes the tensors one at a time in
-checkpoint order, checks each against its schema entry and writes it
-from its own buffer, so a caller can build a model block by block and
-never hold it whole (``expand --out`` does).  The file is written under
+before it has a single tensor, then takes the tensors one at a time as
+``(name, tensor)`` pairs in any order, checks each against its schema
+entry and writes it from its own buffer at its offset, so a caller can
+build a model module by module, in the order that suits it, and never
+hold it whole (``expand --out`` does).  The file is written under
 a temporary name in the destination's directory and moved into place
 only once complete, so a failed write leaves an existing file as it was
 and a concurrent reader sees either the old file or the new one.
@@ -96,9 +97,14 @@ def _nbytes(entry: TensorEntry) -> int:
 
 
 def named_tensors(w: ModelWeights, spec: ModelSpec) -> list[tuple[str, np.ndarray]]:
-    """Flatten model weights into the container's (name, tensor) schema."""
-    return [(entry.name, arr) for entry, arr in
-            zip(tensor_schema(spec, w.dec_bias.dtype), flat_arrays(w))]
+    """Flatten model weights into the container's (name, tensor) schema;
+    ShapeError if ``w`` has more tensors than the schema."""
+    arrays = flat_arrays(w)
+    named = [(entry.name, arr) for arr, entry in
+             zip(arrays, tensor_schema(spec, w.dec_bias.dtype))]
+    if len(named) < len(arrays):
+        raise ShapeError(f"more tensors than the {len(named)} the spec has")
+    return named
 
 
 def _spec_to_dict(spec: ModelSpec) -> dict:
@@ -188,49 +194,65 @@ def replacing(path):
         raise
 
 
-def write_tensors(path, spec: ModelSpec, dtype, arrays) -> None:
-    """Write a ``spec`` model whose weights are ``dtype`` from ``arrays``,
-    an iterable of its tensors in checkpoint order.
+def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
+    """Write a ``spec`` model whose weights are ``dtype`` from ``named``,
+    an iterable of its ``(name, tensor)`` pairs in any order.
 
-    Each tensor is checked against its schema entry before it is written,
-    and ``arrays`` is consumed one tensor at a time, so it may produce
-    the model part by part.  ``path`` is replaced only when every tensor
-    has been written; on any error it is left as it was.
+    Each tensor is checked against its schema entry and written at its
+    offset as it is taken, so ``named`` may produce the model part by
+    part, in whatever order it builds the parts; a tensor that follows
+    the one written before it in the file is written without a seek.
+    Every name of the schema must come exactly once: a missing, repeated
+    or unknown name is a :class:`ShapeError`.  ``path`` is replaced only
+    when every tensor has been written; on any error it is left as it was.
     """
     spec.validate()
     dtype = np.dtype(dtype)
     if dtype not in _DTYPE_NAMES:
         raise PlanError(f"unsupported weight dtype {dtype}")
-    arrays = iter(arrays)
+    named = iter(named)
     # taken before the schema is listed: a target too large to hold fails at
     # its first allocation, not after listing a schema that may not fit either
-    arr = next(arrays, None)
+    pair = next(named, None)
     schema = list(tensor_schema(spec, dtype))
     header, offsets = _header(spec, schema)
+    index = {entry.name: k for k, entry in enumerate(schema)}
+    written = bytearray(len(schema))  # 1 where the tensor is written
     with replacing(path) as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
         fh.write(header)
-        pos = _PREFIX.size + len(header)
+        pos, following = _PREFIX.size + len(header), 0  # file position, schema index there
         del header  # dropped before the tensors are produced, so it cannot pin their heap
-        for entry, offset in zip(schema, offsets):
-            if arr is None:
-                raise ShapeError(f"tensor {entry.name} missing")
+        while pair is not None:
+            name, arr = pair
+            del pair
+            k = index.get(name)
+            if k is None:
+                raise ShapeError(f"tensor {name!r} is not in the spec's schema")
+            if written[k]:
+                raise ShapeError(f"tensor {name} given twice")
+            entry, offset = schema[k], offsets[k]
             arr = np.asarray(arr)
             if arr.shape != entry.shape or arr.dtype != entry.dtype:
-                raise ShapeError(f"tensor {entry.name} is {arr.dtype}{list(arr.shape)}, "
+                raise ShapeError(f"tensor {name} is {arr.dtype}{list(arr.shape)}, "
                                  f"the spec needs {entry.dtype}{list(entry.shape)}")
-            fh.write(b"\0" * (offset - pos))
+            if k == following:
+                fh.write(b"\0" * (offset - pos))
+            else:
+                fh.seek(offset)
             fh.write(np.ascontiguousarray(arr) if arr.ndim else arr)
-            pos = offset + arr.nbytes
+            written[k] = 1
+            pos, following = offset + arr.nbytes, k + 1
             del arr  # before the next tensor is produced
-            arr = next(arrays, None)
-        if arr is not None:
-            raise ShapeError(f"more tensors than the {len(schema)} the spec has")
+            pair = next(named, None)
+        if not all(written):
+            raise ShapeError(f"tensor {schema[written.index(0)].name} missing")
 
 
 def write_checkpoint(w: ModelWeights, spec: ModelSpec, path) -> None:
     """Serialize weights + spec; writing then reading is bitwise exact."""
-    write_tensors(path, spec, w.dec_bias.dtype, flat_arrays(w))
+    spec.validate()
+    write_tensors(path, spec, w.dec_bias.dtype, named_tensors(w, spec))
 
 
 # ---------------------------------------------------------------------------

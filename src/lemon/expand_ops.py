@@ -68,7 +68,6 @@ def expand_vector(x: np.ndarray, d_t: int, mode: str,
     k, r = _check_extents(d_s, d_t)
     if mode not in VECTOR_MODES:
         raise ShapeError(f"unknown vector expansion mode {mode!r}")
-    copies = [x] * k
     if r == 0:
         tail_part = x[..., :0]
     elif mode == "avg":
@@ -84,7 +83,11 @@ def expand_vector(x: np.ndarray, d_t: int, mode: str,
         if tail.shape != x.shape[:-1] + (r,):
             raise ShapeError(f"rand tail has shape {tail.shape}, want {x.shape[:-1] + (r,)}")
         tail_part = tail
-    return np.ascontiguousarray(np.concatenate(copies + [tail_part], axis=-1))
+    # allocated once, with x copied into its k column blocks in place
+    out = np.empty(x.shape[:-1] + (d_t,), dtype=np.result_type(x, tail_part))
+    out[..., :k * d_s].reshape(x.shape[:-1] + (k, d_s))[...] = x[..., None, :]
+    out[..., k * d_s:] = tail_part
+    return out
 
 
 def invert_vector_expansion(xstar: np.ndarray, d_s: int) -> np.ndarray:

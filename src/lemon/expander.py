@@ -42,10 +42,9 @@ the way in and cast back on the way out.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -57,8 +56,8 @@ from .expand_ops import (COL_MODES, _check_extents, expand_bias, expand_layernor
                          expand_vector, row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
-                    NormParams, block_schema, decoder_schema,
-                    embedding_schema, flat_arrays, nonfinite_tensor,
+                    NormParams, attention_schema, block_schema, decoder_schema,
+                    embedding_schema, flat_arrays, mlp_schema, nonfinite_tensor,
                     spec_with, validate_weights)
 from .rng import check_seed, substream
 
@@ -254,14 +253,6 @@ def _expand_head(head: HeadWeights, d_t: int, policy: str,
                        head.bq.copy(), head.bk.copy(), head.bv.copy())
 
 
-def _expand_heads(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
-                  rng: np.random.Generator, noise_scale: float) -> list[HeadWeights]:
-    """The heads of ``attn`` replicated circularly to width ``d_t``, each
-    replica drawing its own input-dimension split."""
-    return [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
-            for m in range(d_t // spec.head_dim)]
-
-
 def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
                rng: np.random.Generator, noise_scale: float,
                row_mode: str = "avg") -> AttentionWeights:
@@ -274,7 +265,8 @@ def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
     the whole module map zero-expanded inputs to ``row_mode``-expanded
     outputs exactly as the source module maps the originals.
     """
-    heads = _expand_heads(attn, spec, d_t, policy, rng, noise_scale)
+    heads = [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
+             for m in range(d_t // spec.head_dim)]
     wo_t = _row_expanded_cols(attn.wo, d_t, row_mode, d_t, "circ", policy, rng, noise_scale)
     bo_t = expand_bias(attn.bo, d_t, row_mode)
     return AttentionWeights(heads, wo_t, bo_t)
@@ -379,23 +371,27 @@ def layer_multiplicities(l_s: int, l_t: int) -> list[int]:
 # depth expansion
 
 
-def _zeroed(w, *names: str):
-    """``w`` with its fields ``names`` holding zeros shaped like its own;
-    every other field holds ``w``'s own array, not a copy."""
-    return replace(w, **{n: None if getattr(w, n) is None else np.zeros_like(getattr(w, n))
-                         for n in names})
+def _affine(like: NormParams, gain: float) -> NormParams:
+    """A norm of ``like``'s width and eps whose gains are all ``gain`` and
+    whose shift, if it has one, is zero."""
+    return NormParams(np.full_like(like.mu, gain),
+                      None if like.beta is None else np.zeros_like(like.beta), like.eps)
 
 
-def _zero_output_halves(donor: list) -> Iterator[list]:
-    """type1: the donor's widened halves with both output projections
-    zeroed.  Only their norms, heads and first MLP layer are read, so the
-    donor's ``wo``, ``bo``, ``w2`` and ``b2`` may be None."""
-    (ln1, attn), (ln2, mlp) = donor
-    del donor
-    d_t = ln1.mu.shape[0]
-    yield [ln1, AttentionWeights(attn.heads, np.zeros((d_t, d_t)), np.zeros(d_t))]
-    del ln1, attn
-    yield [ln2, MlpWeights(mlp.w1, mlp.b1, np.zeros(mlp.w1.shape[::-1]), np.zeros(d_t))]
+def _input_side(module):
+    """``module`` with its output projection and output bias left out (None)."""
+    if isinstance(module, AttentionWeights):
+        return replace(module, wo=None, bo=None)
+    return replace(module, w2=None, b2=None)
+
+
+def _zero_output(module, d_t: int):
+    """type1 and the post_ln chain: ``module``'s own input side (heads, or
+    ``w1`` and ``b1``) with zero output projections, so it adds nothing
+    to the residual stream."""
+    if isinstance(module, AttentionWeights):
+        return AttentionWeights(module.heads, np.zeros((d_t, d_t)), np.zeros(d_t))
+    return MlpWeights(module.w1, module.b1, np.zeros(module.w1.shape[::-1]), np.zeros(d_t))
 
 
 def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
@@ -456,51 +452,11 @@ def _cancelling_halves(src: BlockWeights, ln1: NormParams, ln2: NormParams,
                            np.zeros(d_t, dtype=src.mlp.b2.dtype))]
 
 
-def _zero_norm_halves(donor: list) -> Iterator[list]:
-    """post_res_norm: the donor's widened halves with both norm affines
-    zeroed, so the block is the identity."""
-    for norm, module in donor:
-        yield [_zeroed(norm, "mu", "beta"), module]
-
-
-def _identity_affine(like: NormParams) -> NormParams:
-    return NormParams(np.ones_like(like.mu),
-                      None if like.beta is None else np.zeros_like(like.beta),
-                      like.eps)
-
-
-def _post_ln_chain(wide: Iterator[list], count: int) -> Iterator[tuple[list, str]]:
-    """Grow one post-norm block into ``count`` blocks computing the same
-    map, yielded a half at a time with each block's role.
-
-    The first block keeps the real attention under a plain (identity
-    affine) norm, the last keeps the real MLP under the original affines,
-    and any middle blocks are pure re-normalizations.  Exact when the
-    norm eps is zero, since re-normalizing a normalized stream is then
-    the identity.  ``wide`` yields the widened halves; the MLP half is
-    drawn only once the first block's attention half has been taken.
-    """
-    if count == 1:
-        for half in wide:
-            yield half, "carrier"
-            del half
-        return
-    ln1, attn = next(wide)
-    yield [_identity_affine(ln1), attn], "attn_carrier"
-    ln2, mlp = next(wide)
-    yield [_identity_affine(ln2), _zeroed(mlp, "w2", "b2")], "attn_carrier"
-    for _ in range(count - 2):
-        yield [_identity_affine(ln1), _zeroed(attn, "wo", "bo")], "inserted"
-        yield [_identity_affine(ln2), _zeroed(mlp, "w2", "b2")], "inserted"
-    yield [ln1, _zeroed(attn, "wo", "bo")], "mlp_carrier"
-    yield [ln2, mlp], "mlp_carrier"
-
-
 def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
     """How inserted blocks are built, and so what they read of the block
-    they copy: ``post_ln`` (the chain reads only the carrier),
-    ``zero_norm`` and ``zero_output`` (they copy its width-expanded form)
-    or ``cancelling`` (type2: built from its source form)."""
+    they copy: ``post_ln`` (a chain that carries the block's function),
+    ``zero_norm`` and ``zero_output`` (they copy its width-expanded
+    halves) or ``cancelling`` (type2: built from its source form)."""
     if spec.norm_style == "post_ln":
         return "post_ln"
     if spec.norm_style == "post_res_norm":
@@ -508,57 +464,87 @@ def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
     return "zero_output" if plan.depth_mode == "type1" else "cancelling"
 
 
-def expand_depth(i: int, count: int, wide: Iterator[list],
-                 donor: Callable[[], BlockWeights | list] | None, spec: ModelSpec,
-                 hidden_t: int, plan: ExpansionPlan) -> Iterator[tuple[list, str]]:
-    """Grow source block ``i`` into ``count`` target blocks, one target
-    module at a time: each block is yielded as its attention half
-    ``[ln1, attn]``, then its MLP half ``[ln2, mlp]``, each with the
-    block's role, and every half is built only once the one before it
-    has been taken.  ``carrier`` blocks compute the source function
-    (``attn_carrier``/``mlp_carrier`` for the split roles of the
-    post-norm chain) and ``inserted`` blocks contribute nothing at
-    initialization.
+def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: ModelSpec,
+                 plan: ExpansionPlan) -> Iterator[tuple[int, list]]:
+    """Grow the source blocks, which ``blocks`` gives one at a time in
+    order (float64), into the target blocks, as ``(target block, half)``
+    pairs: an attention half ``[ln1, attn]`` or an MLP half ``[ln2,
+    mlp]``, each built only once the one before it has been taken.
 
-    ``wide`` yields block ``i``'s width expansion a half at a time, each
-    drawn as it is taken.  ``donor()`` gives what the inserted blocks
-    read of the block they copy (``i``, or ``i + 1`` under
-    ``depth_source="next"``): its source form for type2, which builds
-    from it, and otherwise its two widened halves, of which a type1
-    insert reads only the norms, heads and first MLP layer (see
-    ``_insert_kind``).  It is called once, after the carrier is taken,
-    and only when a block is inserted; ``donor`` is None for post_ln,
-    whose chain reads only ``wide``, and may be None when ``count`` is 1.
-
-    An inserted half holds the arrays it copies from a widened half
-    themselves, not copies.  Of the carrier, only the two norms a type2
-    insert reads are kept here.
+    Source block ``s`` grows into ``layer_multiplicities`` blocks: a
+    carrier that computes its function, then inserted blocks that add
+    nothing at initialization (post_ln: a chain of blocks that computes
+    it together).  The halves come module-major, not in file order.
+    Block ``s`` is widened a half at a time, and each widened half goes
+    first to its carrier, then to every insert that copies it, and is
+    then dropped: the inserts of its own group, or under
+    ``depth_source="next"`` those of the group before it (and, for the
+    last block, its own).  Such an insert half holds the arrays it copies
+    themselves, and a real output projection is dropped before the zeros
+    that replace it are allocated.  type2 inserts read no widened half:
+    each is built from the source block it copies and its carrier's two
+    norms, after the carrier, or under ``next`` as soon as the block it
+    copies is read.  So besides the half being built, one source block
+    and one widened half are held.
     """
+    counts = layer_multiplicities(spec.depth, target_spec.depth)
+    first = list(itertools.accumulate(counts, initial=0))
     kind = _insert_kind(spec, plan)
-    if kind == "post_ln":
-        yield from _post_ln_chain(wide, count)
-        return
-    norms = []  # all a type2 insert reads of the carrier
-    for half in wide:
-        norms.append(half[0])
-        yield half, "carrier"
-        del half
-    if count > 1:
-        donor = donor()  # built only now that the carrier is taken
-    for c in range(count - 1):
-        if kind == "zero_norm":
-            halves = _zero_norm_halves(donor)
-        elif kind == "zero_output":
-            halves = _zero_output_halves(donor)
-        else:
-            halves = _cancelling_halves(donor, *norms, spec, plan.target_width, hidden_t,
-                                        plan.policy, substream(plan.seed, "depth", i, c),
-                                        plan.noise_scale)
-        if c == count - 2:
-            del donor  # the last insert holds what it still reads of it
-        for half in halves:
-            yield half, "inserted"
-            del half
+    d_t, hidden_t, policy, noise = (target_spec.width, target_spec.hidden_dim, plan.policy,
+                                    plan.noise_scale)
+    next_source = plan.depth_source == "next" and kind != "post_ln"
+    norms: dict[int, list] = {}  # a type2 carrier's two norms, kept for its group's inserts
+
+    def cancelling(g: int, src: BlockWeights) -> Iterator[tuple[int, list]]:
+        ln1, ln2 = norms.pop(g)
+        for c in range(counts[g] - 1):
+            for half in _cancelling_halves(src, ln1, ln2, spec, d_t, hidden_t, policy,
+                                           substream(plan.seed, "depth", g, c), noise):
+                yield first[g] + 1 + c, half
+                del half
+
+    for s in range(spec.depth):
+        # the groups whose inserts copy block s: its own, or under "next"
+        # the one before it (and, for the last block, its own)
+        groups = [g for g in (s - 1, s) if g >= 0 and counts[g] > 1 and s == (
+            min(g + 1, spec.depth - 1) if next_source else g)]
+        block = next(blocks)
+        wide = _widened(block, spec, d_t, hidden_t, policy, substream(plan.seed, "block", s),
+                        noise)
+        if kind == "cancelling":
+            if groups and groups[0] < s:
+                yield from cancelling(groups[0], block)
+            for half in wide:
+                if counts[s] > 1:
+                    norms.setdefault(s, []).append(half[0])
+                yield first[s], half
+                del half
+            if groups and groups[-1] == s:
+                yield from cancelling(s, block)
+            del block  # before the next is read
+            continue
+        del block
+        inserted = [t for g in groups for t in range(first[g] + 1, first[g + 1])]
+        for norm, module in wide:
+            if kind == "zero_norm":
+                targets = [(first[s], norm)] + [(t, _affine(norm, 0.0)) for t in inserted]
+            elif kind == "post_ln" and inserted:
+                # the first block keeps the real attention and the last the
+                # real MLP; every norm but the last block's is an identity
+                # affine, which re-normalizes (exact for eps 0)
+                plain = _affine(norm, 1.0)
+                targets = [(t, plain) for t in [first[s], *inserted[:-1]]] + [(inserted[-1], norm)]
+                if isinstance(module, MlpWeights):
+                    targets.insert(0, targets.pop())
+            else:
+                targets = [(t, norm) for t in [first[s], *inserted]]
+            (t, n), *copies = targets
+            yield t, [n, module]  # the real module, then the blocks that copy it
+            if kind != "zero_norm":
+                module = _input_side(module)  # handed over before its zeros are allocated
+            for t, n in copies:
+                yield t, [n, module if kind == "zero_norm" else _zero_output(module, d_t)]
+            del norm, module  # before the next half is widened
 
 
 # ---------------------------------------------------------------------------
@@ -591,40 +577,6 @@ def _as64(w):
     return map_arrays(w, lambda a: np.asarray(a, dtype=np.float64))
 
 
-def _as32(w):
-    """A float32 copy of the weights."""
-    return map_arrays(w, lambda a: a.astype(np.float32))
-
-
-def _released(parts) -> Iterator[np.ndarray]:
-    """The tensors of ``parts`` in checkpoint order.  Each is dropped here
-    as it is taken, so nothing of a written part is still held while the
-    next part is built (a generator expression over the parts would hold
-    the last one, a whole module, until the next is ready)."""
-    for part in parts:
-        arrays = flat_arrays(part)[::-1]
-        del part
-        while arrays:
-            yield arrays.pop()
-
-
-def _unshared(parts) -> Iterator:
-    """``parts`` with a copy of every array an earlier part already
-    holds, so that the blocks of an assembled model share none (a
-    streamed inserted half holds the arrays it copies from a widened
-    half themselves)."""
-    seen: set[int] = set()
-
-    def own(a: np.ndarray) -> np.ndarray:
-        if id(a) in seen:
-            a = a.copy()
-        seen.add(id(a))  # every part is kept, so no id is reused
-        return a
-
-    for part in parts:
-        yield map_arrays(part, own)
-
-
 def _stream_mode(style: str) -> str:
     return "zero" if style in ("post_res_norm", "rms_pre") else "avg"
 
@@ -639,116 +591,27 @@ def _checked_finite(part, schema):
     return part
 
 
-def _kept_mlp(halves: Iterator[list], kept: list) -> Iterator[list]:
-    """``halves``, a carrier's, with what a type1 insert reads of its MLP
-    half (ln2, ``w1`` and ``b1``) appended to ``kept`` as it is yielded."""
-    for half in halves:
-        if isinstance(half[1], MlpWeights):
-            kept.append([half[0], replace(half[1], w2=None, b2=None)])
-        yield half
-        del half
-
-
 def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
-                    target_spec: ModelSpec, plan: ExpansionPlan, roles: list[str]):
-    """The target model, part by part in checkpoint order: the embedding,
-    each block as its attention half ``[ln1, attn]`` then its MLP half
-    ``[ln2, mlp]``, the final norm (or None), the decoder weight (or
-    None, when tied) and the decoder bias.  Each block's role is appended
-    to ``roles`` as its attention half is yielded.
+                    target_spec: ModelSpec, plan: ExpansionPlan):
+    """The target model as ``(target block, part)`` pairs: the embedding
+    (block None), every block half as :func:`expand_depth` yields it, and
+    last ``[final norm or None, decoder weight or None (tied), decoder
+    bias]`` (block None).
 
     ``shell`` holds the source's embedding, final norm and decoder in
     float64; its blocks are not read.  ``source_block(j)`` gives source
-    block ``j`` in its stored dtype: each is asked for once, when first
-    needed, then promoted to float64 and checked for NaN and Inf.
-
-    No source block or widened module is held once no later part reads
-    it.  Block ``i``'s width expansion goes to ``expand_depth`` as the
-    carrier, drawn a half at a time.  The block the inserted blocks copy
-    (the donor: ``i``, or ``i + 1`` for ``depth_source="next"``) is
-    passed in the one form they read (``_insert_kind``): as in the
-    source for type2, width-expanded for type1 and post_res_norm, and
-    not at all for post_ln or a block that is not repeated.  A type1
-    insert copying block ``i`` keeps of the carrier only ln2 and the
-    first MLP layer, and draws ln1 and the heads again (``redrawn``),
-    so no widened attention is held while the carrier's MLP is built; a
-    post_res_norm insert copying block ``i`` keeps both its halves.
-    Source block ``i`` is dropped once its MLP half is widened unless
-    its inserts still read it.  A donor ``i + 1`` is read (type2) or
-    widened (type1, post_res_norm) one group early, only once carrier
-    ``i`` is taken, and kept for its own group.  So besides the one
-    target module being built, at most one source block and what the
-    inserts read of their donor are held: its source form (type2), ln2
-    and the first MLP layer (type1 copying block ``i``), or its whole
-    width expansion (post_res_norm, post_ln, and type1 copying block
-    ``i + 1``).
+    block ``j`` in its stored dtype: each is asked for once, in order,
+    then promoted to float64 and checked for NaN and Inf.
 
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
     in which parts are built does not change a single value.
     """
-    d_t, hidden_t = target_spec.width, target_spec.hidden_dim
-    seed, policy, noise = plan.seed, plan.policy, plan.noise_scale
-    yield expand_embeddings(shell.embedding, spec, d_t, _stream_mode(spec.norm_style))
-
-    kind = _insert_kind(spec, plan)
-    src: dict[int, BlockWeights] = {}   # a type2 donor read one group early
-    wide: dict[int, list] = {}          # a type1/post_res_norm donor widened one group early
-
-    def source(j: int) -> BlockWeights:
-        if j in src:
-            return src.pop(j)
-        return _checked_finite(_as64(source_block(j)), block_schema(spec, j, np.float64))
-
-    def widened(j: int, block: BlockWeights) -> Iterator[list]:
-        return _widened(block, spec, d_t, hidden_t, policy, substream(seed, "block", j), noise)
-
-    def redrawn(i: int, block: BlockWeights, kept: list) -> list:
-        """Block ``i``'s widened halves as far as a type1 insert copying
-        it reads them: ln1 and the heads drawn again from a fresh
-        substream of the block, as the carrier drew them first, so they
-        equal its own bit for bit (``wo`` and ``bo`` are not drawn), and
-        what ``kept`` holds of the carrier's MLP half."""
-        rng = substream(seed, "block", i)
-        return [[expand_norm_params(block.ln1, d_t, rng, spec.is_rms),
-                 AttentionWeights(_expand_heads(block.attn, spec, d_t, policy, rng, noise),
-                                  None, None)], *kept]
-
-    def early(j: int) -> BlockWeights | list:
-        """Block ``j``, the donor of the group before its own, in the form
-        its inserted blocks read; kept for its own group."""
-        if kind == "cancelling":
-            return src.setdefault(j, source(j))
-        return wide.setdefault(j, list(widened(j, source(j))))
-
-    for i, count in enumerate(layer_multiplicities(spec.depth, plan.target_depth)):
-        j = min(i + 1, spec.depth - 1) if plan.depth_source == "next" else i
-        halves = wide.pop(i, None)  # block i, if widened one group early
-        block = source(i) if halves is None else None
-        carrier = widened(i, block) if halves is None else iter(halves)
-        donor = None
-        if count > 1 and kind != "post_ln":
-            if j != i:
-                donor = functools.partial(early, j)
-            elif kind == "cancelling":
-                donor = lambda b=block: b
-            elif kind == "zero_output" and halves is None:
-                kept: list = []
-                carrier = _kept_mlp(carrier, kept)
-                donor = functools.partial(redrawn, i, block, kept)
-                del kept
-            else:  # the inserts read both halves of block i's width expansion
-                if halves is None:
-                    halves = list(carrier)
-                carrier, donor = iter(halves), lambda h=halves: h
-        del block, halves
-        parts = expand_depth(i, count, carrier, donor, spec, hidden_t, plan)
-        del carrier, donor  # expand_depth keeps what its blocks read
-        for half, role in parts:
-            if isinstance(half[1], AttentionWeights):
-                roles.append(role)  # one entry per block
-            yield half
-            del half  # before the next half is built
+    d_t, seed, policy, noise = target_spec.width, plan.seed, plan.policy, plan.noise_scale
+    yield None, expand_embeddings(shell.embedding, spec, d_t, _stream_mode(spec.norm_style))
+    blocks = (_checked_finite(_as64(source_block(j)), block_schema(spec, j, np.float64))
+              for j in range(spec.depth))
+    yield from expand_depth(blocks, spec, target_spec, plan)
 
     final_norm = None
     if shell.final_norm is not None:
@@ -761,10 +624,50 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
                 final_norm.mu = final_norm.mu / k
                 if final_norm.beta is not None:
                     final_norm.beta = final_norm.beta / k
-    yield final_norm
-    yield (None if shell.dec_weight is None else
-           expand_decoder(shell.dec_weight, d_t, policy, substream(seed, "decoder"), noise))
-    yield shell.dec_bias.copy()
+    yield None, [final_norm,
+                 None if shell.dec_weight is None else
+                 expand_decoder(shell.dec_weight, d_t, policy, substream(seed, "decoder"), noise),
+                 shell.dec_bias.copy()]
+
+
+def _named(parts, spec: ModelSpec, dtype):
+    """The tensors of ``parts`` (see ``_expanded_parts``) as ``(name,
+    tensor)`` pairs of a ``spec`` model of ``dtype``, each cast to its
+    dtype as it is taken.  Each is dropped here as it is taken, so nothing
+    of a written part is still held while the next part is built."""
+    for t, part in parts:
+        if t is not None:
+            schema = (attention_schema if isinstance(part[1], AttentionWeights)
+                      else mlp_schema)(spec, t, dtype)
+        elif isinstance(part, EmbeddingWeights):
+            schema = embedding_schema(spec, dtype)
+        else:
+            schema = decoder_schema(spec, dtype)
+        arrays = flat_arrays(part)[::-1]
+        del part
+        for entry in schema:
+            yield entry.name, arrays.pop().astype(entry.dtype, copy=False)
+
+
+def _assembled(parts, spec: ModelSpec, dtype) -> ModelWeights:
+    """The ``spec`` model of ``dtype`` that ``parts`` (see
+    ``_expanded_parts``) make up, sharing no array between its parts (an
+    inserted half holds the arrays it copies from a widened half
+    themselves)."""
+    seen: set[int] = set()
+
+    def own(a: np.ndarray) -> np.ndarray:
+        if dtype != np.float64:
+            return a.astype(dtype)
+        if id(a) in seen:
+            a = a.copy()
+        seen.add(id(a))  # every part is kept, so no id is reused
+        return a
+
+    (_, embedding), *halves, (_, decoder) = [(t, map_arrays(p, own)) for t, p in parts]
+    by_block = {(t, isinstance(half[1], MlpWeights)): half for t, half in halves}
+    return ModelWeights(embedding, [BlockWeights(*by_block[t, False], *by_block[t, True])
+                                    for t in range(spec.depth)], *decoder)
 
 
 def post_ln_depth_is_inexact(reader: CheckpointReader, plan: ExpansionPlan) -> bool:
@@ -796,11 +699,12 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
     expansion reaches them, and dropped once their target blocks are
     built; both sources go through the same expansion and give the same
     result.  With ``out``, the model is written to that path as a
-    checkpoint instead, each block's attention half and then its MLP
-    half as soon as it is built, so no more than about one target module
-    is held at a time (plus one source block, or, from memory, the
-    source); the returned weights are then None.  ``out`` is replaced
-    only once the whole checkpoint is written.
+    checkpoint instead, each target module (a block's attention or MLP
+    half) placed in the file as soon as it is built, in the order
+    :func:`expand_depth` builds them, so besides the module being built
+    no more than one source block (from memory, the source) and one
+    widened module are held; the returned weights are then None.
+    ``out`` is replaced only once the whole checkpoint is written.
     """
     spec.validate()
     if isinstance(weights, ModelWeights):
@@ -816,26 +720,26 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
         embedding_schema(spec, in_dtype), decoder_schema(spec, in_dtype)))
 
     target_spec = spec_with(spec, width=plan.target_width, depth=plan.target_depth)
-    roles: list[str] = []
-    parts = _expanded_parts(shell, source_block, spec, target_spec, plan, roles)
-    if in_dtype == np.float32:
-        parts = map(_as32, parts)
-
+    parts = _expanded_parts(shell, source_block, spec, target_spec, plan)
     if out is not None:
-        write_tensors(out, target_spec, in_dtype, _released(parts))
+        write_tensors(out, target_spec, in_dtype, _named(parts, target_spec, in_dtype))
         expanded = None
     else:
-        parts = _unshared(parts)
-        embedding = next(parts)
-        halves = [next(parts) for _ in range(2 * target_spec.depth)]
-        blocks = [BlockWeights(*attn, *mlp) for attn, mlp in zip(halves[::2], halves[1::2])]
-        expanded = ModelWeights(embedding, blocks, *parts)
+        expanded = _assembled(parts, target_spec, in_dtype)
         validate_weights(expanded, target_spec)
-    return expanded, target_spec, _duplicate_map(spec, target_spec, plan.policy, roles)
+    return expanded, target_spec, _duplicate_map(spec, target_spec, plan.policy)
 
 
-def _duplicate_map(spec: ModelSpec, target_spec: ModelSpec, policy: str,
-                   roles: list[str]) -> dict:
+def _duplicate_map(spec: ModelSpec, target_spec: ModelSpec, policy: str) -> dict:
+    """Which target heads and hidden units replicate one source unit, in
+    the blocks that carry the source function: every carrier, and the
+    first (heads) and last (hidden units) block of a post_ln chain."""
+    roles: list[str] = []
+    for count in layer_multiplicities(spec.depth, target_spec.depth):
+        if spec.norm_style == "post_ln" and count > 1:
+            roles += ["attn_carrier", *["inserted"] * (count - 2), "mlp_carrier"]
+        else:
+            roles += ["carrier", *["inserted"] * (count - 1)]
     head_g = {str(s): idx for s, idx in
               replica_groups(spec.n_heads, target_spec.n_heads).items()}
     mlp_g = {str(s): idx for s, idx in

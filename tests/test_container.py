@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemon import (BadMagicError, ContainerError, MalformedHeaderError,
-                   ModelSpec, PlanError, TruncatedPayloadError,
+                   ModelSpec, PlanError, ShapeError, TruncatedPayloadError,
                    UnsupportedVersionError, random_weights, read_checkpoint,
                    validate_header, write_checkpoint)
 from lemon.container import (ALIGNMENT, MAGIC, VERSION, _PREFIX, _read_head,
-                             load_model_config, named_tensors, read_header)
+                             load_model_config, named_tensors, read_header,
+                             write_tensors)
 from lemon.rng import substream
 
 
@@ -248,6 +249,58 @@ class TestCorruptionProperties:
                 read_checkpoint(path)
             except ContainerError:
                 pass
+
+
+@lru_cache(maxsize=2)
+def _toy_in_file_order(dtype) -> tuple:
+    """A toy model's (name, tensor) pairs, its spec, and the bytes that
+    writing them in file order gives."""
+    with tempfile.TemporaryDirectory() as d:
+        w, spec, path = write_toy(Path(d), dtype=dtype)
+        return named_tensors(w, spec), spec, path.read_bytes()
+
+
+class TestPlacingWriter:
+    """write_tensors places each (name, tensor) pair at its own offset,
+    in whatever order the pairs come, and takes every name once."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(dtype=st.sampled_from((np.float32, np.float64)), data=st.data())
+    def test_any_order_writes_the_bytes_of_file_order(self, dtype, data):
+        pairs, spec, want = _toy_in_file_order(dtype)
+        order = data.draw(st.permutations(range(len(pairs))))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "placed.lmn"
+            write_tensors(path, spec, dtype, (pairs[k] for k in order))
+            assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("fault, match", (("repeated", "blocks.0.mlp.w1 given twice"),
+                                              ("unknown", "'blocks.9.mlp.w1' is not in"),
+                                              ("missing", "blocks.0.mlp.w1 missing")))
+    def test_bad_names_raise_and_leave_path_alone(self, tmp_path, fault, match):
+        w, spec, path = write_toy(tmp_path)
+        before = path.read_bytes()
+        pairs = named_tensors(w, spec)
+        k = [name for name, _ in pairs].index("blocks.0.mlp.w1")
+        if fault == "repeated":
+            pairs.insert(0, pairs[k])
+        elif fault == "unknown":
+            pairs.insert(k, ("blocks.9.mlp.w1", pairs[k][1]))
+        else:
+            del pairs[k]
+        with pytest.raises(ShapeError, match=match):
+            write_tensors(path, spec, np.float64, pairs)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.lmn"]
+
+    def test_a_model_with_more_tensors_than_its_spec_is_refused(self, tmp_path):
+        w, spec, path = write_toy(tmp_path)
+        before = path.read_bytes()
+        w.blocks.append(w.blocks[0])
+        with pytest.raises(ShapeError, match="more tensors than"):
+            write_checkpoint(w, spec, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.lmn"]
 
 
 class TestConfigParsing:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,32 @@ class TestExpandVector:
         x = np.array([[1.0, 3.0], [2.0, 6.0]])
         np.testing.assert_array_equal(expand_vector(x, 3, "avg"),
                                       [[1, 3, 2], [2, 6, 4]])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("shape, d_t", (((3,), 3), ((3,), 11), ((2, 4, 3), 7), ((5, 1), 4)))
+    def test_equals_the_concatenated_copies(self, rng, mode, dtype, shape, d_t):
+        x = rng("concat", mode).standard_normal(shape).astype(dtype)
+        k, r = divmod(d_t, shape[-1])
+        tail = rng("concat-tail").standard_normal(shape[:-1] + (r,)) if mode == "rand" else None
+        want = {"avg": np.broadcast_to(x.mean(axis=-1, keepdims=True), shape[:-1] + (r,)),
+                "zero": np.zeros(shape[:-1] + (r,), dtype), "circ": x[..., :r],
+                "rand": None if tail is None else tail.astype(dtype)}[mode]
+        want = np.concatenate([x] * k + [want], axis=-1)
+        got = expand_vector(x, d_t, mode, tail=tail)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_allocates_only_the_result(self):
+        tracemalloc.start()
+        try:
+            out = expand_vector(np.ones((1, 1)), 2**22, "zero")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list of k references to x, before numpy allocates, would add
+        # as much again as the result
+        assert peak < 1.2 * out.nbytes
 
     def test_errors(self):
         with pytest.raises(ShapeError):

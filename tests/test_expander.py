@@ -19,7 +19,7 @@ from lemon.expander import (MIN_SEPARATION, POLICIES, _row_expanded_cols,
                             expand_block_width, expand_decoder, expand_depth,
                             expand_embeddings, layer_multiplicities,
                             map_arrays, replica_groups)
-from lemon.model import flat_arrays
+from lemon.model import flat_arrays, spec_with
 from lemon import kernels
 from lemon.rng import substream
 
@@ -215,28 +215,28 @@ class TestGrowOnce:
     def test_type1_inserted_block_allocates_only_what_it_keeps(self, toy_spec):
         spec = toy_spec(depth=1, width=64, head_dim=16, ratio=4.0)
         blk = random_weights(spec, substream(6, "inserted")).blocks[0]
-        halves = [[blk.ln1, blk.attn], [blk.ln2, blk.mlp]]
-        parts = expand_depth(0, 2, iter(halves), lambda: halves, spec, spec.hidden_dim,
+        parts = expand_depth(iter([blk]), spec, spec_with(spec, depth=2),
                              ExpansionPlan(64, 2, depth_mode="type1"))
-        for want in halves:
-            half, role = next(parts)
-            assert half is want and role == "carrier"
-        del half
-        tracemalloc.start()
-        try:
-            inserted = [next(parts) for _ in range(2)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [role for _, role in inserted] == ["inserted", "inserted"]
-        (ln1, attn), (ln2, mlp) = (half for half, _ in inserted)
-        zeros = (attn.wo, attn.bo, mlp.w2, mlp.b2)
-        assert not any(z.any() for z in zeros)
+        got = []
+        for _ in range(2):  # the attention half, then the MLP half
+            t, carrier = next(parts)  # the widened half the insert copies
+            tracemalloc.start()
+            try:
+                ti, insert = next(parts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (t, ti) == (0, 1)
+            got.append((carrier, insert, peak))
+        assert next(parts, None) is None
+        ((ln1, attn), (i_ln1, i_attn), attn_peak), ((ln2, mlp), (i_ln2, i_mlp), mlp_peak) = got
         # every other array is the donor's own: copying its heads and w1
         # would add more than the zeros themselves
-        assert ln1 is blk.ln1 and attn.heads is blk.attn.heads
-        assert ln2 is blk.ln2 and mlp.w1 is blk.mlp.w1 and mlp.b1 is blk.mlp.b1
-        assert peak < 1.1 * sum(z.nbytes for z in zeros)
+        assert i_ln1 is ln1 and i_attn.heads is attn.heads
+        assert i_ln2 is ln2 and i_mlp.w1 is mlp.w1 and i_mlp.b1 is mlp.b1
+        for zeros, peak in (((i_attn.wo, i_attn.bo), attn_peak), ((i_mlp.w2, i_mlp.b2), mlp_peak)):
+            assert not any(z.any() for z in zeros)
+            assert peak < 1.1 * sum(z.nbytes for z in zeros)
 
 
 class TooClose:

@@ -1,6 +1,7 @@
 """Block-streamed expand and verify: the streamed paths write and compute
 exactly what the whole-model paths do, while holding a fraction of it."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -73,6 +74,57 @@ def test_streamed_bytes_equal_assembled_write(toy_spec, tmp_path, case, capsys):
     assert json.loads((tmp_path / "cli.lmn.duplicates.json").read_text()) == dup
 
 
+# sha256 of the checkpoint and of its duplicate map for tiny CLI expands (3
+# -> 7 blocks, seed 41), one per norm style, each insert kind, depth source
+# and dtype, with numpy's generators as they draw today.  GRID compares two
+# paths of the same code, so a change that alters the bytes of both passes
+# it; these pins do not.  Regenerate them only for an intended byte change,
+# and record that change in CHANGES.md.
+PINNED = {
+    ("pre_ln", "type1", "self", "f64"):
+        ("02409f619ab89e1295ccecbf041b59f12ccd208899f74d3b0aa56b32a0441334",
+         "a445e425dd6f7ff5ef3b931a34db6699dab8804ec4847fec702b34e4479d31b0"),
+    ("pre_ln", "type2", "next", "f32"):
+        ("bb5259bf5e7e11d7bb0dafc4d68c988f105b33e92b0d48b1df94f5956906104b",
+         "a445e425dd6f7ff5ef3b931a34db6699dab8804ec4847fec702b34e4479d31b0"),
+    ("post_res_norm", "type1", "next", "f64"):
+        ("6dfa6d825d3ef100412295f20a64920846aac02ed38f08a4ba355e2c5bd38ef9",
+         "a445e425dd6f7ff5ef3b931a34db6699dab8804ec4847fec702b34e4479d31b0"),
+    ("post_res_norm", "type2", "self", "f32"):
+        ("0e6892f484d1255fe294b758e30f55da9e8fe0397deec1be01d82d89880a8bb5",
+         "a445e425dd6f7ff5ef3b931a34db6699dab8804ec4847fec702b34e4479d31b0"),
+    ("post_ln", "type1", "self", "f32"):
+        ("53389c2e0b62f507ea81758b373aff8f261ac0bcd6da4b6f84ccfe701dd1f216",
+         "306be6be567667a9873e6c2b566fd425e517c385196dd4347ba48b058b13b438"),
+    ("post_ln", "type2", "next", "f64"):
+        ("a56e6a3d29ccdb09d25a0555d97712ed331e9171dbfa5948dd8a5a50bc66bec7",
+         "306be6be567667a9873e6c2b566fd425e517c385196dd4347ba48b058b13b438"),
+    ("rms_pre", "type1", "next", "f32"):
+        ("d44aeefe692f460bcdc8f86194147b1356623edffdbc4354f627bcd4443c76a7",
+         "a445e425dd6f7ff5ef3b931a34db6699dab8804ec4847fec702b34e4479d31b0"),
+    ("rms_pre", "type2", "self", "f64"):
+        ("d1180eaabe86876da6aca33502e9f9a54b293c258516becf1c1e9a79cf87970d",
+         "a445e425dd6f7ff5ef3b931a34db6699dab8804ec4847fec702b34e4479d31b0"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED, ids="-".join)
+def test_expand_bytes_are_pinned(toy_spec, tmp_path, case, capsys):
+    style, mode, source, dtype = case
+    spec = toy_spec(style=style, depth=3, eps=0.0 if style == "post_ln" else 1e-5)
+    w = random_weights(spec, substream(40, "pinned"),
+                       dtype=np.float32 if dtype == "f32" else np.float64)
+    write_checkpoint(w, spec, tmp_path / "small.lmn")
+    width = 16 if style == "post_ln" else 12
+    assert main(["expand", "--in", str(tmp_path / "small.lmn"),
+                 "--out", str(tmp_path / "big.lmn"), "--target-width", str(width),
+                 "--target-depth", "7", "--depth-mode", mode, "--depth-source", source,
+                 "--seed", "41"]) == 0
+    assert capsys.readouterr().err == ""
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("big.lmn", "big.lmn.duplicates.json")) == PINNED[case]
+
+
 def test_streamed_expand_holds_under_half_the_payload(toy_spec, tmp_path):
     spec = toy_spec(depth=4, width=64, head_dim=16, ratio=4.0, vocab=50)
     w = random_weights(spec, substream(42, "mem"))
@@ -121,11 +173,16 @@ def test_streamed_expand_holds_under_two_widened_blocks(toy_spec, tmp_path, mode
     assert peak < bound * widened
 
 
-@pytest.mark.parametrize("mode", ("type1", "type2"))
-def test_streamed_expand_holds_one_widened_module_at_a_time(toy_spec, tmp_path, mode):
-    spec = toy_spec(depth=4, width=64, head_dim=32, ratio=4.0, vocab=50)
+@pytest.mark.parametrize("style, mode, source", [
+    *itertools.product(("pre_ln",), ("type1", "type2"), ("self", "next")),
+    ("post_res_norm", "type1", "self"), ("post_res_norm", "type1", "next"),
+    ("post_ln", "type1", "self"), ("rms_pre", "type1", "next")])
+def test_streamed_expand_holds_one_widened_module_at_a_time(toy_spec, tmp_path, style, mode,
+                                                             source):
+    spec = toy_spec(style=style, depth=4, width=64, head_dim=32, ratio=4.0, vocab=50,
+                    eps=0.0 if style == "post_ln" else 1e-5)
     write_checkpoint(random_weights(spec, substream(42, "mem")), spec, tmp_path / "small.lmn")
-    plan = ExpansionPlan(256, 8, depth_mode=mode, seed=43)
+    plan = ExpansionPlan(256, 8, depth_mode=mode, depth_source=source, seed=43)
     with CheckpointReader(tmp_path / "small.lmn") as reader:
         tracemalloc.start()
         try:
@@ -139,9 +196,11 @@ def test_streamed_expand_holds_one_widened_module_at_a_time(toy_spec, tmp_path, 
     source = payload_bytes_of(block_schema(spec, 0, f64))
     # one source block, the largest widened module (the MLP, 4.2 MB) and a
     # margin of 0.35 of it for the split temporaries of one row block and
-    # the tensor tables.  A whole widened block (6.3 MB) held at once
-    # exceeds both bounds, and so does a type1 insert that keeps the
-    # carrier's widened attention while its MLP is built
+    # the tensor tables, for every insert kind and depth source.  A whole
+    # widened block (6.3 MB) held at once exceeds both bounds, and so do an
+    # insert that keeps a widened attention while an MLP is built, the next
+    # block widened one group early, and zeros allocated while the real
+    # output projection they replace is still held
     assert peak < source + 1.35 * module
     assert peak < payload_bytes_of(block_schema(big_spec, 0, f64))
 
