@@ -200,8 +200,8 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
 
     Each tensor is checked against its schema entry and written at its
     offset as it is taken, so ``named`` may produce the model part by
-    part, in whatever order it builds the parts; a tensor that follows
-    the one written before it in the file is written without a seek.
+    part, in whatever order it builds the parts.  The alignment gaps are
+    never written: the file system reads them back as zeros.
     Every name of the schema must come exactly once: a missing, repeated
     or unknown name is a :class:`ShapeError`.  ``path`` is replaced only
     when every tensor has been written; on any error it is left as it was.
@@ -221,7 +221,6 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
     with replacing(path) as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(header)))
         fh.write(header)
-        pos, following = _PREFIX.size + len(header), 0  # file position, schema index there
         del header  # dropped before the tensors are produced, so it cannot pin their heap
         while pair is not None:
             name, arr = pair
@@ -236,13 +235,9 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
             if arr.shape != entry.shape or arr.dtype != entry.dtype:
                 raise ShapeError(f"tensor {name} is {arr.dtype}{list(arr.shape)}, "
                                  f"the spec needs {entry.dtype}{list(entry.shape)}")
-            if k == following:
-                fh.write(b"\0" * (offset - pos))
-            else:
-                fh.seek(offset)
+            fh.seek(offset)
             fh.write(np.ascontiguousarray(arr) if arr.ndim else arr)
             written[k] = 1
-            pos, following = offset + arr.nbytes, k + 1
             del arr  # before the next tensor is produced
             pair = next(named, None)
         if not all(written):

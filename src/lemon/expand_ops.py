@@ -83,9 +83,10 @@ def expand_vector(x: np.ndarray, d_t: int, mode: str,
         if tail.shape != x.shape[:-1] + (r,):
             raise ShapeError(f"rand tail has shape {tail.shape}, want {x.shape[:-1] + (r,)}")
         tail_part = tail
-    # allocated once, with x copied into its k column blocks in place
+    # allocated once, with x copied into its k column blocks in place; a
+    # reshape that had to copy would drop the write, so it raises instead
     out = np.empty(x.shape[:-1] + (d_t,), dtype=np.result_type(x, tail_part))
-    out[..., :k * d_s].reshape(x.shape[:-1] + (k, d_s))[...] = x[..., None, :]
+    out[..., :k * d_s].reshape(x.shape[:-1] + (k, d_s), copy=False)[...] = x[..., None, :]
     out[..., k * d_s:] = tail_part
     return out
 

@@ -503,11 +503,11 @@ def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: M
                 yield first[g] + 1 + c, half
                 del half
 
+    # the block each group's inserts copy: its own, or under "next" the one
+    # after it (the last block's group copies the last block)
+    donor = [min(g + 1, spec.depth - 1) if next_source else g for g in range(spec.depth)]
     for s in range(spec.depth):
-        # the groups whose inserts copy block s: its own, or under "next"
-        # the one before it (and, for the last block, its own)
-        groups = [g for g in (s - 1, s) if g >= 0 and counts[g] > 1 and s == (
-            min(g + 1, spec.depth - 1) if next_source else g)]
+        groups = [g for g in (s - 1, s) if g >= 0 and counts[g] > 1 and donor[g] == s]
         block = next(blocks)
         wide = _widened(block, spec, d_t, hidden_t, policy, substream(plan.seed, "block", s),
                         noise)
@@ -532,10 +532,11 @@ def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: M
                 # the first block keeps the real attention and the last the
                 # real MLP; every norm but the last block's is an identity
                 # affine, which re-normalizes (exact for eps 0)
+                chain = [first[s], *inserted]
+                real = chain[-1] if isinstance(module, MlpWeights) else chain[0]
                 plain = _affine(norm, 1.0)
-                targets = [(t, plain) for t in [first[s], *inserted[:-1]]] + [(inserted[-1], norm)]
-                if isinstance(module, MlpWeights):
-                    targets.insert(0, targets.pop())
+                targets = [(t, norm if t == chain[-1] else plain)
+                           for t in [real, *(t for t in chain if t != real)]]
             else:
                 targets = [(t, norm) for t in [first[s], *inserted]]
             (t, n), *copies = targets
