@@ -110,9 +110,18 @@ def _einsum_is_trustworthy() -> bool:
 _inner = None
 
 
+def matmul_inner():
+    """matmul's inner loop, chosen by the probe on first use.  Callers
+    about to run matmul on several threads call it first, so that the
+    probe runs once, on one thread."""
+    global _inner
+    if _inner is None:
+        _inner = _einsum if _einsum_is_trustworthy() else _multiply_then_sum
+    return _inner
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C[i,j] = sum_l A[i,l] * B[l,j], with replica-stable accumulation."""
-    global _inner
     a = _require_float(a, "matmul lhs")
     b = _require_float(b, "matmul rhs")
     if a.ndim != 2 or b.ndim != 2:
@@ -121,9 +130,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
-    if _inner is None:
-        _inner = _einsum if _einsum_is_trustworthy() else _multiply_then_sum
-    return _check_finite(_inner(a, b), "matmul")
+    return _check_finite(matmul_inner()(a, b), "matmul")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -27,26 +27,61 @@ from .container import read_checkpoint  # noqa: F401
 from .errors import NumericsError, PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
-from .kernels import activation, erf
+from .kernels import activation, erf, matmul_inner
 from .model import (EmbeddingWeights, ModelSpec, ModelWeights,
                     attention_schema, attention_sublayer, bias_only, decode,
-                    embed, mlp_schema, mlp_sublayer, nonfinite_tensor,
-                    random_weights)
+                    embed, flat_arrays, mlp_schema, mlp_sublayer,
+                    nonfinite_tensor, random_weights)
 from .rng import check_seed, substream
 
-#: environment variable capping verification parallelism
+#: environment variable setting verification parallelism
 THREADS_ENV = "LEMON_THREADS"
+
+#: multiply-adds one sample sends through the big model's MLP (tokens x
+#: width x hidden_dim) below which a default verify runs its samples on
+#: one thread: there two threads' hand-offs cost more than a second core
+#: saves.  Measured on a 2-core VM with both cores free, 2 samples, as
+#: the median speed of 2 threads over 1 across 10 alternating pairs
+#: (2 -> 4 blocks, 2 -> 5 for 32->48, seq-len 16 unless given):
+#: 32->48 (147K) 0.63x, 64->96 (590K) 0.68x, 64->96 at seq-len 64
+#: (2.4M) 0.89x, 128->192 (2.4M) 0.97x, 160->240 (3.7M) 1.04x,
+#: 128->192 at seq-len 32 (4.7M) 1.13x, 192->288 (5.3M) 1.09x,
+#: 256->384 (9.4M) 1.25x.
+_PARALLEL_WORK = 1 << 22
 
 #: default tolerance per stored weight dtype; a float32 model on either
 #: side gives the pair the float32 value
 DEFAULT_TOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-5}
 
 
-def _thread_count() -> int:
+def _thread_count(samples: int, work: int) -> int:
+    """Threads for ``samples`` samples of ``work`` multiply-adds each (see
+    :data:`_PARALLEL_WORK`): ``LEMON_THREADS`` when it is set, else the
+    cores this process may run on, or one below ``_PARALLEL_WORK``; never
+    more than ``samples``.  A ``LEMON_THREADS`` that is not a positive
+    integer raises :class:`PlanError`."""
+    value = os.environ.get(THREADS_ENV)
+    if value is None:
+        if work < _PARALLEL_WORK:
+            return 1
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        return min(cores, samples)
     try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+        count = int(value) if value.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        count = 0
+    if count < 1:
+        raise PlanError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
+    return min(count, samples)
+
+
+def _sample_work(spec: ModelSpec, seq_len: int) -> int:
+    """The multiply-adds one sample sends through one MLP of ``spec``'s
+    model: its tokens (a vision model's patches and class token) times
+    width times hidden_dim."""
+    rows = seq_len if spec.input_kind == "token" else spec.num_patches + 1
+    return rows * spec.width * spec.hidden_dim
 
 
 @dataclass(frozen=True)
@@ -110,8 +145,11 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     both checkpoints hold float64 weights, 1e-5 once either holds
     float32, whose expansions agree only to float32 resolution.  The
     report carries the per-sample worst logit positions; it is a pure
-    function of (checkpoints, samples, seed), independent of the thread
-    count set via ``LEMON_THREADS``.  Zero samples or a zero sequence
+    function of (checkpoints, samples, seed), independent of the number
+    of threads the samples run on.  That is one per sample, up to the
+    cores this process may run on, or one for a model too small to gain
+    from threads (:data:`_PARALLEL_WORK`); ``LEMON_THREADS=N`` sets it
+    to N, still at most one per sample.  Zero samples or a zero sequence
     length would pass on no evidence, so both are rejected, and so is a
     NaN, infinite or negative ``tol``, which would fail or pass every
     pair.
@@ -140,7 +178,7 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
         raise PlanError(f"--tol must be finite and non-negative, got {tol}")
     check_seed(seed)
     with CheckpointReader(small_path) as small, CheckpointReader(big_path) as big, \
-            _sample_map() as each:
+            _sample_map(samples, _sample_work(big.spec, seq_len)) as each:
         small_spec, big_spec = small.spec, big.spec
         _compatible(small_spec, big_spec)
         if tol is None:
@@ -213,10 +251,10 @@ def _through_blocks(reader: CheckpointReader, xs: list, each,
     read into ``scratch`` over it, so one module is held at a time.
 
     Whether a module is only its bias is decided once, as it is read, for
-    every stream; such a module is not evaluated, so its tensors are
-    checked for NaN and Inf instead (:class:`NumericsError`, as an
-    evaluated one would raise).  The count of such modules comes back
-    with the streams."""
+    every stream; such a module is not evaluated, so its incoming weights
+    and biases, which nothing else reads, are checked for NaN and Inf
+    instead (:class:`NumericsError`, as an evaluated one would raise).
+    The count of such modules comes back with the streams."""
     spec = reader.spec
     skipped = 0
     for i in range(spec.depth):
@@ -224,7 +262,13 @@ def _through_blocks(reader: CheckpointReader, xs: list, each,
             norm, module = (_in64(reader, w) for w in getattr(reader, part)(i, scratch))
             skip = bias_only(module)
             if skip:
-                bad = nonfinite_tensor([norm, module], schema(spec, i, reader.dtype))
+                # the bias alone reads all but the incoming weights and biases:
+                # bias_only found every output-projection entry zero or a
+                # finite ± pair, and a kernel checks what the norm and the
+                # output bias give
+                incoming = flat_arrays(module)[:-2]
+                names = list(schema(spec, i, reader.dtype))[-2 - len(incoming):-2]
+                bad = nonfinite_tensor(incoming, names)
                 if bad is not None:
                     raise NumericsError(f"{reader.path}: tensor {bad} holds NaN or Inf")
                 skipped += 1
@@ -243,12 +287,17 @@ def _decoded(reader: CheckpointReader, xs: list, each) -> list:
 
 
 @contextlib.contextmanager
-def _sample_map():
-    """``map`` over samples as a list, on ``LEMON_THREADS`` threads."""
-    workers = _thread_count()
+def _sample_map(samples: int, work: int):
+    """``map`` over ``samples`` samples of ``work`` multiply-adds each, as
+    a list, on :func:`_thread_count` threads: in a plain loop on one, or
+    on a pool that is shut down, its threads joined, when the block
+    exits, also on an error.  Each sample's result is the same either
+    way."""
+    workers = _thread_count(samples, work)
     if workers == 1:
         yield lambda fn, items: [fn(x) for x in items]
         return
+    matmul_inner()  # the probe runs here, once, not on two threads at a time
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield lambda fn, items: list(pool.map(fn, items))
 

@@ -163,6 +163,30 @@ class TestNonFiniteSkippedModuleIsAnError:
         assert code == 2 and "PASS" not in out
         assert err.count("\n") == 1 and name in err and "NaN or Inf" in err
 
+    @pytest.mark.parametrize("depth_mode", ["type1", "type2"])
+    @pytest.mark.parametrize("tensor", ["ln1.mu", "ln1.beta", "attn.bo", "ln2.mu",
+                                        "ln2.beta", "mlp.b2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_norm_and_output_bias_fail_in_a_kernel(self, toy_model, tmp_path, capsys,
+                                                   depth_mode, tensor, value):
+        # only the incoming weights are checked as the module is read: the
+        # bias alone still runs its norm and adds its output bias, and a
+        # kernel raises on what they give
+        small, big, _, big_spec, dup = expanded_pair(toy_model, tmp_path,
+                                                     depth_mode=depth_mode)
+        bi = inserted_blocks(dup, big_spec.depth)[0]
+        w, _ = read_checkpoint(big)
+        blk = w.blocks[bi]
+        part, field = tensor.split(".")
+        getattr(getattr(blk, part), field)[1] = value
+        assert bias_only(blk.attn) and bias_only(blk.mlp)
+        write_checkpoint(w, big_spec, big)
+        with pytest.raises(NumericsError):
+            verify_lossless(small, big, samples=3, seed=0, tol=None)
+        code = main(["verify", "--small", str(small), "--big", str(big), "--samples", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and "PASS" not in out and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("depth_mode", ["type1", "type2"])
 def test_verify_makes_only_the_live_modules_matmuls(toy_model, tmp_path, monkeypatch,
