@@ -173,11 +173,9 @@ def _cmd_symmetry(args) -> int:
     else:
         dup_map = load_duplicate_map(map_path)
     entries = symmetry_report(args.ckpt, dup_map)
-    for e in entries:
-        print(f"block {e['block']:3d} {e['kind']:10s} source {e['source']:4d} "
-              f"replicas {e['replicas']} min_distance {e['min_distance']:.6e}")
-    if not entries:
-        print("empty report")
+    print("\n".join(f"block {e['block']:3d} {e['kind']:10s} source {e['source']:4d} "
+                    f"replicas {e['replicas']} min_distance {e['min_distance']:.6e}"
+                    for e in entries) or "empty report")
     return EXIT_OK
 
 

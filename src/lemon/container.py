@@ -24,7 +24,7 @@ from its spec and its one weight dtype alone:
 before it has a single tensor, then takes the tensors one at a time as
 ``(name, tensor)`` pairs in any order, checks each against its schema
 entry and writes it from its own buffer at its offset, so a caller can
-build a model module by module, in the order that suits it, and never
+build a model a tensor at a time, in the order that suits it, and never
 hold it whole (``expand --out`` does).  The file is written under
 a temporary name in the destination's directory and moved into place
 only once complete, so a failed write leaves an existing file as it was
@@ -60,10 +60,10 @@ from .errors import (BadMagicError, ContainerError, MalformedHeaderError,
                      PlanError, ShapeError, TruncatedPayloadError,
                      UnsupportedVersionError)
 from .model import (EPS_DTYPE, AttentionWeights, BlockWeights,
-                    EmbeddingWeights, HeadWeights, MlpWeights, ModelSpec,
-                    ModelWeights, NormParams, TensorEntry, attention_schema,
-                    decoder_schema, embedding_schema, flat_arrays, mlp_schema,
-                    tensor_schema)
+                    EmbeddingWeights, MlpWeights, ModelSpec, ModelWeights,
+                    NormParams, TensorEntry, attention_from, attention_schema,
+                    decoder_schema, embedding_schema, flat_arrays, mlp_from,
+                    mlp_schema, norm_from, tensor_schema)
 
 MAGIC = b"LEMN"
 VERSION = 2
@@ -501,22 +501,19 @@ class CheckpointReader:
         caller that holds one module at a time then reuses the same two
         allocations."""
         arrs = self._module(attention_schema, i, into)
-        ln1 = self._norm(arrs)
-        heads = [HeadWeights(*(next(arrs) for _ in range(6)))
-                 for _ in range(self.spec.n_heads)]
-        return ln1, AttentionWeights(heads, next(arrs), next(arrs))
+        return norm_from(arrs, self.spec), attention_from(arrs, self.spec)
 
     def mlp(self, i: int, into: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[NormParams, MlpWeights]:
         """Block ``i``'s ``ln2`` and MLP; ``into`` as for :meth:`attention`."""
         arrs = self._module(mlp_schema, i, into)
-        return self._norm(arrs), MlpWeights(*arrs)
+        return norm_from(arrs, self.spec), mlp_from(arrs)
 
     def decoder(self) -> tuple[NormParams | None, np.ndarray | None, np.ndarray]:
         """The final norm (None without one), the decoder weight (None when
         tied to the token table) and the decoder bias."""
         arrs = self._tensors(decoder_schema(self.spec, self.dtype))
-        final = self._norm(arrs) if self.spec.has_final_norm else None
+        final = norm_from(arrs, self.spec) if self.spec.has_final_norm else None
         dec_w = None if self.spec.tied_decoder else next(arrs)
         return final, dec_w, next(arrs)
 
@@ -528,11 +525,6 @@ class CheckpointReader:
         """Everything but the blocks: the embedding, the final norm and the
         decoder, in a :class:`ModelWeights` whose block list is empty."""
         return ModelWeights(self.embedding(), [], *self.decoder())
-
-    def _norm(self, arrs) -> NormParams:
-        mu = next(arrs)
-        beta = None if self.spec.is_rms else next(arrs)
-        return NormParams(mu, beta, float(next(arrs)))
 
 
 def read_checkpoint(path) -> tuple[ModelWeights, ModelSpec]:

@@ -56,9 +56,9 @@ from .expand_ops import (COL_MODES, _check_extents, expand_bias, expand_layernor
                          expand_vector, row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
                     HeadWeights, MlpWeights, ModelSpec, ModelWeights,
-                    NormParams, attention_schema, block_schema, decoder_schema,
-                    embedding_schema, flat_arrays, mlp_schema, nonfinite_tensor,
-                    spec_with, validate_weights)
+                    NormParams, block_from, block_schema, decoder_schema,
+                    embedding_schema, flat_arrays, nonfinite_tensor, spec_with,
+                    tensor_schema, validate_weights, weights_from)
 from .rng import check_seed, substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
@@ -242,21 +242,24 @@ def _row_expanded_cols(m: np.ndarray, d_rows: int, row_mode: str, d_cols: int,
     return grown.astype(m.dtype, copy=False)
 
 
-def _expand_head(head: HeadWeights, d_t: int, policy: str,
-                 rng: np.random.Generator, noise_scale: float) -> HeadWeights:
-    """Expand one head's input dimension; its biases and output dim stay."""
-    def grow(w: np.ndarray) -> np.ndarray:
-        return _row_expanded_cols(w, w.shape[0], "circ", d_t, "rand", policy, rng,
-                                  noise_scale)
-
-    return HeadWeights(grow(head.wq), grow(head.wk), grow(head.wv),
-                       head.bq.copy(), head.bk.copy(), head.bv.copy())
+def _expand_head(head: HeadWeights, d_t: int, policy: str, rng: np.random.Generator,
+                 noise_scale: float) -> Iterator[np.ndarray]:
+    """One head's tensors in checkpoint order, its input dimension grown
+    to ``d_t`` (its biases and output dim stay), each drawn when asked
+    for."""
+    for w in (head.wq, head.wk, head.wv):
+        yield _row_expanded_cols(w, w.shape[0], "circ", d_t, "rand", policy, rng, noise_scale)
+    for b in (head.bq, head.bk, head.bv):
+        yield b.copy()
 
 
 def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
                rng: np.random.Generator, noise_scale: float,
-               row_mode: str = "avg") -> AttentionWeights:
-    """Expand attention weights to width ``d_t``.
+               row_mode: str = "avg") -> Iterator[np.ndarray]:
+    """Expand attention weights to width ``d_t``, one tensor at a time:
+    the grown tensors in checkpoint order (every head's, then ``wo`` and
+    ``bo``; see :func:`lemon.model.attention_from`), each drawn from
+    ``rng`` only when asked for.
 
     Heads replicate circularly (head dimension unchanged), each replica
     drawing its own input-dimension split so replicas are distinguishable
@@ -265,28 +268,27 @@ def expand_mha(attn: AttentionWeights, spec: ModelSpec, d_t: int, policy: str,
     the whole module map zero-expanded inputs to ``row_mode``-expanded
     outputs exactly as the source module maps the originals.
     """
-    heads = [_expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
-             for m in range(d_t // spec.head_dim)]
-    wo_t = _row_expanded_cols(attn.wo, d_t, row_mode, d_t, "circ", policy, rng, noise_scale)
-    bo_t = expand_bias(attn.bo, d_t, row_mode)
-    return AttentionWeights(heads, wo_t, bo_t)
+    for m in range(d_t // spec.head_dim):
+        yield from _expand_head(attn.heads[m % spec.n_heads], d_t, policy, rng, noise_scale)
+    yield _row_expanded_cols(attn.wo, d_t, row_mode, d_t, "circ", policy, rng, noise_scale)
+    yield expand_bias(attn.bo, d_t, row_mode)
 
 
 def expand_mlp(mlp: MlpWeights, spec: ModelSpec, d_t: int, hidden_t: int,
                policy: str, rng: np.random.Generator, noise_scale: float,
-               row_mode: str = "avg") -> MlpWeights:
-    """Expand MLP weights to width ``d_t`` / hidden size ``hidden_t``.
+               row_mode: str = "avg") -> Iterator[np.ndarray]:
+    """Expand MLP weights to width ``d_t`` / hidden size ``hidden_t``, one
+    tensor at a time: ``w1``, ``b1``, ``w2``, ``b2``, each drawn from
+    ``rng`` only when asked for, so ``w2`` is built once ``w1`` is taken.
 
     The first layer grows rows circularly and columns by a random split;
     the second grows rows by ``row_mode`` and columns by a policy-driven
     circular split (the fan-out of the replicated hidden units).
     """
-    w1_t = _row_expanded_cols(mlp.w1, hidden_t, "circ", d_t, "rand", policy, rng, noise_scale)
-    b1_t = expand_bias(mlp.b1, hidden_t, "circ")
-    w2_t = _row_expanded_cols(mlp.w2, d_t, row_mode, hidden_t, "circ", policy, rng,
-                              noise_scale)
-    b2_t = expand_bias(mlp.b2, d_t, row_mode)
-    return MlpWeights(w1_t, b1_t, w2_t, b2_t)
+    yield _row_expanded_cols(mlp.w1, hidden_t, "circ", d_t, "rand", policy, rng, noise_scale)
+    yield expand_bias(mlp.b1, hidden_t, "circ")
+    yield _row_expanded_cols(mlp.w2, d_t, row_mode, hidden_t, "circ", policy, rng, noise_scale)
+    yield expand_bias(mlp.b2, d_t, row_mode)
 
 
 def expand_norm_params(norm: NormParams, d_t: int, rng: np.random.Generator,
@@ -303,25 +305,26 @@ def expand_norm_params(norm: NormParams, d_t: int, rng: np.random.Generator,
 
 def _widened(block: BlockWeights, spec: ModelSpec, d_t: int, hidden_t: int,
              policy: str, rng: np.random.Generator,
-             noise_scale: float) -> Iterator[list]:
-    """The width expansion of ``block``, a half at a time: ``[ln1, attn]``,
-    then ``[ln2, mlp]``, each drawn from ``rng`` only when asked for, in
-    that order.  The source attention half is dropped once widened."""
+             noise_scale: float) -> Iterator[np.ndarray]:
+    """The width expansion of ``block``, one tensor at a time in
+    checkpoint order (a norm's eps as a 0-d array), each drawn from
+    ``rng`` only when asked for.  The source attention is dropped once
+    widened."""
     row_mode = "zero" if spec.is_rms else "avg"
     ln2, mlp = block.ln2, block.mlp
-    yield [expand_norm_params(block.ln1, d_t, rng, spec.is_rms),
-           expand_mha(block.attn, spec, d_t, policy, rng, noise_scale, row_mode)]
+    yield from flat_arrays(expand_norm_params(block.ln1, d_t, rng, spec.is_rms))
+    yield from expand_mha(block.attn, spec, d_t, policy, rng, noise_scale, row_mode)
     del block
-    yield [expand_norm_params(ln2, d_t, rng, spec.is_rms),
-           expand_mlp(mlp, spec, d_t, hidden_t, policy, rng, noise_scale, row_mode)]
+    yield from flat_arrays(expand_norm_params(ln2, d_t, rng, spec.is_rms))
+    yield from expand_mlp(mlp, spec, d_t, hidden_t, policy, rng, noise_scale, row_mode)
 
 
 def expand_block_width(block: BlockWeights, spec: ModelSpec, d_t: int,
                        hidden_t: int, policy: str, rng: np.random.Generator,
                        noise_scale: float) -> BlockWeights:
     """Expand one block: both norms, the attention module, and the MLP."""
-    return BlockWeights(*itertools.chain.from_iterable(
-        _widened(block, spec, d_t, hidden_t, policy, rng, noise_scale)))
+    return block_from(_widened(block, spec, d_t, hidden_t, policy, rng, noise_scale),
+                      spec_with(spec, width=d_t))
 
 
 def expand_embeddings(emb: EmbeddingWeights, spec: ModelSpec, d_t: int,
@@ -371,36 +374,13 @@ def layer_multiplicities(l_s: int, l_t: int) -> list[int]:
 # depth expansion
 
 
-def _affine(like: NormParams, gain: float) -> NormParams:
-    """A norm of ``like``'s width and eps whose gains are all ``gain`` and
-    whose shift, if it has one, is zero."""
-    return NormParams(np.full_like(like.mu, gain),
-                      None if like.beta is None else np.zeros_like(like.beta), like.eps)
-
-
-def _input_side(module):
-    """``module`` with its output projection and output bias left out (None)."""
-    if isinstance(module, AttentionWeights):
-        return replace(module, wo=None, bo=None)
-    return replace(module, w2=None, b2=None)
-
-
-def _zero_output(module, d_t: int):
-    """type1 and the post_ln chain: ``module``'s own input side (heads, or
-    ``w1`` and ``b1``) with zero output projections, so it adds nothing
-    to the residual stream."""
-    if isinstance(module, AttentionWeights):
-        return AttentionWeights(module.heads, np.zeros((d_t, d_t)), np.zeros(d_t))
-    return MlpWeights(module.w1, module.b1, np.zeros(module.w1.shape[::-1]), np.zeros(d_t))
-
-
-def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
+def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int,
                        rng: np.random.Generator, noise_scale: float) -> np.ndarray:
     """A ``(d_t, units_t * size)`` output projection over ``units_t``
     replicated units of ``size`` columns each (heads, or hidden units of
     size 1), whose fan-out forms ± pairs: unit ``s`` pairs with unit
     ``s + units_s``, and every output element gets exactly one pair."""
-    w = np.zeros((d_t, units_t * size), dtype=dtype)
+    w = np.zeros((d_t, units_t * size))
     paired = min(units_s, units_t - units_s)
     if paired > 0:
         rows = np.arange(d_t)
@@ -414,29 +394,31 @@ def _cancelling_fanout(d_t: int, units_s: int, units_t: int, size: int, dtype,
     return w
 
 
-def _cancelling_halves(src: BlockWeights, ln1: NormParams, ln2: NormParams,
-                       spec: ModelSpec, d_t: int, hidden_t: int, policy: str,
-                       rng: np.random.Generator, noise_scale: float) -> Iterator[list]:
-    """type2: replicas share bitwise-identical incoming weights and their
-    fan-out forms ± pairs, one pair per output element, so the module
-    output is exactly zero on any input while the output projections stay
+def _cancelling(src: BlockWeights, spec: ModelSpec, d_t: int, hidden_t: int, t: int,
+                policy: str, rng: np.random.Generator,
+                noise_scale: float) -> Iterator[tuple[list[str], np.ndarray]]:
+    """type2: the attention and MLP of inserted block ``t``, whose
+    replicas share bitwise-identical incoming weights and whose fan-out
+    forms ± pairs, one pair per output element, so the module output is
+    exactly zero on any input while the output projections stay
     trainable.
 
-    The block is built from the source block ``src``; of the carrier it
-    reads only the width-expanded norms ``ln1`` and ``ln2``.  Units
-    without a replica (including every unit when the width is not grown)
-    get zero fan-out, which is the only zero-sum choice for a group of
-    one.  The attention half is drawn from ``rng`` first, the MLP half
-    only once that has been taken.
+    They are built from the source block ``src``, one tensor at a time in
+    checkpoint order, each with the names of every tensor of block ``t``
+    that holds it (a grown head's with those of its replicas) and drawn
+    from ``rng`` only when asked for.  The block's norms are its
+    carrier's, which :func:`expand_depth` names.  Units without a replica
+    (including every unit when the width is not grown) get zero fan-out,
+    which is the only zero-sum choice for a group of one.
     """
-    hd, h_s, h_t = spec.head_dim, spec.n_heads, d_t // spec.head_dim
-    heads = [_expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
-             for s in range(h_s)]
-    # the first replica of each head keeps the grown head, later ones copy it
-    heads += [map_arrays(heads[m % h_s], np.copy) for m in range(h_s, h_t)]
-    wo = _cancelling_fanout(d_t, h_s, h_t, hd, src.attn.wo.dtype, rng, noise_scale)
-    yield [ln1, AttentionWeights(heads, wo, np.zeros(d_t, dtype=src.attn.bo.dtype))]
-    del heads, wo
+    p, h_s, h_t = f"blocks.{t}", spec.n_heads, d_t // spec.head_dim
+    for s in range(h_s):
+        grown = _expand_head(src.attn.heads[s], d_t, policy, rng, noise_scale)
+        for f in fields(HeadWeights):
+            # the grown head s is every one of its replicas
+            yield [f"{p}.attn.head{m}.{f.name}" for m in range(s, h_t, h_s)], next(grown)
+    yield [f"{p}.attn.wo"], _cancelling_fanout(d_t, h_s, h_t, spec.head_dim, rng, noise_scale)
+    yield [f"{p}.attn.bo"], np.zeros(d_t)
 
     # the columns grow first, so every replica row is the same; the split
     # is drawn into the leading rows of w1, and the replicas copy them
@@ -445,18 +427,21 @@ def _cancelling_halves(src: BlockWeights, ln1: NormParams, ln2: NormParams,
     column_split(src.mlp.w1, d_t, "rand", policy, rng, noise_scale, out=top)
     for rows, block in row_blocks(top, hidden_t, "circ")[1:]:
         w1[rows] = block
-    w2 = _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, src.mlp.w2.dtype,
-                            rng, noise_scale)
-    yield [ln2, MlpWeights(w1.astype(src.mlp.w1.dtype, copy=False),
-                           expand_bias(src.mlp.b1, hidden_t, "circ"), w2,
-                           np.zeros(d_t, dtype=src.mlp.b2.dtype))]
+        del block  # a view of w1, which would keep it past its write
+    del top
+    yield [f"{p}.mlp.w1"], w1
+    del w1  # written: w2 is drawn without it
+    yield [f"{p}.mlp.b1"], expand_bias(src.mlp.b1, hidden_t, "circ")
+    yield [f"{p}.mlp.w2"], _cancelling_fanout(d_t, spec.hidden_dim, hidden_t, 1, rng,
+                                              noise_scale)
+    yield [f"{p}.mlp.b2"], np.zeros(d_t)
 
 
 def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
     """How inserted blocks are built, and so what they read of the block
     they copy: ``post_ln`` (a chain that carries the block's function),
-    ``zero_norm`` and ``zero_output`` (they copy its width-expanded
-    halves) or ``cancelling`` (type2: built from its source form)."""
+    ``zero_norm`` and ``zero_output`` (they copy its widened tensors) or
+    ``cancelling`` (type2: built from its source form)."""
     if spec.norm_style == "post_ln":
         return "post_ln"
     if spec.norm_style == "post_res_norm":
@@ -464,28 +449,54 @@ def _insert_kind(spec: ModelSpec, plan: ExpansionPlan) -> str:
     return "zero_output" if plan.depth_mode == "type1" else "cancelling"
 
 
+_OUTPUTS = ("wo", "bo", "w2", "b2")
+
+
+def _holders(kind: str, leaf: str, chain: list[int]) -> tuple[list[int], float | None]:
+    """Which blocks of ``chain``, a carrier and then the inserted blocks
+    that copy it, hold the carrier's widened tensor ``leaf`` (``mu``,
+    ``wq``, ``w2``, ...) itself, and the value every entry of that tensor
+    holds in the others: None when all hold it, or when the others build
+    their own (``cancelling``)."""
+    norm = leaf in ("mu", "beta")
+    if kind == "cancelling":  # an insert keeps its carrier's norms
+        return (chain if norm or leaf == "eps" else chain[:1]), None
+    if kind == "post_ln":
+        # the first block keeps the real attention and the last the real
+        # MLP; every norm but the last block's is an identity affine, which
+        # re-normalizes (exact for eps 0)
+        if norm:
+            return chain[-1:], float(leaf == "mu")
+        if leaf in _OUTPUTS:
+            return (chain[:1] if leaf in ("wo", "bo") else chain[-1:]), 0.0
+    if kind == "zero_norm" and norm or kind == "zero_output" and leaf in _OUTPUTS:
+        return chain[:1], 0.0
+    return chain, None
+
+
 def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: ModelSpec,
-                 plan: ExpansionPlan) -> Iterator[tuple[int, list]]:
+                 plan: ExpansionPlan) -> Iterator[tuple[list[str], np.ndarray]]:
     """Grow the source blocks, which ``blocks`` gives one at a time in
-    order (float64), into the target blocks, as ``(target block, half)``
-    pairs: an attention half ``[ln1, attn]`` or an MLP half ``[ln2,
-    mlp]``, each built only once the one before it has been taken.
+    order (float64), into the target blocks, one grown float64 tensor at
+    a time: ``(names, tensor)`` pairs, ``names`` being every tensor of
+    the target blocks that holds ``tensor``, each built only once the one
+    before it has been taken.
 
     Source block ``s`` grows into ``layer_multiplicities`` blocks: a
     carrier that computes its function, then inserted blocks that add
     nothing at initialization (post_ln: a chain of blocks that computes
-    it together).  The halves come module-major, not in file order.
-    Block ``s`` is widened a half at a time, and each widened half goes
-    first to its carrier, then to every insert that copies it, and is
-    then dropped: the inserts of its own group, or under
-    ``depth_source="next"`` those of the group before it (and, for the
-    last block, its own).  Such an insert half holds the arrays it copies
-    themselves, and a real output projection is dropped before the zeros
-    that replace it are allocated.  type2 inserts read no widened half:
-    each is built from the source block it copies and its carrier's two
-    norms, after the carrier, or under ``next`` as soon as the block it
-    copies is read.  So besides the half being built, one source block
-    and one widened half are held.
+    it together).  The tensors come block-major, not in file order.
+    Block ``s`` is widened a tensor at a time, and each widened tensor
+    goes at once to its carrier and to every insert that holds it: the
+    inserts of its own group, or under ``depth_source="next"`` those of
+    the group before it (and, for the last block, its own).  An insert
+    that holds something else in its place (zero output projections, or
+    a zero or identity norm) gets it, one tensor for all of them, once
+    the widened tensor has been taken.  type2 inserts hold only their
+    carrier's norms: the rest of each is built from the source block it
+    copies, after the carrier, or under ``next`` as soon as the block it
+    copies is read.  So besides the tensor being built, one source block
+    is held.
     """
     counts = layer_multiplicities(spec.depth, target_spec.depth)
     first = list(itertools.accumulate(counts, initial=0))
@@ -493,15 +504,11 @@ def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: M
     d_t, hidden_t, policy, noise = (target_spec.width, target_spec.hidden_dim, plan.policy,
                                     plan.noise_scale)
     next_source = plan.depth_source == "next" and kind != "post_ln"
-    norms: dict[int, list] = {}  # a type2 carrier's two norms, kept for its group's inserts
 
-    def cancelling(g: int, src: BlockWeights) -> Iterator[tuple[int, list]]:
-        ln1, ln2 = norms.pop(g)
+    def cancelling(g: int, src: BlockWeights) -> Iterator[tuple[list[str], np.ndarray]]:
         for c in range(counts[g] - 1):
-            for half in _cancelling_halves(src, ln1, ln2, spec, d_t, hidden_t, policy,
-                                           substream(plan.seed, "depth", g, c), noise):
-                yield first[g] + 1 + c, half
-                del half
+            yield from _cancelling(src, spec, d_t, hidden_t, first[g] + 1 + c, policy,
+                                   substream(plan.seed, "depth", g, c), noise)
 
     # the block each group's inserts copy: its own, or under "next" the one
     # after it (the last block's group copies the last block)
@@ -509,43 +516,29 @@ def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: M
     for s in range(spec.depth):
         groups = [g for g in (s - 1, s) if g >= 0 and counts[g] > 1 and donor[g] == s]
         block = next(blocks)
-        wide = _widened(block, spec, d_t, hidden_t, policy, substream(plan.seed, "block", s),
-                        noise)
         if kind == "cancelling":
             if groups and groups[0] < s:
                 yield from cancelling(groups[0], block)
-            for half in wide:
-                if counts[s] > 1:
-                    norms.setdefault(s, []).append(half[0])
-                yield first[s], half
-                del half
+            chain = list(range(first[s], first[s + 1]))  # its carrier's norms
+        else:
+            chain = [first[s], *(t for g in groups for t in range(first[g] + 1, first[g + 1]))]
+        wide = _widened(block, spec, d_t, hidden_t, policy, substream(plan.seed, "block", s),
+                        noise)
+        if kind != "cancelling":
+            del block  # _widened drops it a half at a time
+        for entry in block_schema(target_spec, first[s], np.dtype(np.float64)):
+            field = entry.name.split(".", 2)[2]
+            held, fill = _holders(kind, field.rsplit(".", 1)[1], chain)
+            yield [f"blocks.{t}.{field}" for t in held], next(wide)
+            rest = [f"blocks.{t}.{field}" for t in chain if t not in held]
+            if fill is not None and rest:
+                # allocated only once the tensor it stands in for is taken
+                yield rest, np.full(entry.shape, fill) if fill else np.zeros(entry.shape)
+        del wide  # it would hold the source MLP until the next block is widened
+        if kind == "cancelling":
             if groups and groups[-1] == s:
                 yield from cancelling(s, block)
             del block  # before the next is read
-            continue
-        del block
-        inserted = [t for g in groups for t in range(first[g] + 1, first[g + 1])]
-        for norm, module in wide:
-            if kind == "zero_norm":
-                targets = [(first[s], norm)] + [(t, _affine(norm, 0.0)) for t in inserted]
-            elif kind == "post_ln" and inserted:
-                # the first block keeps the real attention and the last the
-                # real MLP; every norm but the last block's is an identity
-                # affine, which re-normalizes (exact for eps 0)
-                chain = [first[s], *inserted]
-                real = chain[-1] if isinstance(module, MlpWeights) else chain[0]
-                plain = _affine(norm, 1.0)
-                targets = [(t, norm if t == chain[-1] else plain)
-                           for t in [real, *(t for t in chain if t != real)]]
-            else:
-                targets = [(t, norm) for t in [first[s], *inserted]]
-            (t, n), *copies = targets
-            yield t, [n, module]  # the real module, then the blocks that copy it
-            if kind != "zero_norm":
-                module = _input_side(module)  # handed over before its zeros are allocated
-            for t, n in copies:
-                yield t, [n, module if kind == "zero_norm" else _zero_output(module, d_t)]
-            del norm, module  # before the next half is widened
 
 
 # ---------------------------------------------------------------------------
@@ -592,32 +585,39 @@ def _checked_finite(part, schema):
     return part
 
 
-def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
-                    target_spec: ModelSpec, plan: ExpansionPlan):
-    """The target model as ``(target block, part)`` pairs: the embedding
-    (block None), every block half as :func:`expand_depth` yields it, and
-    last ``[final norm or None, decoder weight or None (tied), decoder
-    bias]`` (block None).
+def _expanded_parts(embedding: EmbeddingWeights, source_block, source_decoder,
+                    spec: ModelSpec, target_spec: ModelSpec, plan: ExpansionPlan):
+    """The target model one grown float64 tensor at a time (a norm's eps
+    as a 0-d array), as ``(names, tensor)`` pairs, ``names`` being every
+    tensor of the target that holds it: the embedding's, then the blocks'
+    as :func:`expand_depth` yields them, then the final norm's and the
+    decoder's.
 
-    ``shell`` holds the source's embedding, final norm and decoder in
-    float64; its blocks are not read.  ``source_block(j)`` gives source
-    block ``j`` in its stored dtype: each is asked for once, in order,
-    then promoted to float64 and checked for NaN and Inf.
+    ``embedding`` is the source's, in float64; it is dropped once
+    expanded.  ``source_block(j)`` gives source block ``j`` in its stored
+    dtype: each is asked for once, in order, then promoted to float64 and
+    checked for NaN and Inf.  ``source_decoder()`` gives the final norm
+    (or None), the decoder weight (None when tied) and the decoder bias;
+    it is asked for once the blocks are done.
 
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
     in which parts are built does not change a single value.
     """
     d_t, seed, policy, noise = target_spec.width, plan.seed, plan.policy, plan.noise_scale
-    yield None, expand_embeddings(shell.embedding, spec, d_t, _stream_mode(spec.norm_style))
-    blocks = (_checked_finite(_as64(source_block(j)), block_schema(spec, j, np.float64))
+    f64 = np.dtype(np.float64)
+    grown = flat_arrays(expand_embeddings(embedding, spec, d_t, _stream_mode(spec.norm_style)))
+    del embedding
+    for entry in embedding_schema(target_spec, f64):
+        yield [entry.name], grown.pop(0)
+    blocks = (_checked_finite(_as64(source_block(j)), block_schema(spec, j, f64))
               for j in range(spec.depth))
     yield from expand_depth(blocks, spec, target_spec, plan)
 
-    final_norm = None
-    if shell.final_norm is not None:
-        final_norm = expand_norm_params(shell.final_norm, d_t,
-                                        substream(seed, "final_norm"), spec.is_rms)
+    final_norm, dec_weight, dec_bias = _as64(list(source_decoder()))
+    if final_norm is not None:
+        final_norm = expand_norm_params(final_norm, d_t, substream(seed, "final_norm"),
+                                        spec.is_rms)
         if spec.tied_decoder:
             # tiled embedding rows dot a zero-tailed hidden state k times
             k = d_t // spec.width
@@ -625,50 +625,38 @@ def _expanded_parts(shell: ModelWeights, source_block, spec: ModelSpec,
                 final_norm.mu = final_norm.mu / k
                 if final_norm.beta is not None:
                     final_norm.beta = final_norm.beta / k
-    yield None, [final_norm,
-                 None if shell.dec_weight is None else
-                 expand_decoder(shell.dec_weight, d_t, policy, substream(seed, "decoder"), noise),
-                 shell.dec_bias.copy()]
+    if dec_weight is not None:
+        dec_weight = expand_decoder(dec_weight, d_t, policy, substream(seed, "decoder"), noise)
+    grown = flat_arrays([final_norm, dec_weight, dec_bias.copy()])
+    del final_norm, dec_weight
+    for entry in decoder_schema(target_spec, f64):
+        yield [entry.name], grown.pop(0)
 
 
-def _named(parts, spec: ModelSpec, dtype):
+def _named(parts, dtype):
     """The tensors of ``parts`` (see ``_expanded_parts``) as ``(name,
-    tensor)`` pairs of a ``spec`` model of ``dtype``, each cast to its
-    dtype as it is taken.  Each is dropped here as it is taken, so nothing
-    of a written part is still held while the next part is built."""
-    for t, part in parts:
-        if t is not None:
-            schema = (attention_schema if isinstance(part[1], AttentionWeights)
-                      else mlp_schema)(spec, t, dtype)
-        elif isinstance(part, EmbeddingWeights):
-            schema = embedding_schema(spec, dtype)
-        else:
-            schema = decoder_schema(spec, dtype)
-        arrays = flat_arrays(part)[::-1]
-        del part
-        for entry in schema:
-            yield entry.name, arrays.pop().astype(entry.dtype, copy=False)
+    tensor)`` pairs, each tensor cast once to ``dtype`` (an eps stays
+    float64) and given under each of its names.  Each is dropped here
+    once given under its last name, so nothing of it is still held while
+    the next tensor is built."""
+    for names, tensor in parts:
+        if tensor.ndim:
+            tensor = tensor.astype(dtype, copy=False)
+        for name in names:
+            yield name, tensor
+        del tensor
 
 
 def _assembled(parts, spec: ModelSpec, dtype) -> ModelWeights:
     """The ``spec`` model of ``dtype`` that ``parts`` (see
-    ``_expanded_parts``) make up, sharing no array between its parts (an
-    inserted half holds the arrays it copies from a widened half
-    themselves)."""
+    ``_expanded_parts``) make up, sharing no array between its tensors: a
+    tensor that several hold is copied for each but the first."""
+    arrays: dict[str, np.ndarray] = {}
     seen: set[int] = set()
-
-    def own(a: np.ndarray) -> np.ndarray:
-        if dtype != np.float64:
-            return a.astype(dtype)
-        if id(a) in seen:
-            a = a.copy()
-        seen.add(id(a))  # every part is kept, so no id is reused
-        return a
-
-    (_, embedding), *halves, (_, decoder) = [(t, map_arrays(p, own)) for t, p in parts]
-    by_block = {(t, isinstance(half[1], MlpWeights)): half for t, half in halves}
-    return ModelWeights(embedding, [BlockWeights(*by_block[t, False], *by_block[t, True])
-                                    for t in range(spec.depth)], *decoder)
+    for name, a in _named(parts, dtype):
+        arrays[name] = a.copy() if id(a) in seen else a
+        seen.add(id(a))  # every tensor is kept, so no id is reused
+    return weights_from((arrays.pop(entry.name) for entry in tensor_schema(spec, dtype)), spec)
 
 
 def post_ln_depth_is_inexact(reader: CheckpointReader, plan: ExpansionPlan) -> bool:
@@ -698,32 +686,39 @@ def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
     :class:`~lemon.container.CheckpointReader` of a ``spec`` checkpoint.
     From a reader, source blocks are read one at a time, as the
     expansion reaches them, and dropped once their target blocks are
-    built; both sources go through the same expansion and give the same
-    result.  With ``out``, the model is written to that path as a
-    checkpoint instead, each target module (a block's attention or MLP
-    half) placed in the file as soon as it is built, in the order
-    :func:`expand_depth` builds them, so besides the module being built
-    no more than one source block (from memory, the source) and one
-    widened module are held; the returned weights are then None.
-    ``out`` is replaced only once the whole checkpoint is written.
+    built; the embedding and decoder are checked first, and the decoder
+    is read again once the blocks are done.  Both sources go through the
+    same expansion and give the same result.  With ``out``, the model is
+    written to that path as a checkpoint instead, each grown tensor
+    placed in the file, under every name of the target that holds it, as
+    soon as it is built, in the order :func:`expand_depth` builds them,
+    so besides the tensor being built no more than one source block
+    (from memory, the source) is held; the returned weights are then
+    None.  ``out`` is replaced only once the whole checkpoint is written.
     """
     spec.validate()
     if isinstance(weights, ModelWeights):
         validate_weights(weights, spec)
         shell, source_block = replace(weights, blocks=[]), weights.blocks.__getitem__
+
+        def source_decoder():
+            return weights.final_norm, weights.dec_weight, weights.dec_bias
         in_dtype = weights.dec_bias.dtype
     else:
         if weights.spec != spec:
             raise PlanError("the checkpoint reader holds a different model spec")
-        shell, source_block, in_dtype = weights.shell(), weights.block, weights.dtype
+        shell, source_block, source_decoder = weights.shell(), weights.block, weights.decoder
+        in_dtype = weights.dtype
     plan.validate(spec)
     shell = _checked_finite(_as64(shell), itertools.chain(
         embedding_schema(spec, in_dtype), decoder_schema(spec, in_dtype)))
 
     target_spec = spec_with(spec, width=plan.target_width, depth=plan.target_depth)
-    parts = _expanded_parts(shell, source_block, spec, target_spec, plan)
+    parts = _expanded_parts(shell.embedding, source_block, source_decoder, spec,
+                            target_spec, plan)
+    del shell  # the embedding goes once expanded, the decoder is read again
     if out is not None:
-        write_tensors(out, target_spec, in_dtype, _named(parts, target_spec, in_dtype))
+        write_tensors(out, target_spec, in_dtype, _named(parts, in_dtype))
         expanded = None
     else:
         expanded = _assembled(parts, target_spec, in_dtype)

@@ -124,6 +124,9 @@ class ModelSpec:
             raise PlanError("mlp_ratio must yield a positive hidden dim")
         if not (_finite(lambda: self.eps) and self.eps >= 0):
             raise PlanError("eps must be finite and non-negative")
+        if self.width == 1 and self.eps == 0 and not self.is_rms:
+            # the variance of one value is 0: every norm would divide by 0
+            raise PlanError("a width-1 layernorm model needs eps > 0")
         if self.tied_decoder:
             if self.input_kind != "token":
                 raise PlanError("tied_decoder requires token-embedding input")
@@ -323,6 +326,40 @@ def _flatten(obj, out: list) -> None:
             _flatten(getattr(obj, name), out)
     elif obj is not None:
         out.append(np.asarray(obj, dtype=EPS_DTYPE))
+
+
+# The inverse of flat_arrays, a part at a time: each takes the tensors of
+# a ``spec`` model's part from ``arrays``, an iterator over them in
+# checkpoint order, and leaves the iterator at the next part.
+
+
+def norm_from(arrays, spec: ModelSpec) -> NormParams:
+    mu = next(arrays)
+    beta = None if spec.is_rms else next(arrays)
+    return NormParams(mu, beta, float(next(arrays)))
+
+
+def attention_from(arrays, spec: ModelSpec) -> AttentionWeights:
+    heads = [HeadWeights(*(next(arrays) for _ in range(6))) for _ in range(spec.n_heads)]
+    return AttentionWeights(heads, next(arrays), next(arrays))
+
+
+def mlp_from(arrays) -> MlpWeights:
+    return MlpWeights(*(next(arrays) for _ in range(4)))
+
+
+def block_from(arrays, spec: ModelSpec) -> BlockWeights:
+    return BlockWeights(norm_from(arrays, spec), attention_from(arrays, spec),
+                        norm_from(arrays, spec), mlp_from(arrays))
+
+
+def weights_from(arrays, spec: ModelSpec) -> ModelWeights:
+    embedding = EmbeddingWeights(**{entry.name.split(".", 1)[1]: next(arrays)
+                                    for entry in embedding_schema(spec, np.float64)})
+    blocks = [block_from(arrays, spec) for _ in range(spec.depth)]
+    final = norm_from(arrays, spec) if spec.has_final_norm else None
+    dec_w = None if spec.tied_decoder else next(arrays)
+    return ModelWeights(embedding, blocks, final, dec_w, next(arrays))
 
 
 def nonfinite_tensor(part, schema) -> str | None:

@@ -19,7 +19,7 @@ from lemon.expander import (MIN_SEPARATION, POLICIES, _row_expanded_cols,
                             expand_block_width, expand_decoder, expand_depth,
                             expand_embeddings, layer_multiplicities,
                             map_arrays, replica_groups)
-from lemon.model import flat_arrays, spec_with
+from lemon.model import attention_from, block_schema, flat_arrays, mlp_from, spec_with
 from lemon import kernels
 from lemon.rng import substream
 
@@ -28,6 +28,16 @@ def pieces(grown, d_s):
     """A column split's per-copy parts and its tail or residual, as views."""
     k = grown.shape[1] // d_s
     return [grown[:, i * d_s:(i + 1) * d_s] for i in range(k)], grown[:, k * d_s:]
+
+
+def grown_mha(attn, spec, d_t, *args):
+    """expand_mha's tensors as one attention module."""
+    return attention_from(expand_mha(attn, spec, d_t, *args), spec_with(spec, width=d_t))
+
+
+def grown_mlp(*args):
+    """expand_mlp's tensors as one MLP module."""
+    return mlp_from(expand_mlp(*args))
 
 
 def forward_diff(small_w, small_spec, big_w, big_spec, n=8, seed=0, seq=6):
@@ -204,7 +214,7 @@ class TestGrowOnce:
         mlp = random_weights(spec, substream(7, "mlp-peak")).blocks[0].mlp
         tracemalloc.start()
         try:
-            out = expand_mlp(mlp, spec, 384, 1536, "lemon", substream(8, "mlp-peak"), 0.02)
+            out = grown_mlp(mlp, spec, 384, 1536, "lemon", substream(8, "mlp-peak"), 0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -215,28 +225,34 @@ class TestGrowOnce:
     def test_type1_inserted_block_allocates_only_what_it_keeps(self, toy_spec):
         spec = toy_spec(depth=1, width=64, head_dim=16, ratio=4.0)
         blk = random_weights(spec, substream(6, "inserted")).blocks[0]
-        parts = expand_depth(iter([blk]), spec, spec_with(spec, depth=2),
-                             ExpansionPlan(64, 2, depth_mode="type1"))
-        got = []
-        for _ in range(2):  # the attention half, then the MLP half
-            t, carrier = next(parts)  # the widened half the insert copies
+        big_spec = spec_with(spec, depth=2)
+        tensors = expand_depth(iter([blk]), spec, big_spec,
+                               ExpansionPlan(64, 2, depth_mode="type1"))
+        held = []
+        while True:
             tracemalloc.start()
             try:
-                ti, insert = next(parts)
+                item = next(tensors, None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert (t, ti) == (0, 1)
-            got.append((carrier, insert, peak))
-        assert next(parts, None) is None
-        ((ln1, attn), (i_ln1, i_attn), attn_peak), ((ln2, mlp), (i_ln2, i_mlp), mlp_peak) = got
-        # every other array is the donor's own: copying its heads and w1
-        # would add more than the zeros themselves
-        assert i_ln1 is ln1 and i_attn.heads is attn.heads
-        assert i_ln2 is ln2 and i_mlp.w1 is mlp.w1 and i_mlp.b1 is mlp.b1
-        for zeros, peak in (((i_attn.wo, i_attn.bo), attn_peak), ((i_mlp.w2, i_mlp.b2), mlp_peak)):
-            assert not any(z.any() for z in zeros)
-            assert peak < 1.1 * sum(z.nbytes for z in zeros)
+            if item is None:
+                break
+            names, tensor = item
+            inserted = [n for n in names if n.startswith("blocks.1.")]
+            held += inserted
+            if inserted and len(inserted) < len(names):
+                # the donor's own tensor: copying its heads or w1 would
+                # allocate them twice
+                assert names == ["blocks.0." + n.split(".", 2)[2] for n in inserted] + inserted
+                assert not inserted[0].endswith((".wo", ".bo", ".w2", ".b2"))
+            elif inserted:
+                # only the zeros that stand in for an output projection or bias
+                assert inserted[0].endswith((".wo", ".bo", ".w2", ".b2"))
+                assert not tensor.any()
+                assert peak < 1.1 * tensor.nbytes + 1024  # the array and its names
+            del item, names, tensor
+        assert sorted(held) == sorted(e.name for e in block_schema(big_spec, 1, np.float64))
 
 
 class TooClose:
@@ -317,7 +333,7 @@ class TestModuleExpansion:
     def test_mha_identity(self, toy_model):
         w, spec = toy_model(depth=1)
         attn = w.blocks[0].attn
-        out = expand_mha(attn, spec, spec.width, "lemon", substream(0, "a"), 0.02)
+        out = grown_mha(attn, spec, spec.width, "lemon", substream(0, "a"), 0.02)
         for h_new, h_old in zip(out.heads, attn.heads):
             np.testing.assert_array_equal(h_new.wq, h_old.wq)
             np.testing.assert_array_equal(h_new.bq, h_old.bq)
@@ -331,7 +347,7 @@ class TestModuleExpansion:
         w, spec = toy_model(depth=1)
         attn = w.blocks[0].attn
         big_spec = spec.__class__(**{**spec.__dict__, "width": d_t})
-        big = expand_mha(attn, spec, d_t, policy, substream(1, "m", d_t), 0.02)
+        big = grown_mha(attn, spec, d_t, policy, substream(1, "m", d_t), 0.02)
         x = rng("mha", policy, d_t).standard_normal((5, spec.width))
         got = mha_forward(expand_vector(x, d_t, "zero"), big, big_spec)
         want = expand_vector(mha_forward(x, attn, spec), d_t, "avg")
@@ -339,8 +355,8 @@ class TestModuleExpansion:
 
     def test_net2net_divisible_doubling_equal_fanout(self, toy_model):
         w, spec = toy_model(depth=1)
-        big = expand_mha(w.blocks[0].attn, spec, 2 * spec.width, "net2net_equal",
-                         substream(2, "d"), 0.02)
+        big = grown_mha(w.blocks[0].attn, spec, 2 * spec.width, "net2net_equal",
+                        substream(2, "d"), 0.02)
         hd, h_s = spec.head_dim, spec.n_heads
         for s in range(h_s):
             a = big.wo[:, s * hd:(s + 1) * hd]
@@ -350,8 +366,8 @@ class TestModuleExpansion:
     def test_mlp_identity(self, toy_model):
         w, spec = toy_model(depth=1)
         mlp = w.blocks[0].mlp
-        out = expand_mlp(mlp, spec, spec.width, spec.hidden_dim, "lemon",
-                         substream(3, "i"), 0.02)
+        out = grown_mlp(mlp, spec, spec.width, spec.hidden_dim, "lemon",
+                        substream(3, "i"), 0.02)
         for f in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(out, f), getattr(mlp, f))
 
@@ -362,7 +378,7 @@ class TestModuleExpansion:
         mlp = w.blocks[0].mlp
         d_t, hidden_t = 6, 12
         big_spec = spec.__class__(**{**spec.__dict__, "width": d_t})
-        big = expand_mlp(mlp, spec, d_t, hidden_t, policy, substream(5, "m"), 0.02)
+        big = grown_mlp(mlp, spec, d_t, hidden_t, policy, substream(5, "m"), 0.02)
         x = rng("mlp", policy).standard_normal((5, 4))
         got = mlp_forward(expand_vector(x, d_t, "zero"), big, big_spec)
         want = expand_vector(mlp_forward(x, mlp, spec), d_t, "avg")
@@ -377,8 +393,8 @@ class TestModuleExpansion:
         blk = w.blocks[0]
         big_spec = spec.__class__(**{**spec.__dict__, "width": d_t})
         g = substream(12, "f32", d_t)
-        attn = expand_mha(blk.attn, spec, d_t, "lemon", g, 0.02)
-        mlp = expand_mlp(blk.mlp, spec, d_t, 2 * d_t, "lemon", g, 0.02)
+        attn = grown_mha(blk.attn, spec, d_t, "lemon", g, 0.02)
+        mlp = grown_mlp(blk.mlp, spec, d_t, 2 * d_t, "lemon", g, 0.02)
         dec = expand_decoder(w.dec_weight, d_t, "lemon", g, 0.02)
         assert {a.dtype for a in flat_arrays([attn, mlp, dec])} == {np.dtype(np.float32)}
         x = rng("f32", d_t).standard_normal((5, spec.width)).astype(np.float32)
@@ -392,8 +408,8 @@ class TestModuleExpansion:
 
     def test_lemon_duplicated_hidden_units_have_distinct_fanout(self, toy_model):
         w, spec = toy_model(depth=1)
-        big = expand_mlp(w.blocks[0].mlp, spec, 2 * spec.width, 2 * spec.hidden_dim,
-                         "lemon", substream(6, "f"), 0.02)
+        big = grown_mlp(w.blocks[0].mlp, spec, 2 * spec.width, 2 * spec.hidden_dim,
+                        "lemon", substream(6, "f"), 0.02)
         h = spec.hidden_dim
         for z in range(h):
             assert np.abs(big.w2[:, z] - big.w2[:, z + h]).max() > 1e-6 * 0.02

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
                    read_checkpoint, read_header, symmetry_report, verify_lossless,
                    write_checkpoint)
-from lemon import cli, container
+from lemon import cli, container, verify
 from lemon.cli import main
 from lemon.container import ALIGNMENT, _PREFIX
 from lemon.rng import substream
@@ -55,6 +55,27 @@ class TestInitRandom:
         assert main(["init-random", "--config", str(cfg), "--out", str(other),
                      "--seed", "1"]) == 0
         assert small.read_bytes() == other.read_bytes()
+
+    @pytest.mark.parametrize("style", ("pre_ln", "post_ln", "post_res_norm"))
+    def test_width_one_layernorm_with_eps_zero_is_refused(self, tmp_path, capsys, style):
+        # every norm of it would divide by the variance of one value, 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CFG, "norm_style": style, "width": 1, "head_dim": 1,
+                                   "eps": 0.0}))
+        assert main(["init-random", "--config", str(cfg),
+                     "--out", str(tmp_path / "m.lmn")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "m.lmn").exists()
+
+    @pytest.mark.parametrize("style, eps", (("pre_ln", 1e-5), ("rms_pre", 0.0)))
+    def test_width_one_with_eps_or_rms_expands_and_verifies(self, tmp_path, style, eps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CFG, "norm_style": style, "width": 1, "head_dim": 1,
+                                   "eps": eps}))
+        small = tmp_path / "small.lmn"
+        assert main(["init-random", "--config", str(cfg), "--out", str(small)]) == 0
+        big = expand_cli(tmp_path, small, width=3, depth=3)
+        assert main(["verify", "--small", str(small), "--big", str(big)]) == 0
 
     def test_seed_changes_file(self, workdir):
         tmp_path, cfg, small = workdir
@@ -246,6 +267,46 @@ class TestSymmetryCommand:
         assert entries and all(e["min_distance"] > 1e-6 * 0.02 for e in entries)
         assert main(["symmetry", "--ckpt", str(big)]) == 0
         assert "min_distance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gather", (None, 64))  # one chunk, or a few groups a chunk
+    def test_distances_are_each_groups_pairwise_minimum(self, workdir, capsys, monkeypatch,
+                                                        gather):
+        # width 8 -> 20, hidden 16 -> 40: groups of 3 and of 2 in each tensor
+        tmp_path, _, small = workdir
+        big = expand_cli(tmp_path, small, policy="lemon")
+        dup = json.loads((tmp_path / "big.lmn.duplicates.json").read_text())
+        if gather is not None:
+            monkeypatch.setattr("lemon.verify._GATHER", gather)
+        want = []
+        with container.CheckpointReader(big) as reader:
+            for b in dup["blocks"]:
+                for kind, size, tensor in (("attn_head", 4, "attn.wo"),
+                                           ("mlp_hidden", 1, "mlp.w2")):
+                    w = reader.tensor(f"blocks.{b['index']}.{tensor}")
+                    for src, members in b.get(f"{kind}_groups", {}).items():
+                        vecs = [w[:, m * size:(m + 1) * size] for m in members]
+                        dist = min(float(np.abs(x - y).max())
+                                   for i, x in enumerate(vecs) for y in vecs[i + 1:])
+                        want.append({"block": b["index"], "kind": kind, "source": int(src),
+                                     "replicas": members, "min_distance": dist})
+        got = symmetry_report(big, dup)
+        assert got == want
+        assert {len(e["replicas"]) for e in got} == {2, 3}
+        capsys.readouterr()
+        assert main(["symmetry", "--ckpt", str(big)]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"block {e['block']:3d} {e['kind']:10s} source {e['source']:4d} "
+            f"replicas {e['replicas']} min_distance {e['min_distance']:.6e}\n" for e in want)
+
+    def test_nan_distances_follow_the_first_smaller_pair(self):
+        w = np.arange(12.0).reshape(3, 4) ** 2
+        w[1, 2] = np.nan
+        groups = [[0, 1, 2], [2, 0, 1], [1, 3, 0], [3, 2]]
+        want = [min(float(np.abs(w[:, a] - w[:, b]).max())
+                    for i, a in enumerate(g) for b in g[i + 1:]) for g in groups]
+        got = verify._min_distances(w, groups, 1)
+        assert [math.isnan(d) for d in got] == [False, True, False, True]
+        assert [d for d in got if not math.isnan(d)] == [d for d in want if not math.isnan(d)]
 
     def test_net2net_groups_exactly_zero(self, workdir):
         tmp_path, _, small = workdir

@@ -68,6 +68,15 @@ def test_default_is_one_thread_per_sample_up_to_the_cores(pair, pools, monkeypat
     assert pools == [want]
 
 
+def test_empty_lemon_threads_reads_as_unset(pair, pools, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_PARALLEL_WORK", 0)
+    monkeypatch.setenv("LEMON_THREADS", "")
+    small, big, _ = pair
+    assert main(["verify", "--small", str(small), "--big", str(big), "--samples", "5"]) == 0
+    assert capsys.readouterr().err == ""
+    assert pools == [3]  # the default count, not a usage error
+
+
 def test_without_sched_getaffinity_the_cpu_count_is_the_cap(pair, pools, monkeypatch):
     monkeypatch.setattr(verify, "_PARALLEL_WORK", 0)
     monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
