@@ -132,12 +132,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    flags = (("--max-lr", args.max_lr), ("--min-lr", args.min_lr),
+             ("--total", args.total), ("--warmup", args.warmup))
     if args.preset:
+        given = [n for n, v in flags if v is not None]
+        if given:
+            raise PlanError(f"--preset {args.preset} excludes {' '.join(given)}")
         spec = PRESETS[args.preset]
     else:
-        missing = [n for n, v in (("--max-lr", args.max_lr), ("--min-lr", args.min_lr),
-                                  ("--total", args.total), ("--warmup", args.warmup))
-                   if v is None]
+        missing = [n for n, v in flags if v is None]
         if missing:
             raise PlanError(f"schedule needs {' '.join(missing)} (or --preset)")
         spec = ScheduleSpec(args.max_lr, args.min_lr, args.warmup, args.total).validate()

@@ -148,7 +148,9 @@ def random_bottleneck(outer: int, inner: int, kernel: int,
                       dtype=np.float64) -> BottleneckWeights:
     """Random inference-mode bottleneck (test fixtures)."""
     def conv(c_out, c_in, k, pad):
-        return ConvWeights((rng.standard_normal((c_out, c_in, k, k)) * 0.3).astype(dtype),
+        weight = rng.standard_normal((c_out, c_in, k, k))
+        weight *= 0.3  # in place, and cast without a copy when dtype is float64
+        return ConvWeights(weight.astype(dtype, copy=False),
                            (rng.standard_normal(c_out) * 0.1).astype(dtype), pad)
 
     def bn(c):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,47 @@ class TestConv:
         w.conv2.padding = 0  # branch now shrinks spatially
         with pytest.raises(ShapeError):
             bottleneck_forward(rng("x").standard_normal((4, 6, 6)), w)
+
+
+def old_random_bottleneck(outer, inner, kernel, rng, eps=1e-5, dtype=np.float64):
+    """random_bottleneck as it was, with two full copies of each conv weight."""
+    def conv(c_out, c_in, k, pad):
+        return ConvWeights((rng.standard_normal((c_out, c_in, k, k)) * 0.3).astype(dtype),
+                           (rng.standard_normal(c_out) * 0.1).astype(dtype), pad)
+
+    def bn(c):
+        return BatchNormParams((1.0 + 0.2 * rng.standard_normal(c)).astype(dtype),
+                               (0.1 * rng.standard_normal(c)).astype(dtype),
+                               (0.1 * rng.standard_normal(c)).astype(dtype),
+                               (1.0 + 0.5 * rng.random(c)).astype(dtype), eps)
+
+    return [conv(inner, outer, 1, 0), bn(inner),
+            conv(inner, inner, kernel, (kernel - 1) // 2), bn(inner),
+            conv(outer, inner, 1, 0), bn(outer)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_random_bottleneck_keeps_the_old_bits_without_copying_weights(dtype):
+    outer, inner, kernel = 4, 64, 3
+    want = old_random_bottleneck(outer, inner, kernel, substream(21, "r"), dtype=dtype)
+    tracemalloc.start()
+    try:
+        got = random_bottleneck(outer, inner, kernel, substream(21, "r"), dtype=dtype)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stages = [got.conv1, got.bn1, got.conv2, got.bn2, got.conv3, got.bn3]
+    for stage, ref in zip(stages, want):
+        for name, value in vars(ref).items():
+            mine = getattr(stage, name)
+            if isinstance(value, np.ndarray):
+                assert mine.dtype == dtype and mine.tobytes() == value.tobytes(), name
+            else:
+                assert mine == value, name
+    # past what it keeps, only the float64 draw of a float32 conv2 weight;
+    # the old expression held a second copy of a float64 one
+    drawn = got.conv2.weight.size * 8
+    assert peak - final < (drawn if dtype == np.float32 else 0) + 0.1 * drawn
 
 
 class TestBottleneckExpansion:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
@@ -352,6 +352,17 @@ class TestOtherCommands:
         out = tmp_path / "p.csv"
         assert main(["schedule", "--preset", "vit-expanded", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 132
+
+    @pytest.mark.parametrize("flags", [["--total", "1000"],
+                                       ["--max-lr", "5", "--total", "1000"],
+                                       ["--min-lr", "0", "--warmup", "3"]])
+    def test_schedule_preset_with_explicit_flags_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert main(["schedule", "--preset", "vit-expanded", *flags, "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.count("\n") == 1
+        assert all(flag in err for flag in flags[::2])
+        assert not out.exists()
 
     def test_schedule_missing_flags_usage_error(self, tmp_path):
         assert main(["schedule", "--max-lr", "1e-3",
@@ -750,3 +761,64 @@ class TestInitRandomExitCodes:
             assert main(argv) == 3
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1 and field in err
+
+
+_SCHEDULE_FAULTS = ("non-finite rate", "negative value", "min above max", "warmup at total",
+                    "huge value", "missing flags", "preset", "out is a directory")
+
+
+@st.composite
+def _schedule_call(draw):
+    """``lemon schedule`` flag values, a preset or none, and whether
+    ``--out`` is a directory: a valid spec with a set of faults applied.
+    Any total that validates is at most 10**4, so a run that writes a
+    schedule stays small."""
+    max_lr = draw(st.floats(0.0, 1e3))
+    flags = {"--max-lr": max_lr, "--min-lr": max_lr * draw(st.floats(0.0, 1.0)),
+             "--total": draw(st.integers(1, 10**4))}
+    flags["--warmup"] = draw(st.integers(0, flags["--total"] - 1))
+    faults = draw(st.sets(st.sampled_from(_SCHEDULE_FAULTS), max_size=3))
+    names = st.sampled_from(sorted(flags))
+    if "non-finite rate" in faults:
+        flags[draw(st.sampled_from(["--max-lr", "--min-lr"]))] = draw(_NON_FINITE)
+    for fault, rates, steps in (
+            ("negative value", st.floats(-1e308, -1e-300), st.integers(-10**30, -1)),
+            ("huge value", st.floats(1e300, 1e308), st.integers(2**53 + 1, 10**30))):
+        if fault in faults:
+            name = draw(names)
+            flags[name] = draw(rates if name.endswith("-lr") else steps)
+    if "min above max" in faults:
+        flags["--min-lr"] = flags["--max-lr"] + draw(st.floats(1e-6, 1e3))
+    if "warmup at total" in faults:
+        flags["--warmup"] = flags["--total"] + draw(st.integers(0, 3))
+    if "missing flags" in faults:
+        for name in draw(st.sets(names, min_size=1)):
+            del flags[name]
+    preset = "vit-expanded" if "preset" in faults else None
+    if preset and draw(st.booleans()):
+        flags.clear()
+    return flags, preset, "out is a directory" in faults
+
+
+class TestScheduleExitCodes:
+    """schedule exits 0, 2 or 3 on any flag values, with one line of error
+    when it fails, none when it succeeds, and never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(call=_schedule_call())
+    def test_exit_code_is_documented(self, call):
+        flags, preset, out_is_dir = call
+        # the = form, so argparse reads a negative value as a value
+        argv = [f"{flag}={value!r}" for flag, value in flags.items()]
+        if preset is not None:
+            argv.append(f"--preset={preset}")
+        with tempfile.TemporaryDirectory() as d:
+            out = d if out_is_dir else os.path.join(d, "s.csv")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["schedule", *argv, "--out", out])
+            event(f"exit {code}")
+            assert code in (0, 2, 3)
+            assert err.getvalue().count("\n") == (code != 0), err.getvalue()
+            assert os.listdir(d) == (["s.csv"] if code == 0 else [])
