@@ -17,6 +17,20 @@ behaviour is pinned down deliberately:
   callers never copy a weight to transpose it.  einsum walks a view in
   a different order than a C-contiguous array, so the probe checks both
   properties in both layouts.
+* Under ``split_on``, which hands the calling thread a pool of workers,
+  ``matmul`` splits a large product's output columns into slabs, one per
+  worker, and ``model.mha_forward`` its heads into contiguous groups.
+  Neither changes a bit.  A head's output depends on that head's weights
+  alone.  einsum's loop computes every output element from the same row
+  and column, adding the same products in the same order, however many
+  columns it writes; so a slab, written by the inner loop straight into
+  its columns of the output, holds the bits of those columns of the
+  whole product.  A second probe checks that, in both layouts, with cuts
+  at odd columns, across a replica group and through a product of ±
+  pairs, when the first product would split; on a build that fails it,
+  and with the fallback loop, matmul never splits.  Outside
+  ``split_on``, and in a task on the pool, kernels run serially, so no
+  task waits on the pool.
 * ``layernorm`` uses the population variance (``ddof=0``).
 * ``gelu`` is the exact erf-based form, ``x Phi(x)``, not the tanh
   approximation.  Its ``erf`` is this module's own, in numpy alone: a
@@ -38,7 +52,9 @@ Kernels raise :class:`NumericsError` rather than letting NaN/Inf escape.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -76,15 +92,21 @@ def _multiply_then_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _einsum(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # optimize=False keeps einsum on its non-BLAS sum-of-products loop
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+    return np.einsum("ik,kj->ij", a, b, out=out, optimize=False)
 
 
-def _einsum_is_trustworthy() -> bool:
-    """Check the two accumulation properties matmul promises (see module
-    docstring) on this numpy build, across the k-slab boundary, with the
-    right operand C-contiguous and as a transposed (Fortran-order) view."""
+#: the right operand's two layouts: as stored, and as the transposed view
+#: of an (out, in) weight, which einsum walks in another order
+_LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
+
+
+def _probe_operands():
+    """The probe's operands, for an inner extent inside the first k-slab
+    and across its boundary: ``h @ w`` sums a ± pair of bitwise-equal
+    columns in each output column, and the columns of ``lhs @ dup``
+    repeat every 7."""
     g = np.random.Generator(np.random.Philox(key=[7, 11]))
     for k_half in (5, _CHUNK):
         h = g.standard_normal((3, 2 * k_half))
@@ -96,8 +118,15 @@ def _einsum_is_trustworthy() -> bool:
             w[z + k_half, t] = -w[z, t]
         base = g.standard_normal((k_half, 7))
         dup = np.hstack([base, base, base[:, :2]])
-        lhs = g.standard_normal((3, k_half))
-        for layout in (np.ascontiguousarray, np.asfortranarray):
+        yield h, w, g.standard_normal((3, k_half)), dup
+
+
+def _einsum_is_trustworthy() -> bool:
+    """Check the two accumulation properties matmul promises (see module
+    docstring) on this numpy build, across the k-slab boundary, with the
+    right operand C-contiguous and as a transposed (Fortran-order) view."""
+    for h, w, lhs, dup in _probe_operands():
+        for layout in _LAYOUTS:
             if not np.all(_einsum(h, layout(w)) == 0.0):
                 return False
             c = _einsum(lhs, layout(dup))
@@ -107,7 +136,29 @@ def _einsum_is_trustworthy() -> bool:
     return True
 
 
+def _slabs_equal_whole(a: np.ndarray, b: np.ndarray, cuts) -> bool:
+    """Whether einsum's column slabs of ``a @ b``, cut at ``cuts`` and
+    each written into its columns of one output, hold the whole product's
+    bits."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    bounds = [0, *cuts, b.shape[1]]
+    for s, e in zip(bounds, bounds[1:]):
+        _einsum(a, b[:, s:e], out=out[:, s:e])
+    return np.array_equal(out.view(np.uint64), _einsum(a, b).view(np.uint64))
+
+
+def _einsum_slabs_are_exact() -> bool:
+    """Check that einsum's column slabs, written into one output, equal
+    the whole product bit for bit, in both layouts, on the probe's
+    operands: cut at odd columns, into single columns, across the
+    replica groups and through the ± pairs' product."""
+    return all(_slabs_equal_whole(lhs, layout(dup), (1, 4, 10, 11, 15))
+               and _slabs_equal_whole(h, layout(w), (1, 2))
+               for h, w, lhs, dup in _probe_operands() for layout in _LAYOUTS)
+
+
 _inner = None
+_slabs_exact = None
 
 
 def matmul_inner():
@@ -120,8 +171,84 @@ def matmul_inner():
     return _inner
 
 
+def _splits_exactly() -> bool:
+    """Whether einsum's column slabs hold the whole product's bits; probed
+    when the first product would split, on the thread that holds the pool
+    (a task never splits), so that a process that never splits never
+    allocates the probe's operands."""
+    global _slabs_exact
+    if _slabs_exact is None:
+        _slabs_exact = _einsum_slabs_are_exact()
+    return _slabs_exact
+
+
+#: multiply-adds per part: a call of W multiply-adds splits into at most
+#: W // _SPLIT_WORK parts, so a product splits in two from 2.1M.  Measured
+#: on a 2-core VM with both cores free, as the median speed of 2 column
+#: slabs on 2 threads over the unsplit product across 10 alternating
+#: sets, for a (16, k) operand times the transposed view of an (n, k)
+#: weight (k x n): 128x256 (0.52M) 0.61x, 256x256 (1.05M) 1.02x,
+#: 256x384 (1.57M) 1.00x, 384x384 (2.36M) 1.33x, 256x768 (3.15M) 1.21x,
+#: 384x768 (4.72M) 1.40x, 768x768 (9.44M) 1.67x, 768x3072 (37.7M) 1.82x.
+_SPLIT_WORK = 1 << 20
+
+
+class _Split(threading.local):
+    """The pool this thread's kernel calls split on, and its worker
+    count: set by :func:`split_on`, and unset on every other thread."""
+
+    pool = None
+    workers = 1
+
+
+_split = _Split()
+
+
+@contextlib.contextmanager
+def split_on(pool, workers: int):
+    """Inside the block, let this thread's large kernel calls split their
+    work into up to ``workers`` parts, run on ``pool`` (an executor with
+    ``map``).  The caller owns the pool and shuts it down."""
+    _split.pool, _split.workers = pool, workers
+    try:
+        yield
+    finally:
+        _split.pool, _split.workers = None, 1
+
+
+def split_ranges(units: int, work: int) -> list[tuple[int, int]]:
+    """Contiguous ranges ``(start, stop)`` that cover ``range(units)`` in
+    order, for a call of ``units`` independent units (heads, columns) and
+    ``work`` multiply-adds: one range unless this thread has a pool
+    (:func:`split_on`), else at most one per worker, per unit and per
+    :data:`_SPLIT_WORK` multiply-adds."""
+    if _split.pool is None:
+        return [(0, units)]
+    parts = max(1, min(_split.workers, units, work // _SPLIT_WORK if _SPLIT_WORK else units))
+    return [(units * p // parts, units * (p + 1) // parts) for p in range(parts)]
+
+
+def split_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, run on this thread's pool when
+    there is more than one item.  A task runs with no pool of its own, so
+    nothing it calls splits again and no task waits on the pool."""
+    if len(items) < 2:
+        return [fn(item) for item in items]
+
+    def task(item):
+        saved = _split.pool  # a pool may run a task on the calling thread
+        _split.pool = None
+        try:
+            return fn(item)
+        finally:
+            _split.pool = saved
+
+    return list(_split.pool.map(task, items))
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C[i,j] = sum_l A[i,l] * B[l,j], with replica-stable accumulation."""
+    """C[i,j] = sum_l A[i,l] * B[l,j], with replica-stable accumulation;
+    split into column slabs under :func:`split_on` when it is large."""
     a = _require_float(a, "matmul lhs")
     b = _require_float(b, "matmul rhs")
     if a.ndim != 2 or b.ndim != 2:
@@ -130,7 +257,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul dtype mismatch: {a.dtype} vs {b.dtype}")
-    return _check_finite(matmul_inner()(a, b), "matmul")
+    inner = matmul_inner()
+    # the fallback loop is not split: its sums run in another order for
+    # a single column
+    if _split.pool is not None and inner is _einsum:
+        (m, k), n = a.shape, b.shape[1]
+        slabs = split_ranges(n, m * k * n)
+        if len(slabs) > 1 and _splits_exactly():
+            out = np.empty((m, n), a.dtype)
+            split_map(lambda r: inner(a, b[:, r[0]:r[1]], out=out[:, r[0]:r[1]]), slabs)
+            return _check_finite(out, "matmul")
+    return _check_finite(inner(a, b), "matmul")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -461,19 +461,29 @@ def mha_forward(x: np.ndarray, attn: AttentionWeights, spec: ModelSpec,
                 skip: bool | None = None) -> np.ndarray:
     """Bidirectional multi-head attention over a (tokens, width) input.
     ``skip`` is ``bias_only(attn)`` when the caller has decided it
-    already; None decides it here."""
+    already; None decides it here.  Under ``kernels.split_on`` the heads
+    run in contiguous groups on the pool, and their outputs are stacked
+    in head order, as one loop stacks them."""
     if x.ndim != 2 or x.shape[1] != attn.heads[0].wq.shape[1]:
         raise ShapeError(f"attention input shape {x.shape} does not match weights")
     if bias_only(attn) if skip is None else skip:
         return np.zeros((x.shape[0], attn.wo.shape[0]), x.dtype) + attn.bo
-    scale = 1.0 / math.sqrt(spec.head_dim)
-    outs = []
-    for head in attn.heads:
-        q = kernels.matmul(x, head.wq.T) + head.bq
-        k = kernels.matmul(x, head.wk.T) + head.bk
-        v = kernels.matmul(x, head.wv.T) + head.bv
-        scores = kernels.matmul(q, k.T) * x.dtype.type(scale)
-        outs.append(kernels.matmul(kernels.softmax_rows(scores), v))
+    scale = x.dtype.type(1.0 / math.sqrt(spec.head_dim))
+
+    def run_heads(r: tuple[int, int]) -> list[np.ndarray]:
+        outs = []
+        for head in attn.heads[r[0]:r[1]]:
+            q = kernels.matmul(x, head.wq.T) + head.bq
+            k = kernels.matmul(x, head.wk.T) + head.bk
+            v = kernels.matmul(x, head.wv.T) + head.bv
+            scores = kernels.matmul(q, k.T) * scale
+            outs.append(kernels.matmul(kernels.softmax_rows(scores), v))
+        return outs
+
+    # q, k and v, then scores and their product with v, for every head
+    rows, inner = x.shape[0], attn.wo.shape[1]
+    groups = kernels.split_ranges(len(attn.heads), rows * inner * (3 * x.shape[1] + 2 * rows))
+    outs = [out for group in kernels.split_map(run_heads, groups) for out in group]
     return kernels.matmul(np.hstack(outs), attn.wo.T) + attn.bo
 
 

@@ -28,7 +28,7 @@ from .container import read_checkpoint  # noqa: F401
 from .errors import NumericsError, PlanError, ShapeError
 from .expand_ops import expand_vector
 from .expander import _as64, _stream_mode
-from .kernels import activation, erf, matmul_inner
+from .kernels import activation, erf, matmul_inner, split_on
 from .model import (EmbeddingWeights, ModelSpec, ModelWeights,
                     attention_schema, attention_sublayer, bias_only, decode,
                     embed, flat_arrays, mlp_schema, mlp_sublayer,
@@ -55,26 +55,25 @@ _PARALLEL_WORK = 1 << 22
 DEFAULT_TOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-5}
 
 
-def _thread_count(samples: int, work: int) -> int:
-    """Threads for ``samples`` samples of ``work`` multiply-adds each (see
-    :data:`_PARALLEL_WORK`): ``LEMON_THREADS`` when it is set, else the
-    cores this process may run on, or one below ``_PARALLEL_WORK``; never
-    more than ``samples``.  A ``LEMON_THREADS`` that is not a positive
-    integer raises :class:`PlanError`."""
+def _thread_count(work: int) -> int:
+    """Workers for a verify whose samples are ``work`` multiply-adds each
+    (see :data:`_PARALLEL_WORK`): ``LEMON_THREADS`` when it is set, else
+    the cores this process may run on, or one below ``_PARALLEL_WORK``.
+    A ``LEMON_THREADS`` that is not a positive integer raises
+    :class:`PlanError`."""
     value = os.environ.get(THREADS_ENV) or None  # set but empty reads as unset
     if value is None:
         if work < _PARALLEL_WORK:
             return 1
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        return min(cores, samples)
+        return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     try:
         count = int(value) if value.isdigit() else 0
     except ValueError:  # more digits than int() converts
         count = 0
     if count < 1:
         raise PlanError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
-    return min(count, samples)
+    return count
 
 
 def _sample_work(spec: ModelSpec, seq_len: int) -> int:
@@ -146,11 +145,18 @@ def verify_lossless(small_path, big_path, samples: int, seed: int,
     both checkpoints hold float64 weights, 1e-5 once either holds
     float32, whose expansions agree only to float32 resolution.  The
     report carries the per-sample worst logit positions; it is a pure
-    function of (checkpoints, samples, seed), independent of the number
-    of threads the samples run on.  That is one per sample, up to the
-    cores this process may run on, or one for a model too small to gain
-    from threads (:data:`_PARALLEL_WORK`); ``LEMON_THREADS=N`` sets it
-    to N, still at most one per sample.  Zero samples or a zero sequence
+    function of (checkpoints, samples, seed), with the same bits however
+    the work is spread over threads.  The workers are the cores this
+    process may run on, or one for a model too small to gain from
+    threads (:data:`_PARALLEL_WORK`); ``LEMON_THREADS=N`` sets them to
+    N.  With at least as many samples as workers, the samples own the
+    cores, a sample per task.  With fewer, the samples run in turn on
+    the calling thread and the kernels own the cores: each module's
+    heads run in contiguous groups and each large matmul in column
+    slabs.  That changes no bit, because a head's output depends on its
+    own weights alone and a slab computes every output element from the
+    same row and column, in the same order, as the whole product does
+    (``kernels`` probes it).  Zero samples or a zero sequence
     length would pass on no evidence, so both are rejected, and so is a
     NaN, infinite or negative ``tol``, which would fail or pass every
     pair.
@@ -290,17 +296,25 @@ def _decoded(reader: CheckpointReader, xs: list, each) -> list:
 @contextlib.contextmanager
 def _sample_map(samples: int, work: int):
     """``map`` over ``samples`` samples of ``work`` multiply-adds each, as
-    a list, on :func:`_thread_count` threads: in a plain loop on one, or
-    on a pool that is shut down, its threads joined, when the block
-    exits, also on an error.  Each sample's result is the same either
-    way."""
-    workers = _thread_count(samples, work)
+    a list, with :func:`_thread_count` workers.  With one, in a plain
+    loop.  With no more workers than samples, on a pool, a sample per
+    task.  With fewer samples than workers, in a plain loop, while the
+    kernels split each large call on the pool (``kernels.split_on``),
+    which starts a thread only for a part no idle one can take.  A pool
+    is shut down, its threads joined, when the block exits, also on an
+    error.  Each sample's result has the same bits either way."""
+    workers = _thread_count(work)
+    serial = lambda fn, items: [fn(x) for x in items]  # noqa: E731
     if workers == 1:
-        yield lambda fn, items: [fn(x) for x in items]
+        yield serial
         return
     matmul_inner()  # the probe runs here, once, not on two threads at a time
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, items: list(pool.map(fn, items))
+    if samples >= workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield lambda fn, items: list(pool.map(fn, items))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool, split_on(pool, workers):
+        yield serial
 
 
 # ---------------------------------------------------------------------------

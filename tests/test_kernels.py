@@ -1,5 +1,7 @@
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,6 +158,64 @@ class TestMatmul:
         assert not kernels._einsum_is_trustworthy()
         kernels.matmul(np.ones((2, 3)), np.ones((3, 2)))
         assert kernels._inner is kernels._multiply_then_sum
+
+    def test_slabs_that_differ_from_the_whole_fail_the_probe_and_never_split(
+            self, monkeypatch):
+        real = kernels._einsum
+
+        def off_in_slabs(a, b, out=None):
+            if out is None:
+                return real(a, b)
+            out[...] = real(a, b) + 1e-300  # a slab written into its columns
+            return out
+
+        monkeypatch.setattr(kernels, "_einsum", off_in_slabs)
+        monkeypatch.setattr(kernels, "_inner", None)
+        monkeypatch.setattr(kernels, "_slabs_exact", None)
+        monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+        assert not kernels._einsum_slabs_are_exact()
+        pool = _CountingPool()
+        with kernels.split_on(pool, 2):
+            out = kernels.matmul(np.ones((2, 3)), np.ones((3, 4)))
+        # the unsplit einsum loop stays
+        assert kernels._inner is off_in_slabs and pool.maps == 0
+        np.testing.assert_array_equal(out, np.full((2, 4), 3.0))
+
+    def test_fallback_loop_never_splits(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_inner", kernels._multiply_then_sum)
+        monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+        pool = _CountingPool()
+        with kernels.split_on(pool, 2):
+            kernels.matmul(np.ones((2, 3)), np.ones((3, 4)))
+        assert pool.maps == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 24), k=st.integers(1, 700), n=st.integers(2, 900),
+           workers=st.integers(2, 3), transposed=st.booleans(),
+           dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**32 - 1))
+    def test_column_slabs_equal_the_whole_product(self, m, k, n, workers, transposed, dtype,
+                                                  seed):
+        # the split verify runs relies on this: slabs written into one
+        # output hold the bits of the unsplit product, in either layout
+        g = np.random.default_rng(seed)
+        a = g.standard_normal((m, k), dtype)
+        b = g.standard_normal((n, k), dtype).T if transposed else g.standard_normal((k, n), dtype)
+        whole = kernels.matmul(a, b)
+        with mock.patch.object(kernels, "_SPLIT_WORK", 0), \
+                ThreadPoolExecutor(workers) as pool, kernels.split_on(pool, workers):
+            assert len(kernels.split_ranges(n, m * k * n)) == min(workers, n)
+            split = kernels.matmul(a, b)
+        assert split.tobytes() == whole.tobytes()
+
+
+class _CountingPool:
+    """A pool that counts its maps and runs them in the calling thread."""
+
+    maps = 0
+
+    def map(self, fn, items):
+        self.maps += 1
+        return map(fn, items)
 
 
 class TestLayernorm:

@@ -8,6 +8,7 @@ import stat
 import struct
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
                    read_checkpoint, read_header, symmetry_report, verify_lossless,
                    write_checkpoint)
-from lemon import cli, container, verify
+from lemon import cli, container, kernels, verify
 from lemon.cli import main
 from lemon.container import ALIGNMENT, _PREFIX
 from lemon.rng import substream
@@ -822,3 +823,43 @@ class TestScheduleExitCodes:
             assert code in (0, 2, 3)
             assert err.getvalue().count("\n") == (code != 0), err.getvalue()
             assert os.listdir(d) == (["s.csv"] if code == 0 else [])
+
+
+class TestVerifyExitCodes:
+    """verify exits 0, 1, 2 or 3 on any flag values and any
+    ``LEMON_THREADS``, with at most one line of error and never a
+    traceback, and prints PASS only when it exits 0.  Every kernel call
+    that can split does, so the split path's errors are covered too."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(samples=st.integers(-2, 6), seq_len=st.integers(-1, 6),
+           tol=st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-10, 1e3, None]),
+           seed=st.sampled_from([-1, 2**64]) | st.integers(0, 5),
+           threads=st.sampled_from([None, "", "0", "abc", "1", "2", "3", "4"]))
+    # a zero tolerance FAILs: the pair's logits differ in their last bits
+    @example(samples=2, seq_len=3, tol=0.0, seed=0, threads="2")
+    def test_exit_code_is_documented(self, samples, seq_len, tol, seed, threads):
+        files = _toy_pair()
+        env = {} if threads is None else {"LEMON_THREADS": threads}
+        argv = [f"--samples={samples}", f"--seq-len={seq_len}", f"--seed={seed}"]
+        if tol is not None:
+            argv.append(f"--tol={tol!r}")
+        with tempfile.TemporaryDirectory() as d, \
+                mock.patch.dict(os.environ, env), \
+                mock.patch.object(verify, "_PARALLEL_WORK", 0), \
+                mock.patch.object(kernels, "_SPLIT_WORK", 0):
+            if threads is None:
+                os.environ.pop("LEMON_THREADS", None)
+            paths = {}
+            for name in ("small", "big"):
+                paths[name] = os.path.join(d, name)
+                with open(paths[name], "wb") as fh:
+                    fh.write(files[name])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", "--small", paths["small"], "--big", paths["big"],
+                             *argv])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+        assert ("PASS" in out.getvalue()) == (code == 0)
