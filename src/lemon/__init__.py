@@ -17,7 +17,7 @@ from .errors import (BadMagicError, ContainerError, LemonError,
                      UnsupportedVersionError)
 from .expand_ops import (expand_bias, expand_layernorm, expand_matrix_cols,
                          expand_matrix_rows, expand_rmsnorm, expand_vector,
-                         invert_vector_expansion, norm_expansion_gain)
+                         norm_expansion_gain)
 from .expander import (ExpansionPlan, column_split, expand_block_width,
                        expand_decoder, expand_depth, expand_embeddings,
                        expand_mha, expand_mlp, expand_model,

@@ -102,7 +102,7 @@ def _cmd_expand(args) -> int:
                   "only up to an O(eps) error; verify it with an explicit --tol",
                   file=sys.stderr)
         try:
-            _, new_spec, dup_map = expand_model(source, spec, plan, out=args.out)
+            new_spec, dup_map = expand_model(source, plan, args.out)
         except SplitError as exc:
             # the sum checks hold for any finite split noise a float can carry
             # through; a scale that large is the usual way to fail them
@@ -171,6 +171,8 @@ def _cmd_symmetry(args) -> int:
         try:
             dup_map = load_duplicate_map(sidecar)
         except FileNotFoundError:
+            with CheckpointReader(args.ckpt):  # no map, but the checkpoint is checked
+                pass
             print("no duplicate map: empty report")
             return EXIT_OK
     else:

@@ -91,13 +91,6 @@ def expand_vector(x: np.ndarray, d_t: int, mode: str,
     return out
 
 
-def invert_vector_expansion(xstar: np.ndarray, d_s: int) -> np.ndarray:
-    """Recover the source vector: the leading ``d_s`` entries, exactly."""
-    xstar = np.asarray(xstar)
-    _check_extents(d_s, xstar.shape[-1])
-    return np.ascontiguousarray(xstar[..., :d_s])
-
-
 def row_blocks(m: np.ndarray, d_t: int, mode: str) -> list[tuple[slice, np.ndarray]]:
     """The row expansion of ``m`` to d_t rows as ``(rows, block)`` pairs,
     in row order: ``block`` is what the grown matrix holds in ``rows``.

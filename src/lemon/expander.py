@@ -1,5 +1,9 @@
 """Whole-model width and depth expansion.
 
+:func:`expand_model` is the one way to expand a model: it reads an open
+checkpoint one source block at a time and writes the grown model to
+another, one grown tensor at a time.
+
 Width expansion replicates neurons and attention heads circularly and
 splits their fan-out weights according to a policy; norm layers get the
 gain-corrected parameter expansion; embeddings and the decoder are
@@ -55,10 +59,9 @@ from .expand_ops import (COL_MODES, _check_extents, expand_bias, expand_layernor
                          expand_matrix_cols, expand_matrix_rows, expand_rmsnorm,
                          expand_vector, row_blocks)
 from .model import (AttentionWeights, BlockWeights, EmbeddingWeights,
-                    HeadWeights, MlpWeights, ModelSpec, ModelWeights,
-                    NormParams, block_from, block_schema, decoder_schema,
-                    embedding_schema, flat_arrays, nonfinite_tensor, spec_with,
-                    tensor_schema, validate_weights, weights_from)
+                    HeadWeights, MlpWeights, ModelSpec, NormParams, block_from,
+                    block_schema, decoder_schema, embedding_schema, flat_arrays,
+                    nonfinite_tensor, spec_with)
 from .rng import check_seed, substream
 
 POLICIES = ("lemon", "net2net_equal", "zero_tail")
@@ -530,7 +533,8 @@ def expand_depth(blocks: Iterator[BlockWeights], spec: ModelSpec, target_spec: M
             field = entry.name.split(".", 2)[2]
             held, fill = _holders(kind, field.rsplit(".", 1)[1], chain)
             yield [f"blocks.{t}.{field}" for t in held], next(wide)
-            rest = [f"blocks.{t}.{field}" for t in chain if t not in held]
+            taken = set(held)
+            rest = [f"blocks.{t}.{field}" for t in chain if t not in taken]
             if fill is not None and rest:
                 # allocated only once the tensor it stands in for is taken
                 yield rest, np.full(entry.shape, fill) if fill else np.zeros(entry.shape)
@@ -585,8 +589,8 @@ def _checked_finite(part, schema):
     return part
 
 
-def _expanded_parts(embedding: EmbeddingWeights, source_block, source_decoder,
-                    spec: ModelSpec, target_spec: ModelSpec, plan: ExpansionPlan):
+def _expanded_parts(embedding: EmbeddingWeights, source: CheckpointReader,
+                    target_spec: ModelSpec, plan: ExpansionPlan):
     """The target model one grown float64 tensor at a time (a norm's eps
     as a 0-d array), as ``(names, tensor)`` pairs, ``names`` being every
     tensor of the target that holds it: the embedding's, then the blocks'
@@ -594,27 +598,26 @@ def _expanded_parts(embedding: EmbeddingWeights, source_block, source_decoder,
     decoder's.
 
     ``embedding`` is the source's, in float64; it is dropped once
-    expanded.  ``source_block(j)`` gives source block ``j`` in its stored
-    dtype: each is asked for once, in order, then promoted to float64 and
-    checked for NaN and Inf.  ``source_decoder()`` gives the final norm
-    (or None), the decoder weight (None when tied) and the decoder bias;
-    it is asked for once the blocks are done.
+    expanded.  Each source block is read from ``source`` once, in order,
+    then promoted to float64 and checked for NaN and Inf; the final norm
+    and decoder are read once the blocks are done.
 
     Every part draws from its own substream (``("block", i)``,
     ``("depth", i, c)``, ``"final_norm"``, ``"decoder"``), so the order
     in which parts are built does not change a single value.
     """
+    spec = source.spec
     d_t, seed, policy, noise = target_spec.width, plan.seed, plan.policy, plan.noise_scale
     f64 = np.dtype(np.float64)
     grown = flat_arrays(expand_embeddings(embedding, spec, d_t, _stream_mode(spec.norm_style)))
     del embedding
     for entry in embedding_schema(target_spec, f64):
         yield [entry.name], grown.pop(0)
-    blocks = (_checked_finite(_as64(source_block(j)), block_schema(spec, j, f64))
+    blocks = (_checked_finite(_as64(source.block(j)), block_schema(spec, j, f64))
               for j in range(spec.depth))
     yield from expand_depth(blocks, spec, target_spec, plan)
 
-    final_norm, dec_weight, dec_bias = _as64(list(source_decoder()))
+    final_norm, dec_weight, dec_bias = _as64(list(source.decoder()))
     if final_norm is not None:
         final_norm = expand_norm_params(final_norm, d_t, substream(seed, "final_norm"),
                                         spec.is_rms)
@@ -647,18 +650,6 @@ def _named(parts, dtype):
         del tensor
 
 
-def _assembled(parts, spec: ModelSpec, dtype) -> ModelWeights:
-    """The ``spec`` model of ``dtype`` that ``parts`` (see
-    ``_expanded_parts``) make up, sharing no array between its tensors: a
-    tensor that several hold is copied for each but the first."""
-    arrays: dict[str, np.ndarray] = {}
-    seen: set[int] = set()
-    for name, a in _named(parts, dtype):
-        arrays[name] = a.copy() if id(a) in seen else a
-        seen.add(id(a))  # every tensor is kept, so no id is reused
-    return weights_from((arrays.pop(entry.name) for entry in tensor_schema(spec, dtype)), spec)
-
-
 def post_ln_depth_is_inexact(reader: CheckpointReader, plan: ExpansionPlan) -> bool:
     """True when ``plan`` grows the depth of the post_ln model ``reader``
     holds and one of its block norms has eps > 0: the chain of
@@ -672,58 +663,37 @@ def post_ln_depth_is_inexact(reader: CheckpointReader, plan: ExpansionPlan) -> b
                for entry in block_schema(spec, i, reader.dtype) if entry.shape == ())
 
 
-def expand_model(weights: ModelWeights | CheckpointReader, spec: ModelSpec,
-                 plan: ExpansionPlan, out=None) -> tuple[ModelWeights | None, ModelSpec, dict]:
-    """Expand a whole model per ``plan``; width first, then depth.
+def expand_model(source: CheckpointReader, plan: ExpansionPlan,
+                 out) -> tuple[ModelSpec, dict]:
+    """Expand the model of the open checkpoint ``source`` per ``plan``,
+    width first, then depth, into a checkpoint written to ``out``.
 
-    Returns the expanded weights, the target spec, and a duplicate map
-    describing which target heads/hidden units are replicas of the same
-    source unit (per function-carrying block).  The expanded model
-    computes the same function as the source on every input.  A source
-    tensor holding NaN or Inf raises :class:`PlanError`.
+    Returns the target spec and a duplicate map describing which target
+    heads/hidden units are replicas of the same source unit (per
+    function-carrying block).  The expanded model computes the same
+    function as the source on every input.  A source tensor holding NaN
+    or Inf raises :class:`PlanError`.
 
-    ``weights`` is the source in memory, or an open
-    :class:`~lemon.container.CheckpointReader` of a ``spec`` checkpoint.
-    From a reader, source blocks are read one at a time, as the
-    expansion reaches them, and dropped once their target blocks are
-    built; the embedding and decoder are checked first, and the decoder
-    is read again once the blocks are done.  Both sources go through the
-    same expansion and give the same result.  With ``out``, the model is
-    written to that path as a checkpoint instead, each grown tensor
-    placed in the file, under every name of the target that holds it, as
-    soon as it is built, in the order :func:`expand_depth` builds them,
-    so besides the tensor being built no more than one source block
-    (from memory, the source) is held; the returned weights are then
-    None.  ``out`` is replaced only once the whole checkpoint is written.
+    The embedding and decoder are read and checked first.  Source blocks
+    are then read one at a time, as the expansion reaches them, and
+    dropped once their target blocks are built; the decoder is read again
+    once the blocks are done.  Each grown tensor is placed in the file,
+    under every name of the target that holds it, as soon as it is built,
+    in the order :func:`expand_depth` builds them, so besides the tensor
+    being built no more than one source block is held.  ``out`` is
+    replaced only once the whole checkpoint is written.
     """
-    spec.validate()
-    if isinstance(weights, ModelWeights):
-        validate_weights(weights, spec)
-        shell, source_block = replace(weights, blocks=[]), weights.blocks.__getitem__
-
-        def source_decoder():
-            return weights.final_norm, weights.dec_weight, weights.dec_bias
-        in_dtype = weights.dec_bias.dtype
-    else:
-        if weights.spec != spec:
-            raise PlanError("the checkpoint reader holds a different model spec")
-        shell, source_block, source_decoder = weights.shell(), weights.block, weights.decoder
-        in_dtype = weights.dtype
+    spec, dtype = source.spec, source.dtype
+    shell = source.shell()
     plan.validate(spec)
     shell = _checked_finite(_as64(shell), itertools.chain(
-        embedding_schema(spec, in_dtype), decoder_schema(spec, in_dtype)))
+        embedding_schema(spec, dtype), decoder_schema(spec, dtype)))
 
     target_spec = spec_with(spec, width=plan.target_width, depth=plan.target_depth)
-    parts = _expanded_parts(shell.embedding, source_block, source_decoder, spec,
-                            target_spec, plan)
+    parts = _expanded_parts(shell.embedding, source, target_spec, plan)
     del shell  # the embedding goes once expanded, the decoder is read again
-    if out is not None:
-        write_tensors(out, target_spec, in_dtype, _named(parts, in_dtype))
-        expanded = None
-    else:
-        expanded = _assembled(parts, target_spec, in_dtype)
-        validate_weights(expanded, target_spec)
-    return expanded, target_spec, _duplicate_map(spec, target_spec, plan.policy)
+    write_tensors(out, target_spec, dtype, _named(parts, dtype))
+    return target_spec, _duplicate_map(spec, target_spec, plan.policy)
 
 
 def _duplicate_map(spec: ModelSpec, target_spec: ModelSpec, policy: str) -> dict:

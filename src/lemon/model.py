@@ -353,15 +353,6 @@ def block_from(arrays, spec: ModelSpec) -> BlockWeights:
                         norm_from(arrays, spec), mlp_from(arrays))
 
 
-def weights_from(arrays, spec: ModelSpec) -> ModelWeights:
-    embedding = EmbeddingWeights(**{entry.name.split(".", 1)[1]: next(arrays)
-                                    for entry in embedding_schema(spec, np.float64)})
-    blocks = [block_from(arrays, spec) for _ in range(spec.depth)]
-    final = norm_from(arrays, spec) if spec.has_final_norm else None
-    dec_w = None if spec.tied_decoder else next(arrays)
-    return ModelWeights(embedding, blocks, final, dec_w, next(arrays))
-
-
 def nonfinite_tensor(part, schema) -> str | None:
     """The name of the first tensor of ``part`` (named by ``schema``, in
     checkpoint order) that holds NaN or Inf, or None if none does."""
@@ -527,13 +518,10 @@ def mlp_sublayer(x: np.ndarray, ln2: NormParams, mlp: MlpWeights,
     return _residual(x, ln2, spec, lambda h: mlp_forward(h, mlp, spec, skip))
 
 
-def block_forward(x: np.ndarray, block: BlockWeights, spec: ModelSpec,
-                  skip: tuple[bool | None, bool | None] = (None, None)) -> np.ndarray:
-    """Apply the attention sub-layer then the MLP sub-layer.  ``skip``
-    passes each module's ``skip`` on, so a caller that runs many inputs
-    through one block decides :func:`bias_only` once for all of them."""
-    x = attention_sublayer(x, block.ln1, block.attn, spec, skip[0])
-    return mlp_sublayer(x, block.ln2, block.mlp, spec, skip[1])
+def block_forward(x: np.ndarray, block: BlockWeights, spec: ModelSpec) -> np.ndarray:
+    """Apply the attention sub-layer then the MLP sub-layer."""
+    x = attention_sublayer(x, block.ln1, block.attn, spec)
+    return mlp_sublayer(x, block.ln2, block.mlp, spec)
 
 
 def embed(inputs: np.ndarray, emb: EmbeddingWeights, spec: ModelSpec) -> np.ndarray:

@@ -1,7 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
-from lemon import ModelSpec, random_weights
+from lemon import ModelSpec, expand_model, random_weights, read_checkpoint, write_checkpoint
+from lemon.container import CheckpointReader
 from lemon.rng import substream
 
 
@@ -29,6 +33,28 @@ def toy_model(toy_spec):
         spec = toy_spec(**kw)
         return random_weights(spec, substream(seed, "toy")), spec
     return make
+
+
+def _expanded(w, spec, plan):
+    """``expand_model`` on weights held in memory: ``w`` is written as a
+    checkpoint, expanded into another, and that is read back.  Returns the
+    expanded weights, their spec and the duplicate map."""
+    with tempfile.TemporaryDirectory() as tmp:
+        small, big = os.path.join(tmp, "small.lmn"), os.path.join(tmp, "big.lmn")
+        write_checkpoint(w, spec, small)
+        with CheckpointReader(small) as source:
+            big_spec, dup = expand_model(source, plan, big)
+        big_w, read_spec = read_checkpoint(big)
+    assert read_spec == big_spec
+    return big_w, big_spec, dup
+
+
+@pytest.fixture(scope="session")
+def expanded():
+    """``(weights, spec, plan) -> (expanded weights, spec, duplicate map)``,
+    through a checkpoint on each side (session-scoped, so hypothesis tests
+    can use it too)."""
+    return _expanded
 
 
 class _ZeroNormal:

@@ -15,7 +15,7 @@ import pytest
 from lemon import (ExpansionPlan, ModelSpec, PlanError,
                    ScheduleSpec, SplitError, block_forward, expand_bias,
                    expand_layernorm, expand_matrix_cols, expand_matrix_rows,
-                   expand_model, expand_rmsnorm, expand_vector, model_forward,
+                   expand_rmsnorm, expand_vector, model_forward,
                    random_weights, read_checkpoint, toy_mlp_gradient_step,
                    validate_header, write_checkpoint, write_schedule_csv)
 from lemon import kernels
@@ -49,7 +49,7 @@ def max_logit_diff(small_w, small_spec, big_w, big_spec, n_inputs, seed, seq=6):
     return worst
 
 
-def test_criterion_1_end_to_end_losslessness():
+def test_criterion_1_end_to_end_losslessness(expanded):
     size_grid = [
         (8, 16, 2, 4), (8, 20, 2, 5), (12, 16, 3, 5),
         (12, 24, 3, 4), (16, 24, 2, 5), (16, 20, 3, 4),
@@ -66,7 +66,7 @@ def test_criterion_1_end_to_end_losslessness():
                     plan = ExpansionPlan(d_t, l_t, policy=policy,
                                          depth_mode=depth_mode,
                                          seed=configs + 1)
-                    big_w, big_spec, _ = expand_model(weights, spec, plan)
+                    big_w, big_spec, _ = expanded(weights, spec, plan)
                     diff = max_logit_diff(weights, spec, big_w, big_spec,
                                           n_inputs=32, seed=configs)
                     worst = max(worst, diff)
@@ -80,11 +80,11 @@ def test_criterion_1_end_to_end_losslessness():
                 f"{elapsed:.1f}s)")
 
 
-def test_criterion_2_post_ln_divisible_and_rejection():
+def test_criterion_2_post_ln_divisible_and_rejection(expanded):
     spec = spec_for("post_ln", 2, 8, eps=0.0)
     weights = random_weights(spec, substream(102, "postln"))
     plan = ExpansionPlan(16, 4, seed=2)
-    big_w, big_spec, _ = expand_model(weights, spec, plan)
+    big_w, big_spec, _ = expanded(weights, spec, plan)
     diff = max_logit_diff(weights, spec, big_w, big_spec, n_inputs=32, seed=2)
     assert diff <= TOL
     with pytest.raises(PlanError):
@@ -240,14 +240,14 @@ def inserted_positions(l_s: int, l_t: int) -> list[int]:
     return out
 
 
-def test_criterion_6_inserted_blocks_contribute_exactly_zero():
+def test_criterion_6_inserted_blocks_contribute_exactly_zero(expanded):
     checked = 0
     for style in ("pre_ln", "rms_pre", "post_res_norm"):
         spec = spec_for(style, 2, 8)
         weights = random_weights(spec, substream(106, style))
         for depth_mode in ("type1", "type2"):
             plan = ExpansionPlan(20, 5, depth_mode=depth_mode, seed=6)
-            big_w, big_spec, _ = expand_model(weights, spec, plan)
+            big_w, big_spec, _ = expanded(weights, spec, plan)
             for i in range(4):
                 x = substream(106, "x", style, depth_mode, i).standard_normal((5, 20))
                 for idx in inserted_positions(2, 5):
@@ -258,11 +258,11 @@ def test_criterion_6_inserted_blocks_contribute_exactly_zero():
                 f"evaluations (type1 and type2)")
 
 
-def test_criterion_7_tied_decoder_rescale():
+def test_criterion_7_tied_decoder_rescale(expanded):
     spec = spec_for("pre_ln", 2, 8, tied_decoder=True, vocab_or_classes=13)
     weights = random_weights(spec, substream(107, "tied"))
     plan = ExpansionPlan(16, 4, seed=7)  # k = 2
-    big_w, big_spec, _ = expand_model(weights, spec, plan)
+    big_w, big_spec, _ = expanded(weights, spec, plan)
     # divisible doubling tiles the final norm weight, then halves it for tying
     np.testing.assert_array_equal(big_w.final_norm.mu * 2.0,
                                   np.tile(weights.final_norm.mu, 2))

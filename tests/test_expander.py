@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lemon import (ExpansionPlan, ModelSpec, PlanError, SplitError,
                    block_forward,
-                   expand_mha, expand_mlp, expand_model, expand_vector,
+                   expand_mha, expand_mlp, expand_vector,
                    mha_forward, mlp_forward, model_forward, random_weights,
                    toy_mlp_gradient_step, validate_weights)
 from lemon.container import named_tensors
@@ -126,20 +126,20 @@ class TestSplitProperties:
             column_split(m, 10, mode, "lemon", zero_normal(), 0.02)
 
     def test_unseparable_type2_pairs_rejected(self, toy_model, zero_normal,
-                                              monkeypatch):
+                                              monkeypatch, expanded):
         # net2net_equal draws no split noise, so only the ± pairs can fail
         w, spec = toy_model(depth=1)
         monkeypatch.setattr("lemon.expander.substream", lambda *tags: zero_normal())
         plan = ExpansionPlan(16, 2, policy="net2net_equal", depth_mode="type2")
         with pytest.raises(PlanError):
-            expand_model(w, spec, plan)
+            expanded(w, spec, plan)
 
-    def test_overflowing_decoder_tail_noise_rejected(self, toy_model):
+    def test_overflowing_decoder_tail_noise_rejected(self, toy_model, expanded):
         # depth 0: only the decoder's free rand tail draws noise, and no sum
         # check covers a tail
         w, spec = toy_model(depth=0)
         with pytest.raises(PlanError, match="noise_scale"):
-            expand_model(w, spec, ExpansionPlan(12, 0, noise_scale=1e308))
+            expanded(w, spec, ExpansionPlan(12, 0, noise_scale=1e308))
 
 
 class TestGrowOnce:
@@ -496,22 +496,22 @@ class TestEmbeddingsAndDecoder:
         want = kernels.matmul(w.dec_weight, h[:, None])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_tied_rescale_halves_final_norm(self, toy_model):
+    def test_tied_rescale_halves_final_norm(self, toy_model, expanded):
         w, spec = toy_model(tied_decoder=True)
         plan = ExpansionPlan(2 * spec.width, spec.depth, seed=3)
-        big_w, big_spec, _ = expand_model(w, spec, plan)
+        big_w, big_spec, _ = expanded(w, spec, plan)
         # same expansion without tying, for the unscaled reference
         w_untied = random_weights(spec.__class__(**{**spec.__dict__,
                                                     "tied_decoder": False}),
                                   substream(12, "u"))
         w_untied.final_norm = map_arrays(w.final_norm, np.copy)
-        big_u, _, _ = expand_model(
+        big_u, _, _ = expanded(
             w_untied, spec.__class__(**{**spec.__dict__, "tied_decoder": False}), plan)
         np.testing.assert_array_equal(big_w.final_norm.mu, big_u.final_norm.mu / 2)
 
-    def test_tied_identity_width_no_rescale(self, toy_model):
+    def test_tied_identity_width_no_rescale(self, toy_model, expanded):
         w, spec = toy_model(tied_decoder=True)
-        big_w, _, _ = expand_model(w, spec, ExpansionPlan(spec.width, spec.depth))
+        big_w, _, _ = expanded(w, spec, ExpansionPlan(spec.width, spec.depth))
         np.testing.assert_array_equal(big_w.final_norm.mu, w.final_norm.mu)
 
 
@@ -527,19 +527,19 @@ class TestDepthExpansion:
         assert replica_groups(2, 2) == {}
 
     @pytest.mark.parametrize("mode", ("type1", "type2"))
-    def test_inserted_blocks_are_exact_identities(self, toy_model, rng, mode):
+    def test_inserted_blocks_are_exact_identities(self, toy_model, rng, mode, expanded):
         w, spec = toy_model(depth=2)
         plan = ExpansionPlan(20, 5, depth_mode=mode, seed=13)
-        big_w, big_spec, _ = expand_model(w, spec, plan)
+        big_w, big_spec, _ = expanded(w, spec, plan)
         x = rng("ins", mode).standard_normal((5, 20))
         for idx in (1, 2, 4):  # multiplicities [3, 2] -> inserted at 1, 2, 4
             out = block_forward(x, big_w.blocks[idx], big_spec)
             np.testing.assert_array_equal(out, x)
 
-    def test_type2_output_layers_are_nonzero(self, toy_model):
+    def test_type2_output_layers_are_nonzero(self, toy_model, expanded):
         w, spec = toy_model(depth=1)
         plan = ExpansionPlan(16, 2, depth_mode="type2", seed=14)
-        big_w, _, _ = expand_model(w, spec, plan)
+        big_w, _, _ = expanded(w, spec, plan)
         inserted = big_w.blocks[1]
         assert np.abs(inserted.attn.wo).max() > 0
         assert np.abs(inserted.mlp.w2).max() > 0
@@ -548,11 +548,10 @@ class TestDepthExpansion:
         sums = inserted.mlp.w2[:, :h] + inserted.mlp.w2[:, h:]
         np.testing.assert_array_equal(sums, np.zeros_like(sums))
 
-    def test_type2_pairs_follow_the_reference_layout(self, toy_model):
+    def test_type2_pairs_follow_the_reference_layout(self, toy_model, expanded):
         # d_t = 20: heads 2 -> 5 (heads 0, 1 paired), hidden 16 -> 40
         w, spec = toy_model(depth=1)
-        big_w, _, _ = expand_model(w, spec, ExpansionPlan(20, 2, depth_mode="type2",
-                                                          seed=19))
+        big_w, _, _ = expanded(w, spec, ExpansionPlan(20, 2, depth_mode="type2", seed=19))
         blk = big_w.blocks[1]
         hd, h_s, hidden_s = spec.head_dim, spec.n_heads, spec.hidden_dim
         want_wo = np.zeros_like(blk.attn.wo)
@@ -569,34 +568,34 @@ class TestDepthExpansion:
             want_w2[row, row % hidden_s], want_w2[row, row % hidden_s + hidden_s] = a, -a
         np.testing.assert_array_equal(blk.mlp.w2, want_w2)
 
-    def test_type2_without_width_growth_degenerates_to_zero(self, toy_model):
+    def test_type2_without_width_growth_degenerates_to_zero(self, toy_model, expanded):
         w, spec = toy_model(depth=1)
         plan = ExpansionPlan(spec.width, 2, depth_mode="type2", seed=15)
-        big_w, _, _ = expand_model(w, spec, plan)
+        big_w, _, _ = expanded(w, spec, plan)
         np.testing.assert_array_equal(big_w.blocks[1].attn.wo,
                                       np.zeros_like(big_w.blocks[1].attn.wo))
         np.testing.assert_array_equal(big_w.blocks[1].mlp.w2,
                                       np.zeros_like(big_w.blocks[1].mlp.w2))
 
-    def test_depth_doubling_six_to_twelve_is_lossless(self, toy_model):
+    def test_depth_doubling_six_to_twelve_is_lossless(self, toy_model, expanded):
         w, spec = toy_model(depth=6)
         for mode in ("type1", "type2"):
-            big_w, big_spec, _ = expand_model(
+            big_w, big_spec, _ = expanded(
                 w, spec, ExpansionPlan(spec.width, 12, depth_mode=mode, seed=16))
             assert forward_diff(w, spec, big_w, big_spec) <= 1e-10
 
-    def test_post_res_norm_inserted_blocks(self, toy_model, rng):
+    def test_post_res_norm_inserted_blocks(self, toy_model, rng, expanded):
         w, spec = toy_model(style="post_res_norm", depth=2)
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(16, 4, seed=17))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(16, 4, seed=17))
         x = rng("prn").standard_normal((4, 16))
         np.testing.assert_array_equal(block_forward(x, big_w.blocks[1], big_spec), x)
         np.testing.assert_array_equal(big_w.blocks[1].ln1.mu, np.zeros(16))
 
-    def test_aki_style_copies_next_block(self, toy_model):
+    def test_aki_style_copies_next_block(self, toy_model, expanded):
         w, spec = toy_model(depth=2)
         plan = ExpansionPlan(spec.width, 4, depth_mode="type1", seed=18,
                              depth_source="next")
-        big_w, big_spec, _ = expand_model(w, spec, plan)
+        big_w, big_spec, _ = expanded(w, spec, plan)
         # inserted block after block 0 carries block 1's inner weights
         np.testing.assert_array_equal(big_w.blocks[1].mlp.w1, w.blocks[1].mlp.w1)
         np.testing.assert_array_equal(big_w.blocks[1].attn.heads[0].wq,
@@ -607,38 +606,38 @@ class TestDepthExpansion:
 class TestExpandModel:
     @pytest.mark.parametrize("style", ("pre_ln", "post_res_norm", "rms_pre"))
     @pytest.mark.parametrize("policy", ("lemon", "net2net_equal", "zero_tail"))
-    def test_end_to_end_losslessness(self, toy_model, style, policy):
+    def test_end_to_end_losslessness(self, toy_model, style, policy, expanded):
         w, spec = toy_model(style=style)
         plan = ExpansionPlan(20, 4, policy=policy, depth_mode="type2", seed=19)
-        big_w, big_spec, _ = expand_model(w, spec, plan)
+        big_w, big_spec, _ = expanded(w, spec, plan)
         assert forward_diff(w, spec, big_w, big_spec) <= 1e-10
 
-    def test_identity_plan_returns_identical_weights(self, toy_model):
+    def test_identity_plan_returns_identical_weights(self, toy_model, expanded):
         w, spec = toy_model()
-        big_w, big_spec, dup = expand_model(w, spec,
-                                            ExpansionPlan(spec.width, spec.depth))
+        big_w, big_spec, dup = expanded(w, spec, ExpansionPlan(spec.width, spec.depth))
         for (na, a), (nb, b) in zip(named_tensors(w, spec),
                                     named_tensors(big_w, big_spec)):
             assert na == nb
             np.testing.assert_array_equal(a, b)
         assert dup["blocks"] == []
 
-    def test_vision_end_to_end(self, toy_spec):
+    def test_vision_end_to_end(self, toy_spec, expanded):
         spec = toy_spec(input_kind="vision", vocab=9, patch_dim=8, num_patches=5)
         w = random_weights(spec, substream(20, "v"))
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(20, 4, seed=21))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(20, 4, seed=21))
         assert forward_diff(w, spec, big_w, big_spec) <= 1e-10
 
     @pytest.mark.parametrize("style, mode, source", (
         ("pre_ln", "type1", "self"), ("pre_ln", "type1", "next"), ("pre_ln", "type2", "self"),
         ("post_res_norm", "type1", "self"), ("post_res_norm", "type1", "next"),
         ("post_ln", "type1", "self")))
-    def test_assembled_model_shares_no_array(self, toy_model, style, mode, source):
-        # streamed inserted halves hold the widened arrays they copy; the
-        # assembled model gets its own, and leaves the source's alone
+    def test_assembled_model_shares_no_array(self, toy_model, style, mode, source,
+                                             expanded):
+        # inserted blocks are written from the widened arrays they copy;
+        # read back, every tensor has its own, and the source is left alone
         w, spec = toy_model(style=style, depth=2, eps=0.0 if style == "post_ln" else 1e-5)
         width = 16 if style == "post_ln" else 12
-        big_w, big_spec, _ = expand_model(
+        big_w, big_spec, _ = expanded(
             w, spec, ExpansionPlan(width, 6, depth_mode=mode, depth_source=source, seed=23))
         big = [a for _, a in named_tensors(big_w, big_spec)]
         src = [a for _, a in named_tensors(w, spec)]
@@ -647,41 +646,41 @@ class TestExpandModel:
         assert len({id(c) for b in big_w.blocks for c in _containers(b)}) == sum(
             len(list(_containers(b))) for b in big_w.blocks)
 
-    def test_deterministic_given_seed(self, toy_model):
+    def test_deterministic_given_seed(self, toy_model, expanded):
         w, spec = toy_model()
         plan = ExpansionPlan(20, 5, depth_mode="type2", seed=22)
-        a, sa, _ = expand_model(w, spec, plan)
-        b, sb, _ = expand_model(w, spec, plan)
+        a, sa, _ = expanded(w, spec, plan)
+        b, sb, _ = expanded(w, spec, plan)
         for (_, ta), (_, tb) in zip(named_tensors(a, sa), named_tensors(b, sb)):
             np.testing.assert_array_equal(ta, tb)
 
-    def test_different_seed_changes_free_parameters(self, toy_model):
+    def test_different_seed_changes_free_parameters(self, toy_model, expanded):
         w, spec = toy_model()
-        a, sa, _ = expand_model(w, spec, ExpansionPlan(20, 2, seed=1))
-        b, _, _ = expand_model(w, spec, ExpansionPlan(20, 2, seed=2))
+        a, sa, _ = expanded(w, spec, ExpansionPlan(20, 2, seed=1))
+        b, _, _ = expanded(w, spec, ExpansionPlan(20, 2, seed=2))
         assert any(not np.array_equal(ta, tb)
                    for (_, ta), (_, tb) in zip(named_tensors(a, sa),
                                                named_tensors(b, sa)))
 
-    def test_per_block_substreams_are_isolated(self, toy_model):
+    def test_per_block_substreams_are_isolated(self, toy_model, expanded):
         # mutating one block's weights must not shift the random draws
         # used for any other block (parallel == serial contract)
         w, spec = toy_model(depth=2)
         plan = ExpansionPlan(20, 2, seed=4)
-        base, bs, _ = expand_model(w, spec, plan)
+        base, bs, _ = expanded(w, spec, plan)
         altered = map_arrays(w, np.copy)
         altered.blocks[1].mlp.w1 += 1.0
-        other, _, _ = expand_model(altered, spec, plan)
+        other, _, _ = expanded(altered, spec, plan)
         # block 0 is bitwise unaffected, including its free parameters
         for (na, a), (nb, b) in zip(named_tensors(base, bs),
                                     named_tensors(other, bs)):
             if na.startswith("blocks.0."):
                 np.testing.assert_array_equal(a, b, err_msg=na)
 
-    def test_float32_round_trip(self, toy_spec):
+    def test_float32_round_trip(self, toy_spec, expanded):
         spec = toy_spec()
         w = random_weights(spec, substream(23, "f"), dtype=np.float32)
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(16, 3, seed=24))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(16, 3, seed=24))
         assert big_w.blocks[0].mlp.w1.dtype == np.float32
         assert forward_diff(w, spec, big_w, big_spec) <= 1e-5
 
@@ -705,15 +704,15 @@ class TestExpandModel:
         with pytest.raises(PlanError):
             ExpansionPlan(12, 2).validate(spec)
 
-    def test_post_ln_divisible_losslessness(self, toy_spec):
+    def test_post_ln_divisible_losslessness(self, toy_spec, expanded):
         spec = toy_spec(style="post_ln", eps=0.0)
         w = random_weights(spec, substream(25, "pl"))
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(16, 5, seed=26))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(16, 5, seed=26))
         assert forward_diff(w, spec, big_w, big_spec) <= 1e-10
 
-    def test_duplicate_map_structure(self, toy_model):
+    def test_duplicate_map_structure(self, toy_model, expanded):
         w, spec = toy_model(depth=2)
-        _, _, dup = expand_model(w, spec, ExpansionPlan(20, 3, seed=27))
+        _, _, dup = expanded(w, spec, ExpansionPlan(20, 3, seed=27))
         assert dup["version"] == 1
         carriers = [b["index"] for b in dup["blocks"]]
         assert carriers == [0, 2]  # multiplicities [2, 1]; inserted block at 1
@@ -754,12 +753,11 @@ class TestMapArrays:
 class TestMotivatingScale:
     @pytest.mark.slow
     @pytest.mark.parametrize("d_s", (384, 512))
-    def test_six_block_to_twelve_block_base_width(self, d_s):
+    def test_six_block_to_twelve_block_base_width(self, d_s, expanded):
         # the headline shapes: 6 blocks at 384/512 grown to 12 blocks at 768
         spec = ModelSpec("pre_ln", 6, d_s, 64, 4.0, 32, eps=1e-6)
         w = random_weights(spec, substream(30, "scale", d_s))
-        big_w, big_spec, _ = expand_model(w, spec,
-                                          ExpansionPlan(768, 12, seed=31))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(768, 12, seed=31))
         worst = 0.0
         for i in range(64):
             ids = substream(32, "seq", d_s, i).integers(0, 32, size=2)

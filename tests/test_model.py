@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,16 +128,32 @@ class TestBlock:
         np.testing.assert_array_equal(block_forward(x, blk, spec), want)
 
 
-    @pytest.mark.parametrize("skip", ((None, None), (False, False), (True, False),
-                                      (False, True), (True, True)))
     @pytest.mark.parametrize("style", NORM_STYLES)
-    def test_is_its_two_sublayers_bit_for_bit(self, toy_model, rng, style, skip):
+    def test_is_its_two_sublayers_bit_for_bit(self, toy_model, rng, style):
         w, spec = toy_model(style=style, depth=1)
         blk = w.blocks[0]
         x = rng("sub", style).standard_normal((5, spec.width))
-        mid = attention_sublayer(x, blk.ln1, blk.attn, spec, skip[0])
-        want = mlp_sublayer(mid, blk.ln2, blk.mlp, spec, skip[1])
-        assert block_forward(x, blk, spec, skip).tobytes() == want.tobytes()
+        mid = attention_sublayer(x, blk.ln1, blk.attn, spec)
+        want = mlp_sublayer(mid, blk.ln2, blk.mlp, spec)
+        assert block_forward(x, blk, spec).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("style", NORM_STYLES)
+    def test_a_sublayer_runs_or_skips_its_module_as_told(self, toy_model, rng, style):
+        # skip=True stands the output bias in for the module, which is what
+        # the default decides for a module whose output projection is zero;
+        # skip=False runs the module, whatever the default would decide
+        w, spec = toy_model(style=style, depth=1)
+        blk = w.blocks[0]
+        x = rng("skip", style).standard_normal((5, spec.width))
+        for sublayer, norm, module, zeroed in (
+                (attention_sublayer, blk.ln1, blk.attn,
+                 replace(blk.attn, wo=np.zeros_like(blk.attn.wo))),
+                (mlp_sublayer, blk.ln2, blk.mlp,
+                 replace(blk.mlp, w2=np.zeros_like(blk.mlp.w2)))):
+            def run(m, skip=None):
+                return sublayer(x, norm, m, spec, skip).tobytes()
+            assert run(module, False) == run(module) != run(module, True)
+            assert run(module, True) == run(zeroed) == run(zeroed, True) == run(zeroed, False)
 
 
 class TestModelForward:

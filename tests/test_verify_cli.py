@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from lemon import (ExpansionPlan, MalformedHeaderError, expand_model, model_forward,
+from lemon import (ExpansionPlan, MalformedHeaderError, model_forward,
                    read_checkpoint, read_header, symmetry_report, verify_lossless,
                    write_checkpoint)
 from lemon import cli, container, kernels, verify
@@ -166,11 +166,12 @@ class TestVerify:
         assert "(tol 1e-05)" in out and out.endswith("PASS\n")
         assert main(argv + ["--tol", "1e-12"]) == 1  # an explicit --tol wins
 
-    def test_corrupted_token_row_no_sample_reads_fails(self, toy_model, tmp_path, capsys):
+    def test_corrupted_token_row_no_sample_reads_fails(self, toy_model, tmp_path, capsys,
+                                                       expanded):
         w, spec = toy_model(depth=2, width=16, vocab=1000)
         small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
         write_checkpoint(w, spec, small)
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(24, 4, seed=5))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(24, 4, seed=5))
         read = set()
         for i in range(32):  # the CLI's default samples, seed and sequence length
             read.update(_draw_input(spec, substream(0, "verify", i), 16).tolist())
@@ -320,6 +321,16 @@ class TestSymmetryCommand:
         _, _, small = workdir
         assert main(["symmetry", "--ckpt", str(small)]) == 0
         assert "empty report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("blob", (None, b"garbage"), ids=("missing", "garbage"))
+    def test_missing_or_corrupt_checkpoint_without_a_map_exits_3(self, tmp_path, capsys,
+                                                                 blob):
+        ckpt = tmp_path / "model.lmn"
+        if blob is not None:
+            ckpt.write_bytes(blob)
+        assert main(["symmetry", "--ckpt", str(ckpt)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", [
         {"mlp_hidden_groups": {"0": [0, 16]}},
@@ -576,12 +587,12 @@ class TestExpandContract:
         assert out.read_bytes() == before if existing else not out.exists()
         assert sorted(os.listdir(tmp_path)) == files
 
-    def test_sidecar_is_the_indented_duplicate_map(self, workdir):
+    def test_sidecar_is_the_indented_duplicate_map(self, workdir, expanded):
         tmp_path, _, small = workdir
         out = tmp_path / "big.lmn"
         assert self.expand(small, out) == 0
         w, spec = read_checkpoint(small)
-        _, _, dup = expand_model(w, spec, ExpansionPlan(16, 4, seed=3))
+        _, _, dup = expanded(w, spec, ExpansionPlan(16, 4, seed=3))
         assert (tmp_path / "big.lmn.duplicates.json").read_bytes() == \
             json.dumps(dup, indent=1).encode()
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
@@ -673,6 +684,7 @@ class TestCorruptedCheckpointExitCodes:
             for argv in (["inspect", paths[which]],
                          ["verify", "--small", paths["small"], "--big", paths["big"]],
                          ["symmetry", "--ckpt", paths["big"], "--map", paths["map"]],
+                         ["symmetry", "--ckpt", paths[which]],  # no sidecar
                          ["expand", "--in", paths[which], "--out", os.path.join(d, "out"),
                           "--target-width", "16", "--target-depth", "4"]):
                 err = io.StringIO()
@@ -863,3 +875,43 @@ class TestVerifyExitCodes:
         assert code in (0, 1, 2, 3)
         assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
         assert ("PASS" in out.getvalue()) == (code == 0)
+
+
+class TestExpandExitCodes:
+    """expand exits 0, 2 or 3 on any flag values, with at most one line of
+    error and never a traceback or a warning."""
+
+    @settings(max_examples=200, deadline=None)
+    # the source is 2 blocks at width 8 with head_dim 4: widths that are
+    # a multiple of 4 are drawn more often, so that most runs expand
+    @given(width=st.integers(-1, 16).map(lambda n: 4 * n) | st.integers(-4, 64)
+           | st.just(2**56),
+           depth=st.integers(-2, 12),
+           policy=st.sampled_from(["lemon", "net2net-equal", "zero-tail"]),
+           mode=st.sampled_from(["type1", "type2"]),
+           source=st.sampled_from(["self", "next"]),
+           noise=st.floats(1e-6, 1.0)
+           | st.sampled_from([0.0, -0.02, math.nan, math.inf, -math.inf, 1e308]),
+           seed=st.integers(0, 5) | st.sampled_from([-1, 2**64]))
+    # a width that cannot be allocated fails at its first allocation
+    @example(width=2**56, depth=2, policy="lemon", mode="type1", source="self", noise=0.02,
+             seed=0)
+    def test_exit_code_is_documented(self, width, depth, policy, mode, source, noise, seed):
+        with tempfile.TemporaryDirectory() as d:
+            small = os.path.join(d, "small")
+            with open(small, "wb") as fh:
+                fh.write(_toy_pair()["small"])
+            argv = ["expand", "--in", small, "--out", os.path.join(d, "out"),
+                    f"--target-width={width}", f"--target-depth={depth}",
+                    f"--policy={policy}", f"--depth-mode={mode}", f"--depth-source={source}",
+                    f"--noise-scale={noise!r}", f"--seed={seed}"]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3), argv
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), argv
+        assert not caught, (argv, [str(w.message) for w in caught])

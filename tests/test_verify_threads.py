@@ -21,6 +21,7 @@ from lemon import (ExpansionPlan, NumericsError, expand_model, model_forward,
                    read_checkpoint, verify_lossless, write_checkpoint)
 from lemon import kernels, model, verify
 from lemon.cli import main
+from lemon.container import CheckpointReader
 from lemon.rng import substream
 
 
@@ -30,7 +31,8 @@ def _pair(toy_model, tmp_path, **kw):
     w, spec = toy_model(depth=2, width=8, **kw)
     small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
     write_checkpoint(w, spec, small)
-    _, _, dup = expand_model(w, spec, ExpansionPlan(12, 4, seed=5), out=big)
+    with CheckpointReader(small) as reader:
+        _, dup = expand_model(reader, ExpansionPlan(12, 4, seed=5), big)
     return small, big, dup["blocks"][1]["index"]
 
 

@@ -19,6 +19,7 @@ from lemon import (AttentionWeights, ExpansionPlan, HeadWeights, MlpWeights,
                    verify_lossless, write_checkpoint)
 from lemon import kernels
 from lemon.cli import main
+from lemon.container import CheckpointReader
 from lemon.model import bias_only
 from lemon.rng import substream
 
@@ -47,8 +48,9 @@ def expanded_pair(toy_model, tmp_path, depth=2, target_depth=4, depth_mode="type
     w, spec = toy_model(depth=depth, width=8)
     small, big = tmp_path / "small.lmn", tmp_path / "big.lmn"
     write_checkpoint(w, spec, small)
-    _, big_spec, dup = expand_model(
-        w, spec, ExpansionPlan(12, target_depth, depth_mode=depth_mode, seed=5), out=big)
+    with CheckpointReader(small) as reader:
+        big_spec, dup = expand_model(
+            reader, ExpansionPlan(12, target_depth, depth_mode=depth_mode, seed=5), big)
     return small, big, spec, big_spec, dup
 
 
@@ -231,27 +233,27 @@ class TestSkipIsBitwiseTheFullPath:
         return skipped
 
     @pytest.mark.parametrize("negate_bias", [False, True])
-    def test_type1_inserted_blocks(self, toy_model, negate_bias):
+    def test_type1_inserted_blocks(self, toy_model, negate_bias, expanded):
         w, spec = toy_model(depth=2, width=8)
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(12, 4, seed=8))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(12, 4, seed=8))
         assert self.check(big_w.blocks, big_spec, negate_bias) == 4
 
     @pytest.mark.parametrize("loop", ["active", "fallback"])
     @pytest.mark.parametrize("negate_bias", [False, True])
-    def test_type2_inserted_blocks(self, toy_model, monkeypatch, negate_bias, loop):
+    def test_type2_inserted_blocks(self, toy_model, monkeypatch, negate_bias, loop, expanded):
         if loop == "fallback":
             monkeypatch.setattr(kernels, "_inner", kernels._multiply_then_sum)
         w, spec = toy_model(depth=2, width=8)
-        big_w, big_spec, _ = expand_model(w, spec,
-                                          ExpansionPlan(12, 4, depth_mode="type2", seed=8))
+        big_w, big_spec, _ = expanded(w, spec,
+                                      ExpansionPlan(12, 4, depth_mode="type2", seed=8))
         inserted = big_w.blocks[1::2]
         assert all(b.attn.wo.any() and b.mlp.w2.any() for b in inserted)
         assert self.check(big_w.blocks, big_spec, negate_bias) == 4
 
     @pytest.mark.parametrize("negate_bias", [False, True])
-    def test_post_ln_chain(self, toy_model, negate_bias):
+    def test_post_ln_chain(self, toy_model, negate_bias, expanded):
         w, spec = toy_model(style="post_ln", depth=1, width=8, eps=0.0)
-        big_w, big_spec, _ = expand_model(w, spec, ExpansionPlan(16, 3, seed=9))
+        big_w, big_spec, _ = expanded(w, spec, ExpansionPlan(16, 3, seed=9))
         first, mid, last = big_w.blocks
         assert not first.mlp.w2.any() and first.attn.wo.any()
         assert not last.attn.wo.any() and last.mlp.w2.any()
@@ -330,9 +332,9 @@ def test_skipped_module_is_exactly_its_bias(data, attention):
                                       (np.zeros_like(full) + bias).view(np.uint64))
 
 
-def test_incoming_weights_must_match_bit_for_bit(toy_model):
+def test_incoming_weights_must_match_bit_for_bit(toy_model, expanded):
     w, spec = toy_model(depth=2, width=8)
-    big_w, *_ = expand_model(w, spec, ExpansionPlan(12, 4, depth_mode="type2", seed=8))
+    big_w, *_ = expanded(w, spec, ExpansionPlan(12, 4, depth_mode="type2", seed=8))
     mlp = big_w.blocks[1].mlp  # hidden unit 16 replicates unit 0
     mlp.w1[0, 0] = mlp.w1[16, 0] = 0.0
     assert bias_only(mlp)
