@@ -128,32 +128,43 @@ class TestBlock:
         np.testing.assert_array_equal(block_forward(x, blk, spec), want)
 
 
+    @pytest.mark.parametrize("zeroed", ((), ("attn",), ("mlp",), ("attn", "mlp")),
+                             ids=("none", "attn", "mlp", "both"))
     @pytest.mark.parametrize("style", NORM_STYLES)
-    def test_is_its_two_sublayers_bit_for_bit(self, toy_model, rng, style):
+    def test_is_its_two_sublayers_bit_for_bit(self, toy_model, rng, style, zeroed):
+        # a module whose output projection is zero is skipped by the block's
+        # own default, the same as a sublayer told to skip it
         w, spec = toy_model(style=style, depth=1)
         blk = w.blocks[0]
+        if "attn" in zeroed:
+            blk.attn.wo[:] = 0.0
+        if "mlp" in zeroed:
+            blk.mlp.w2[:] = 0.0
         x = rng("sub", style).standard_normal((5, spec.width))
-        mid = attention_sublayer(x, blk.ln1, blk.attn, spec)
-        want = mlp_sublayer(mid, blk.ln2, blk.mlp, spec)
+        mid = attention_sublayer(x, blk.ln1, blk.attn, spec, "attn" in zeroed)
+        want = mlp_sublayer(mid, blk.ln2, blk.mlp, spec, "mlp" in zeroed)
         assert block_forward(x, blk, spec).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("module", ("attn", "mlp"))
     @pytest.mark.parametrize("style", NORM_STYLES)
-    def test_a_sublayer_runs_or_skips_its_module_as_told(self, toy_model, rng, style):
+    def test_a_sublayer_runs_or_skips_its_module_as_told(self, toy_model, rng, style, module):
         # skip=True stands the output bias in for the module, which is what
         # the default decides for a module whose output projection is zero;
         # skip=False runs the module, whatever the default would decide
         w, spec = toy_model(style=style, depth=1)
         blk = w.blocks[0]
         x = rng("skip", style).standard_normal((5, spec.width))
-        for sublayer, norm, module, zeroed in (
-                (attention_sublayer, blk.ln1, blk.attn,
-                 replace(blk.attn, wo=np.zeros_like(blk.attn.wo))),
-                (mlp_sublayer, blk.ln2, blk.mlp,
-                 replace(blk.mlp, w2=np.zeros_like(blk.mlp.w2)))):
-            def run(m, skip=None):
-                return sublayer(x, norm, m, spec, skip).tobytes()
-            assert run(module, False) == run(module) != run(module, True)
-            assert run(module, True) == run(zeroed) == run(zeroed, True) == run(zeroed, False)
+        if module == "attn":
+            sublayer, norm, weights = attention_sublayer, blk.ln1, blk.attn
+            zeroed = replace(weights, wo=np.zeros_like(weights.wo))
+        else:
+            sublayer, norm, weights = mlp_sublayer, blk.ln2, blk.mlp
+            zeroed = replace(weights, w2=np.zeros_like(weights.w2))
+
+        def run(m, skip=None):
+            return sublayer(x, norm, m, spec, skip).tobytes()
+        assert run(weights, False) == run(weights) != run(weights, True)
+        assert run(weights, True) == run(zeroed) == run(zeroed, True) == run(zeroed, False)
 
 
 class TestModelForward:
