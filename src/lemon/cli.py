@@ -8,13 +8,13 @@ Exit codes: 0 success / verification pass, 1 verification fail,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
-from .container import (CheckpointReader, _read_head, _spec_from_dict,
-                        load_model_config, read_header, replacing,
-                        require_replaceable)
+from .container import (CheckpointReader, _read_head, load_model_config,
+                        read_header, replacing, require_replaceable)
 # not called here: kept for perfbench/tests, which look the binding up in this module
 from .container import read_checkpoint  # noqa: F401
 from .errors import ContainerError, LemonError, PlanError, SplitError
@@ -151,9 +151,8 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_inspect(args) -> int:
     with open(args.file, "rb") as fh:
-        spec_dict, table = read_header(*_read_head(fh))
-    _spec_from_dict(spec_dict)  # an invalid spec is a malformed header
-    lines = [json.dumps(spec_dict, indent=1)]
+        spec, table = read_header(*_read_head(fh))
+    lines = [json.dumps(dataclasses.asdict(spec), indent=1)]
     for entry in table:
         shape = "x".join(map(str, entry["shape"])) or "scalar"
         lines.append(f"{entry['name']:40s} {entry['dtype']:>4s} {shape:>12s} "
@@ -207,7 +206,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return EXIT_OK
-    except (ContainerError, OSError, json.JSONDecodeError) as exc:
+    except (ContainerError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:

@@ -9,19 +9,19 @@ File layout (all integers little-endian)::
     ...           tensor payload, raw row-major little-endian values
 
 The header JSON holds the model spec and a tensor table of
-``{name, dtype, shape, byte_offset, byte_length}`` records.  Offsets are
-absolute, 64-byte aligned, non-overlapping, and in-bounds; scalar eps
+``{name, dtype, shape, byte_offset, byte_length}`` records; scalar eps
 values travel as zero-dimensional float64 tensors.  Every weight matrix
 is stored (out, in).  Version 1 stored the attention matrices (q/k/v and
 ``attn.wo``) as (in, out) under the same names; a square one has the
 same shape in both layouts, so the version, not the tensor table, tells
-them apart, and any version but 2 is refused.  Readers reject any file
-the validator rejects; nothing is partially loaded.
+them apart, and any version but 2 is refused.
 
 Which tensors a model has, and their names, shapes and dtypes, follow
 from its spec and its one weight dtype alone:
-:func:`lemon.model.tensor_schema` is the only definition.  The writer lays out the header from the schema
-before it has a single tensor, then takes the tensors one at a time as
+:func:`lemon.model.tensor_schema` is the only definition.  The writer
+lays out the header from the schema before it has a single tensor,
+each tensor at the first 64-byte aligned offset past the one before,
+then takes the tensors one at a time as
 ``(name, tensor)`` pairs in any order, checks each against its schema
 entry and writes it from its own buffer at its offset, so a caller can
 build a model a tensor at a time, in the order that suits it, and never
@@ -30,10 +30,15 @@ a temporary name in the destination's directory and moved into place
 only once complete, so a failed write leaves an existing file as it was
 and a concurrent reader sees either the old file or the new one.
 
-Readers take the prefix and header first, checking ``header_len``
-against the file size before reading it, then check the tensor table
-against the schema of the stored spec, and only then read tensors, each
-straight into its own array.  :class:`CheckpointReader` reads them on
+One rule decides whether a file is a checkpoint: its header is, byte
+for byte, the header :func:`write_tensors` writes, at that header's
+length, for the stored spec and weight dtype (the dtype of the last
+record, ``decoder.bias``), and the file reaches the end of the last
+tensor.  Readers take the prefix and header first, checking
+``header_len`` against the file size before reading it, check the rule
+(:func:`read_header`, which ``lemon inspect`` runs too), and only then
+read tensors, each straight into its own array; nothing is partially
+loaded.  :class:`CheckpointReader` reads them on
 demand, a part at a time: ``expand`` reads its source a block at a
 time, ``verify`` both of its models an attention or MLP module at a
 time, and ``symmetry`` only the projections its map names;
@@ -53,6 +58,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -72,7 +78,6 @@ _PREFIX = struct.Struct("<4sIQ")  # magic, version, header_len
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-_ITEMSIZES = {name: dtype.itemsize for name, dtype in _DTYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -107,52 +112,58 @@ def named_tensors(w: ModelWeights, spec: ModelSpec) -> list[tuple[str, np.ndarra
     return named
 
 
-def _spec_to_dict(spec: ModelSpec) -> dict:
-    return dataclasses.asdict(spec)
-
-
-def _spec_from_dict(d: dict) -> ModelSpec:
-    if not isinstance(d, dict):
-        raise MalformedHeaderError("model spec must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(ModelSpec)}
-    unknown = set(d) - fields
-    if unknown:
-        raise MalformedHeaderError(f"unknown model spec fields: {sorted(unknown)}")
+def _spec_from_dict(d) -> ModelSpec:
     try:
-        spec = ModelSpec(**d)
-        spec.validate()
+        return ModelSpec(**d).validate()
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedHeaderError(f"invalid model spec: {exc}") from exc
-    return spec
+        raise _refused(MalformedHeaderError, f"invalid model spec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # writing
 
 
-def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[int]]:
-    """The JSON header and the absolute offset of every tensor."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lengths = [_nbytes(e) for e in schema]
-    # the records differ from layout to layout only in their offsets:
-    # encode the rest once (the same text json.dumps gives the records)
-    heads = [f'{{"name":{encode(e.name)},"dtype":"{_DTYPE_NAMES[e.dtype]}",'
-             f'"shape":[{",".join(map(str, e.shape))}],"byte_offset":' for e in schema]
-    tails = [f',"byte_length":{n}}}' for n in lengths]
-    opening = f'{{"model_spec":{encode(_spec_to_dict(spec))},"tensors":['
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii  # what _encode does with a str
+
+
+def _tensor_table(schema: list[TensorEntry], start: int) -> tuple[list[dict], list[str]]:
+    """The tensor table of a header whose payload starts at ``start``,
+    each tensor at the first aligned offset past the one before, and the
+    JSON text of each record (the text ``_encode`` gives it)."""
+    table, texts = [], []
+    offset = start
+    forms = {}  # (shape, dtype) -> byte length, dtype name, shape text
+    for e in schema:
+        form = forms.get((e.shape, e.dtype))
+        if form is None:
+            form = forms[e.shape, e.dtype] = (_nbytes(e), _DTYPE_NAMES[e.dtype],
+                                              ",".join(map(str, e.shape)))
+        length, dtype, shape = form
+        table.append({"name": e.name, "dtype": dtype, "shape": e.shape,
+                      "byte_offset": offset, "byte_length": length})
+        texts.append(f'{{"name":{_encode_str(e.name)},"dtype":"{dtype}","shape":[{shape}],'
+                     f'"byte_offset":{offset},"byte_length":{length}}}')
+        offset = _align(offset + length)
+    return table, texts
+
+
+def _header_text(spec: ModelSpec, texts: list[str]) -> str:
+    """The header of a ``spec`` model whose tensor records are ``texts``."""
+    return (f'{{"model_spec":{_encode(dataclasses.asdict(spec))},'
+            f'"tensors":[{",".join(texts)}]}}')
+
+
+def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[dict]]:
+    """The JSON header and the tensor table it holds."""
     # the header length depends on the offsets it contains; iterate to a
     # fixed point (offset digit counts grow monotonically, so this settles)
     header_len = 0
     for _ in range(8):
-        offsets = []
-        offset = _align(_PREFIX.size + header_len)
-        for length in lengths:
-            offsets.append(offset)
-            offset = _align(offset + length)
-        records = ",".join([f"{h}{o}{t}" for h, o, t in zip(heads, offsets, tails)])
-        header = f"{opening}{records}]}}".encode("utf-8")
+        table, texts = _tensor_table(schema, _align(_PREFIX.size + header_len))
+        header = _header_text(spec, texts).encode("utf-8")
         if len(header) == header_len:
-            return header, offsets
+            return header, table
         header_len = len(header)
     raise PlanError("header layout did not converge")
 
@@ -215,7 +226,7 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
     # its first allocation, not after listing a schema that may not fit either
     pair = next(named, None)
     schema = list(tensor_schema(spec, dtype))
-    header, offsets = _header(spec, schema)
+    header, table = _header(spec, schema)
     index = {entry.name: k for k, entry in enumerate(schema)}
     written = bytearray(len(schema))  # 1 where the tensor is written
     with replacing(path) as fh:
@@ -230,7 +241,7 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
                 raise ShapeError(f"tensor {name!r} is not in the spec's schema")
             if written[k]:
                 raise ShapeError(f"tensor {name} given twice")
-            entry, offset = schema[k], offsets[k]
+            entry, offset = schema[k], table[k]["byte_offset"]
             arr = np.asarray(arr)
             if arr.shape != entry.shape or arr.dtype != entry.dtype:
                 raise ShapeError(f"tensor {name} is {arr.dtype}{list(arr.shape)}, "
@@ -254,122 +265,91 @@ def write_checkpoint(w: ModelWeights, spec: ModelSpec, path) -> None:
 # validation and reading
 
 
-_REQUIRED_ENTRY_KEYS = {"name", "dtype", "shape", "byte_offset", "byte_length"}
-
-
-def _is_shape(value) -> bool:
-    """A list of positive ints (empty for a scalar)."""
-    if not isinstance(value, list):
-        return False
-    for s in value:
-        if not isinstance(s, int) or s <= 0:
-            return False
-    return True
+def _refused(error: type[ContainerError], message: str) -> ContainerError:
+    """An ``error`` whose text is its diagnostic's, ``[code] message``."""
+    return error(str(Diagnostic(error.code, message)))
 
 
 def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnostic]:
-    """Check every container invariant that is visible without the payload.
+    """The fault :func:`read_header` finds in ``blob`` as a one-item list, else []."""
+    try:
+        read_header(blob, file_size)
+    except ContainerError as exc:
+        return [Diagnostic(exc.code, str(exc).removeprefix(f"[{exc.code}] "))]
+    return []
 
-    ``blob`` must contain at least the fixed prefix and the JSON header;
-    ``file_size`` (defaulting to ``len(blob)``) bounds the payload checks.
-    An empty list means the header is valid.
-    """
-    return _parse_header(blob, file_size)[0]
+
+_OPENING = '{"model_spec":'
+_DTYPE_KEY = '"dtype":"'
 
 
-def _parse_header(blob: bytes, file_size: int | None) -> tuple[list[Diagnostic], dict | None]:
-    """:func:`validate_header`'s diagnostics and the decoded header (None
-    when the checks stop early), so a reader parses the JSON only once."""
+def read_header(blob: bytes, file_size: int | None = None) -> tuple[ModelSpec, list[dict]]:
+    """The spec and tensor table (derived from the spec) of a checkpoint
+    whose prefix and header ``blob`` holds and whose payload ends at
+    ``file_size`` (by default ``len(blob)``), once it keeps the one rule
+    (see the module docstring); else the :class:`ContainerError` of its
+    first fault, whose text is ``[code] message``."""
     size = len(blob) if file_size is None else file_size
-    diags: list[Diagnostic] = []
     if len(blob) < _PREFIX.size:
-        return [Diagnostic("truncated_payload", "file shorter than the fixed prefix")], None
+        raise _refused(TruncatedPayloadError, "file shorter than the fixed prefix")
     magic, version, header_len = _PREFIX.unpack_from(blob)
     if magic != MAGIC:
-        return [Diagnostic("bad_magic", f"magic {magic!r} != {MAGIC!r}")], None
+        raise _refused(BadMagicError, f"magic {magic!r} != {MAGIC!r}")
     if version != VERSION:
-        return [Diagnostic("unsupported_version",
-                           f"version {version} is not {VERSION}, the only one read")], None
+        raise _refused(UnsupportedVersionError,
+                       f"version {version} is not {VERSION}, the only one read")
     payload_start = _PREFIX.size + header_len
     if payload_start > size:
-        return [Diagnostic("truncated_payload", "declared header extends past the file")], None
+        raise _refused(TruncatedPayloadError, "declared header extends past the file")
     if len(blob) < payload_start:
-        return [Diagnostic("truncated_payload", "header bytes missing from the blob")], None
+        raise _refused(TruncatedPayloadError, "header bytes missing from the blob")
     try:
-        header = json.loads(blob[_PREFIX.size:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return [Diagnostic("malformed_header", f"header is not valid JSON: {exc}")], None
-    if not isinstance(header, dict) or "model_spec" not in header or "tensors" not in header:
-        return [Diagnostic("malformed_header", "header must hold model_spec and tensors")], None
-    table = header["tensors"]
-    if not isinstance(table, list):
-        return [Diagnostic("malformed_header", "tensor table must be a list")], None
-
-    seen: set[str] = set()
-    spans: list[tuple[int, int, str]] = []
-    for i, entry in enumerate(table):
-        if not isinstance(entry, dict) or entry.keys() != _REQUIRED_ENTRY_KEYS:
-            diags.append(Diagnostic("malformed_header", f"table entry {i} has wrong keys"))
-            continue
-        name = entry["name"]
-        if not isinstance(name, str) or not name:
-            diags.append(Diagnostic("malformed_header", f"table entry {i} has a bad name"))
-            continue
-        if name in seen:
-            diags.append(Diagnostic("malformed_header", f"duplicate tensor name {name!r}"))
-            continue
-        if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPES:
-            diags.append(Diagnostic("malformed_header", f"{name}: unknown dtype {entry['dtype']!r}"))
-            continue
-        shape = entry["shape"]
-        if not _is_shape(shape):
-            diags.append(Diagnostic("malformed_header", f"{name}: bad shape {shape!r}"))
-            continue
-        offset, length = entry["byte_offset"], entry["byte_length"]
-        if not isinstance(offset, int) or not isinstance(length, int):
-            diags.append(Diagnostic("malformed_header", f"{name}: non-integer span"))
-            continue
-        expect = math.prod(shape) * _ITEMSIZES[entry["dtype"]]
-        if length != expect:
-            diags.append(Diagnostic("malformed_header",
-                                    f"{name}: byte_length {length} != shape/dtype size {expect}"))
-        if offset % ALIGNMENT != 0:
-            diags.append(Diagnostic("malformed_header",
-                                    f"{name}: offset {offset} not {ALIGNMENT}-byte aligned"))
-        if offset < payload_start or offset + length > size:
-            diags.append(Diagnostic("truncated_payload",
-                                    f"{name}: span [{offset}, {offset + length}) outside file of {size} bytes"))
-        seen.add(name)
-        spans.append((offset, length, name))
-    # in offset order, a span overlaps an earlier one iff it starts before
-    # the furthest end so far
-    end, owner = -math.inf, ""
-    for offset, length, name in sorted(spans):
-        if offset < end:
-            diags.append(Diagnostic("malformed_header", f"tensors {owner!r} and {name!r} overlap"))
-        if offset + length > end:
-            end, owner = offset + length, name
-    return diags, header
+        text = blob[_PREFIX.size:payload_start].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _refused(MalformedHeaderError, f"header is not valid JSON: {exc}") from exc
+    # the spec is the object the header opens with, and the weights' dtype
+    # the last record's: read them without decoding the tensor table
+    start, spec = _align(payload_start), None
+    k = text.rfind(_DTYPE_KEY) + len(_DTYPE_KEY)
+    dtype = _DTYPES.get(text[k:k + 3], EPS_DTYPE)
+    if text.startswith(_OPENING):
+        with contextlib.suppress(json.JSONDecodeError, RecursionError):
+            spec = _spec_from_dict(json.JSONDecoder().raw_decode(text, len(_OPENING))[0])
+    table, texts = _tensor_table(list(tensor_schema(spec, dtype)), start) if spec else ([], [])
+    if spec is None or text != _header_text(spec, texts):
+        _refuse_header(text, start, dtype)
+    past = [(r["name"], r["byte_offset"], r["byte_offset"] + r["byte_length"]) for r in table
+            if r["byte_offset"] + r["byte_length"] > size]
+    if past:
+        raise TruncatedPayloadError("; ".join(str(Diagnostic(TruncatedPayloadError.code, (
+            f"{name}: span [{a}, {b}) outside file of {size} bytes"))) for name, a, b in past))
+    return spec, table
 
 
-_DIAG_ERRORS = {
-    "bad_magic": BadMagicError,
-    "unsupported_version": UnsupportedVersionError,
-    "malformed_header": MalformedHeaderError,
-    "truncated_payload": TruncatedPayloadError,
-}
-
-
-def _raise_diags(diags: list[Diagnostic]) -> None:
-    if diags:
-        raise _DIAG_ERRORS[diags[0].code]("; ".join(str(d) for d in diags))
-
-
-def read_header(blob: bytes, file_size: int | None = None) -> tuple[dict, list[dict]]:
-    """Validated (model-spec dict, tensor table) from the raw bytes."""
-    diags, header = _parse_header(blob, file_size)
-    _raise_diags(diags)
-    return header["model_spec"], header["tensors"]
+def _refuse_header(text: str, start: int, dtype: np.dtype) -> NoReturn:
+    """Raise the :class:`MalformedHeaderError` that names where ``text``
+    first differs from the header lemon writes for its spec and ``dtype``
+    at ``start``: the first record that holds something else, else the
+    first placed elsewhere (a record added or dropped moves every
+    offset), else the first byte."""
+    try:
+        header = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise _refused(MalformedHeaderError, f"header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise _refused(MalformedHeaderError, "header must hold model_spec and tensors")
+    got, spec = header["tensors"], _spec_from_dict(header.get("model_spec"))
+    want, texts = _tensor_table(list(tensor_schema(spec, dtype)), start)
+    unplaced = lambda r: dict(r, byte_offset=0) if isinstance(r, dict) else r  # noqa: E731
+    for key in (unplaced, lambda r: r):
+        for k in range(max(len(got), len(want))):
+            if k >= min(len(got), len(want)) or _encode(key(got[k])) != _encode(key(want[k])):
+                held = _encode(got[k]) if k < len(got) else "nothing"
+                raise _refused(MalformedHeaderError, f"tensor record {k} is {held}, where "
+                               f"lemon writes {texts[k] if k < len(want) else 'nothing'}")
+    at = _PREFIX.size + len(os.path.commonprefix([text, _header_text(spec, texts)]))
+    raise _refused(MalformedHeaderError,
+                   f"header differs from the one lemon writes for its spec at byte {at}")
 
 
 def _read_head(fh) -> tuple[bytes, int]:
@@ -390,32 +370,9 @@ def _read_head(fh) -> tuple[bytes, int]:
     return head, size
 
 
-def _checked_table(table: list[dict], spec: ModelSpec) -> tuple[dict[str, dict], np.dtype]:
-    """The table by tensor name and the weights' dtype, once every entry
-    matches the schema of ``spec``: same names, shapes and dtypes.  The
-    weights' dtype is the decoder bias's (every model has one)."""
-    by_name = {entry["name"]: entry for entry in table}
-    bias = by_name.get("decoder.bias")
-    dtype = _DTYPES[bias["dtype"]] if bias is not None else EPS_DTYPE
-    expected = set()
-    for entry in tensor_schema(spec, dtype):  # lazy: stops at the first miss
-        got = by_name.get(entry.name)
-        if got is None:
-            raise MalformedHeaderError(f"missing tensor {entry.name!r}")
-        if tuple(got["shape"]) != entry.shape or _DTYPES[got["dtype"]] != entry.dtype:
-            raise MalformedHeaderError(
-                f"tensor table inconsistent with spec: {entry.name} is "
-                f"{got['dtype']}{got['shape']}, the spec needs "
-                f"{_DTYPE_NAMES[entry.dtype]}{list(entry.shape)}")
-        expected.add(entry.name)
-    if len(expected) != len(by_name):
-        raise MalformedHeaderError(f"unexpected tensors: {sorted(set(by_name) - expected)}")
-    return by_name, dtype
-
-
 class CheckpointReader:
-    """An open checkpoint whose header and tensor table have been checked
-    against the schema of its spec; tensors are read only when asked for.
+    """An open checkpoint whose header has been checked (see
+    :func:`read_header`); tensors are read only when asked for.
 
     Use as a context manager.  ``spec`` is the stored model spec,
     ``dtype`` the weights' dtype (eps is always float64) and ``path`` the
@@ -428,12 +385,12 @@ class CheckpointReader:
         self._layouts = {}
         self._fh = open(path, "rb")
         try:
-            spec_dict, table = read_header(*_read_head(self._fh))
-            self.spec = _spec_from_dict(spec_dict)
-            self._table, self.dtype = _checked_table(table, self.spec)
+            self.spec, table = read_header(*_read_head(self._fh))
         except BaseException:
             self._fh.close()
             raise
+        self.dtype = _DTYPES[table[-1]["dtype"]]  # the decoder bias's
+        self._table = {record["name"]: record for record in table}
 
     def __enter__(self) -> "CheckpointReader":
         return self

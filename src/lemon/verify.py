@@ -328,11 +328,11 @@ def symmetry_report(ckpt_path, duplicate_map: dict) -> list[dict]:
     (stored (out, in)): ``head_dim`` columns of ``attn.wo`` for a head,
     one column of ``mlp.w2`` for a hidden unit.  Groups expanded with
     equal splits report exactly 0; symmetry-broken groups report a
-    positive distance.  A malformed map
-    (a block without a valid index, or a group that is not at least two
-    in-range replicas) raises :class:`PlanError`.  Of the checkpoint's
-    payload, only those two projections of the blocks the map names are
-    read.
+    positive distance.  A malformed map (a block without a valid index,
+    a group that is not at least two in-range replicas, or a unit named
+    twice in one block's groups of one kind) raises :class:`PlanError`.
+    Of the checkpoint's payload, only those two projections of the
+    blocks the map names are read.
     """
     with CheckpointReader(ckpt_path) as reader:
         spec = reader.spec
@@ -406,14 +406,18 @@ def _is_index(value, n: int) -> bool:
 
 
 def _checked_groups(groups, units: int, where: str) -> dict:
-    """One block's replica groups, or PlanError if any group is malformed."""
+    """One block's groups of one kind, or PlanError if one is malformed or names a unit twice."""
     if not isinstance(groups, dict):
         raise PlanError(f"duplicate map {where} must be an object")
+    seen: set[int] = set()
     for src, members in groups.items():
-        if not (str(src).isdigit() and isinstance(members, list) and len(members) >= 2
+        if not (str(src).isdecimal() and isinstance(members, list) and len(members) >= 2
                 and all(_is_index(m, units) for m in members)):
             raise PlanError(f"duplicate map {where}[{src!r}] must list at least "
                             f"2 replicas in [0, {units})")
+        if len(set(members)) < len(members) or not seen.isdisjoint(members):
+            raise PlanError(f"duplicate map {where}[{src!r}] names a unit twice")
+        seen.update(members)
     return groups
 
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from lemon import (ExpansionPlan, MalformedHeaderError, model_forward,
-                   read_checkpoint, read_header, symmetry_report, verify_lossless,
-                   write_checkpoint)
+from lemon import (ContainerError, ExpansionPlan, MalformedHeaderError,
+                   model_forward, read_checkpoint, read_header, symmetry_report,
+                   validate_header, verify_lossless, write_checkpoint)
 from lemon import cli, container, kernels, verify
 from lemon.cli import main
 from lemon.container import ALIGNMENT, _PREFIX
@@ -346,10 +346,40 @@ class TestSymmetryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: duplicate map") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("groups", [{"0": [0, 1] * 1000}, {"0": [0, 12], "1": [12, 1]}],
+                             ids=["repeated-member", "shared-member"])
+    def test_unit_named_twice_usage_error(self, workdir, capsys, groups):
+        # measuring every pair of a group is quadratic in its members: a
+        # group that repeats a unit is refused before any is measured
+        tmp_path, _, small = workdir
+        big = expand_cli(tmp_path, small)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "blocks": [
+            {"index": 0, "mlp_hidden_groups": groups}]}))
+        capsys.readouterr()
+        assert main(["symmetry", "--ckpt", str(big), "--map", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "block 0 mlp_hidden_groups" in err and "names a unit twice" in err
+
     def test_missing_map_is_io_error(self, workdir):
         _, _, small = workdir
         assert main(["symmetry", "--ckpt", str(small),
                      "--map", "/missing.json"]) == 3
+
+    @pytest.mark.parametrize("command", ["symmetry --map", "init-random --config"])
+    def test_json_that_is_not_utf8_is_a_format_error(self, workdir, capsys, command):
+        tmp_path, _, small = workdir
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = (["symmetry", "--ckpt", str(small), "--map", str(bad)]
+                if command.startswith("symmetry") else
+                ["init-random", "--config", str(bad), "--out", str(tmp_path / "x.lmn")])
+        capsys.readouterr()
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "utf-8" in err
+        assert not (tmp_path / "x.lmn").exists()
 
 
 class TestOtherCommands:
@@ -696,6 +726,179 @@ class TestCorruptedCheckpointExitCodes:
                 assert code in (0, 1, 2, 3), argv
                 assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
                 assert not caught, (argv, [str(w.message) for w in caught])
+
+
+_HEADER_FAULTS = ("name", "dtype", "shape", "offset", "length", "add key", "drop key",
+                  "swap", "drop record", "repeat record", "whitespace", "float")
+
+
+@st.composite
+def _mutated_checkpoint(draw) -> bytes:
+    """The toy source with one fault in its header, re-encoded as lemon
+    encodes a header: a record's name, dtype, shape entry, offset or
+    length changed; a key added to or dropped from a record or the spec;
+    two records swapped, one dropped or repeated; whitespace inserted; or
+    an integer spelt as a float."""
+    blob = _toy_pair()["small"]
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len])
+    spec, records = header["model_spec"], header["tensors"]
+    k = draw(st.integers(0, len(records) - 1))
+    record = records[k]
+    nonzero = st.integers(-100, 100).filter(bool)
+    fault = draw(st.sampled_from(_HEADER_FAULTS))
+    event(fault)
+    if fault == "name":
+        record["name"] += draw(st.text(min_size=1, max_size=2))
+    elif fault == "dtype":
+        record["dtype"] = draw(st.sampled_from(["f32", "f64", "f16", 64]).filter(
+            lambda d: d != record["dtype"]))
+    elif fault == "shape":
+        if record["shape"]:
+            i = draw(st.integers(0, len(record["shape"]) - 1))
+            record["shape"][i] += draw(nonzero)
+        else:
+            record["shape"].append(1)
+    elif fault in ("offset", "length"):
+        record[f"byte_{fault}"] += draw(nonzero)
+    elif fault == "add key":
+        draw(st.sampled_from([record, spec, header]))["extra"] = 0
+    elif fault == "drop key":
+        target = draw(st.sampled_from([record, spec]))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif fault == "swap":
+        j = draw(st.integers(0, len(records) - 1).filter(lambda j: j != k))
+        records[k], records[j] = records[j], record
+    elif fault == "drop record":
+        del records[k]
+    elif fault == "repeat record":
+        records.insert(draw(st.integers(0, len(records))), dict(record))
+    elif fault == "float":
+        target, key = draw(st.sampled_from([(record, "byte_offset"), (record, "byte_length"),
+                                            (spec, "depth"), (spec, "width")]))
+        target[key] = float(target[key])
+    text = json.dumps(header, separators=(",", ":"))
+    if fault == "whitespace":
+        at = draw(st.sampled_from([i + 1 for i, c in enumerate(text) if c in ",:[]{}"]))
+        text = text[:at] + draw(st.sampled_from([" ", "\n", "\t"])) + text[at:]
+    new = text.encode()
+    return (_PREFIX.pack(b"LEMN", 2, len(new)) + new
+            + blob[_PREFIX.size + header_len:])
+
+
+def _every_command(path: str, d: str) -> list[list[str]]:
+    return [["inspect", path],
+            ["verify", "--small", path, "--big", path],
+            ["symmetry", "--ckpt", path],
+            ["expand", "--in", path, "--out", os.path.join(d, "out"),
+             "--target-width", "16", "--target-depth", "4"]]
+
+
+class TestOneHeaderRule:
+    """A header is valid only when it is the one lemon writes for its spec:
+    every command refuses any other with exit 3 and one line, and
+    validate_header gives the reader's error as its one diagnostic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=_mutated_checkpoint())
+    def test_a_mutated_header_is_refused_everywhere(self, blob):
+        diags = validate_header(blob)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "bad.lmn")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            with pytest.raises(ContainerError) as refused:
+                read_checkpoint(path)
+            assert [diag.code for diag in diags] == [refused.value.code]
+            assert str(refused.value) == str(diags[0])
+            for argv in _every_command(path, d):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    assert main(argv) == 3, argv
+                assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+                assert err.getvalue() == f"error: {refused.value}\n"
+            assert os.listdir(d) == ["bad.lmn"]
+
+    def test_a_renamed_record_is_refused_by_inspect_too(self, tmp_path, capsys):
+        path = tmp_path / "renamed.lmn"
+        path.write_bytes(_toy_pair()["small"].replace(b'"blocks.0.ln1.mu"',
+                                                      b'"blocks.0.ln1.nu"'))
+        for argv in _every_command(str(path), str(tmp_path)):
+            assert main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: [malformed_header] tensor record ")
+            assert '"name":"blocks.0.ln1.nu"' in err and '"name":"blocks.0.ln1.mu"' in err
+
+    @pytest.mark.parametrize("fault", ["magic", "version", "truncated", "json"])
+    def test_stderr_for_the_prefix_and_truncation_faults(self, tmp_path, capsys, fault):
+        blob = bytearray(_toy_pair()["small"])
+        _, table = read_header(bytes(blob))
+        end = table[-1]["byte_offset"] + table[-1]["byte_length"]
+        want = {"magic": "[bad_magic] magic b'XXXX' != b'LEMN'",
+                "version": "[unsupported_version] version 3 is not 2, the only one read",
+                "truncated": f"[truncated_payload] decoder.bias: span [{end - 88}, {end}) "
+                             f"outside file of {end - 8} bytes",
+                "json": "[malformed_header] header is not valid JSON: Expecting value: "
+                        "line 1 column 1 (char 0)"}[fault]
+        if fault == "magic":
+            blob[:4] = b"XXXX"
+        elif fault == "version":
+            blob[4] = 3
+        elif fault == "truncated":
+            del blob[end - 8:]
+        else:
+            blob[_PREFIX.size] = ord("X")
+        path = tmp_path / "bad.lmn"
+        path.write_bytes(bytes(blob))
+        for argv in _every_command(str(path), str(tmp_path)):
+            assert main(argv) == 3, argv
+            assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+_MAP_INDEX = (st.integers(-2, 30) | st.integers(2**31, 2**70) | st.booleans()
+              | st.floats(-1.0, 30.0) | st.none() | st.text(max_size=2))
+_MAP_LEAF = st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=3)
+#: a group: in-range units, units repeated, or wrong types
+_MAP_MEMBERS = (st.lists(st.integers(0, 23), min_size=2, max_size=4, unique=True)
+                | st.lists(st.integers(0, 2), min_size=1, max_size=3).map(lambda m: m * 20)
+                | st.lists(_MAP_INDEX | st.lists(st.integers(0, 3), max_size=2), max_size=4)
+                | _MAP_LEAF)
+_MAP_GROUPS = (st.dictionaries(st.sampled_from(["0", "1", "2", "-1", "01", "x", "\u00b2", ""]),
+                               _MAP_MEMBERS, max_size=3) | _MAP_LEAF)
+_MAP_ENTRY = (st.fixed_dictionaries({"index": st.integers(0, 2) | _MAP_INDEX},
+                                    optional={"attn_head_groups": _MAP_GROUPS,
+                                              "mlp_hidden_groups": _MAP_GROUPS})
+              | _MAP_LEAF)
+_MAP = (st.fixed_dictionaries({"version": st.just(1), "blocks": st.lists(_MAP_ENTRY, max_size=3)})
+        | st.fixed_dictionaries({}, optional={"version": _MAP_LEAF,
+                                              "blocks": st.lists(_MAP_ENTRY, max_size=2)
+                                              | _MAP_LEAF})
+        | st.lists(_MAP_LEAF, max_size=2) | _MAP_LEAF)
+#: a map as JSON text, three times in four, or as bytes that are not UTF-8
+_MAP_BYTES = st.one_of(*[_MAP.map(lambda m: json.dumps(m).encode())] * 3,
+                       st.binary(max_size=6).map(lambda b: b"\xff" + b)
+                       | _MAP.map(lambda m: json.dumps(m).encode("utf-16")))
+
+
+class TestDuplicateMapExitCodes:
+    """symmetry exits 0, 2 or 3 on any --map file, with one line of error
+    when it fails, none when it succeeds, and never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=_MAP_BYTES)
+    def test_exit_code_is_documented(self, blob):
+        with tempfile.TemporaryDirectory() as d:
+            paths = {name: os.path.join(d, name) for name in ("big", "map")}
+            for name, data in (("big", _toy_pair()["big"]), ("map", blob)):
+                with open(paths[name], "wb") as fh:
+                    fh.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["symmetry", "--ckpt", paths["big"], "--map", paths["map"]])
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") == (code != 0), err.getvalue()
 
 
 #: spec values for the init-random property: small finite ones, huge
