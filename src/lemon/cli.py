@@ -206,7 +206,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return EXIT_OK
-    except (ContainerError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ContainerError, OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:  # RecursionError: JSON nested too deeply
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -112,13 +113,6 @@ def named_tensors(w: ModelWeights, spec: ModelSpec) -> list[tuple[str, np.ndarra
     return named
 
 
-def _spec_from_dict(d) -> ModelSpec:
-    try:
-        return ModelSpec(**d).validate()
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _refused(MalformedHeaderError, f"invalid model spec: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # writing
 
@@ -127,43 +121,48 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _encode_str = json.encoder.encode_basestring_ascii  # what _encode does with a str
 
 
-def _tensor_table(schema: list[TensorEntry], start: int) -> tuple[list[dict], list[str]]:
-    """The tensor table of a header whose payload starts at ``start``,
-    each tensor at the first aligned offset past the one before, and the
-    JSON text of each record (the text ``_encode`` gives it)."""
-    table, texts = [], []
-    offset = start
-    forms = {}  # (shape, dtype) -> byte length, dtype name, shape text
+def _record_parts(schema: list[TensorEntry]) -> tuple[list[str], list[str], list[int]]:
+    """The JSON text of each tensor record before its offset and after
+    it, and each tensor's byte length: the records differ from layout to
+    layout only in their offsets, so the rest is formatted once."""
+    forms, heads, tails, lengths = {}, [], [], []
     for e in schema:
         form = forms.get((e.shape, e.dtype))
-        if form is None:
-            form = forms[e.shape, e.dtype] = (_nbytes(e), _DTYPE_NAMES[e.dtype],
-                                              ",".join(map(str, e.shape)))
-        length, dtype, shape = form
-        table.append({"name": e.name, "dtype": dtype, "shape": e.shape,
-                      "byte_offset": offset, "byte_length": length})
-        texts.append(f'{{"name":{_encode_str(e.name)},"dtype":"{dtype}","shape":[{shape}],'
-                     f'"byte_offset":{offset},"byte_length":{length}}}')
-        offset = _align(offset + length)
-    return table, texts
+        if form is None:  # formatted once per (shape, dtype)
+            n = _nbytes(e)
+            form = forms[e.shape, e.dtype] = (
+                f'"dtype":"{_DTYPE_NAMES[e.dtype]}","shape":[{",".join(map(str, e.shape))}],'
+                '"byte_offset":', f',"byte_length":{n}}}', n)
+        heads.append(f'{{"name":{_encode_str(e.name)},{form[0]}')
+        tails.append(form[1])
+        lengths.append(form[2])
+    return heads, tails, lengths
 
 
-def _header_text(spec: ModelSpec, texts: list[str]) -> str:
-    """The header of a ``spec`` model whose tensor records are ``texts``."""
-    return (f'{{"model_spec":{_encode(dataclasses.asdict(spec))},'
-            f'"tensors":[{",".join(texts)}]}}')
+def _placed(parts, start: int) -> tuple[list[int], list[str]]:
+    """Each tensor's offset in a payload from ``start`` (the first aligned
+    offset past the tensor before) and each record's text, from its parts."""
+    heads, tails, lengths = parts
+    offsets = list(itertools.accumulate(lengths[:-1], lambda o, n: _align(o + n), initial=start))
+    return offsets, [f"{h}{o}{t}" for h, o, t in zip(heads, offsets, tails)]
 
 
-def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[dict]]:
-    """The JSON header and the tensor table it holds."""
+def _header_text(spec_json: str, records: list[str]) -> str:
+    """The header whose model spec is ``spec_json`` and whose tensor records are ``records``."""
+    return f'{{"model_spec":{spec_json},"tensors":[{",".join(records)}]}}'
+
+
+def _header(spec: ModelSpec, schema: list[TensorEntry]) -> tuple[bytes, list[int]]:
+    """The JSON header and the absolute offset of every tensor."""
+    parts, spec_json = _record_parts(schema), _encode(dataclasses.asdict(spec))
     # the header length depends on the offsets it contains; iterate to a
     # fixed point (offset digit counts grow monotonically, so this settles)
     header_len = 0
     for _ in range(8):
-        table, texts = _tensor_table(schema, _align(_PREFIX.size + header_len))
-        header = _header_text(spec, texts).encode("utf-8")
+        offsets, records = _placed(parts, _align(_PREFIX.size + header_len))
+        header = _header_text(spec_json, records).encode("utf-8")
         if len(header) == header_len:
-            return header, table
+            return header, offsets
         header_len = len(header)
     raise PlanError("header layout did not converge")
 
@@ -226,7 +225,7 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
     # its first allocation, not after listing a schema that may not fit either
     pair = next(named, None)
     schema = list(tensor_schema(spec, dtype))
-    header, table = _header(spec, schema)
+    header, offsets = _header(spec, schema)
     index = {entry.name: k for k, entry in enumerate(schema)}
     written = bytearray(len(schema))  # 1 where the tensor is written
     with replacing(path) as fh:
@@ -241,7 +240,7 @@ def write_tensors(path, spec: ModelSpec, dtype, named) -> None:
                 raise ShapeError(f"tensor {name!r} is not in the spec's schema")
             if written[k]:
                 raise ShapeError(f"tensor {name} given twice")
-            entry, offset = schema[k], table[k]["byte_offset"]
+            entry, offset = schema[k], offsets[k]
             arr = np.asarray(arr)
             if arr.shape != entry.shape or arr.dtype != entry.dtype:
                 raise ShapeError(f"tensor {name} is {arr.dtype}{list(arr.shape)}, "
@@ -281,6 +280,20 @@ def validate_header(blob: bytes, file_size: int | None = None) -> list[Diagnosti
 
 _OPENING = '{"model_spec":'
 _DTYPE_KEY = '"dtype":"'
+#: a header of n characters holds fewer than n // _MIN_RECORD + 1 tensor records
+_MIN_RECORD = len('{"name":"","dtype":"f32","shape":[],"byte_offset":0,"byte_length":0}')
+
+
+def _parsed(text: str) -> tuple[object, list]:
+    """The model spec and the tensor records a JSON header holds."""
+    try:
+        header = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _refused(MalformedHeaderError, f"header is not valid JSON: {exc}") from exc
+    if not (isinstance(header, dict) and "model_spec" in header
+            and isinstance(header.get("tensors"), list)):
+        raise _refused(MalformedHeaderError, "header must hold model_spec and tensors")
+    return header["model_spec"], header["tensors"]
 
 
 def read_header(blob: bytes, file_size: int | None = None) -> tuple[ModelSpec, list[dict]]:
@@ -309,45 +322,45 @@ def read_header(blob: bytes, file_size: int | None = None) -> tuple[ModelSpec, l
         raise _refused(MalformedHeaderError, f"header is not valid JSON: {exc}") from exc
     # the spec is the object the header opens with, and the weights' dtype
     # the last record's: read them without decoding the tensor table
-    start, spec = _align(payload_start), None
-    k = text.rfind(_DTYPE_KEY) + len(_DTYPE_KEY)
-    dtype = _DTYPES.get(text[k:k + 3], EPS_DTYPE)
+    spec = None
     if text.startswith(_OPENING):
-        with contextlib.suppress(json.JSONDecodeError, RecursionError):
-            spec = _spec_from_dict(json.JSONDecoder().raw_decode(text, len(_OPENING))[0])
-    table, texts = _tensor_table(list(tensor_schema(spec, dtype)), start) if spec else ([], [])
-    if spec is None or text != _header_text(spec, texts):
-        _refuse_header(text, start, dtype)
-    past = [(r["name"], r["byte_offset"], r["byte_offset"] + r["byte_length"]) for r in table
-            if r["byte_offset"] + r["byte_length"] > size]
-    if past:
-        raise TruncatedPayloadError("; ".join(str(Diagnostic(TruncatedPayloadError.code, (
-            f"{name}: span [{a}, {b}) outside file of {size} bytes"))) for name, a, b in past))
-    return spec, table
-
-
-def _refuse_header(text: str, start: int, dtype: np.dtype) -> NoReturn:
-    """Raise the :class:`MalformedHeaderError` that names where ``text``
-    first differs from the header lemon writes for its spec and ``dtype``
-    at ``start``: the first record that holds something else, else the
-    first placed elsewhere (a record added or dropped moves every
-    offset), else the first byte."""
+        with contextlib.suppress(ValueError, RecursionError):
+            spec = json.JSONDecoder().raw_decode(text, len(_OPENING))[0]
+    spec = _parsed(text)[0] if spec is None else spec
     try:
-        header = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise _refused(MalformedHeaderError, f"header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
-        raise _refused(MalformedHeaderError, "header must hold model_spec and tensors")
-    got, spec = header["tensors"], _spec_from_dict(header.get("model_spec"))
-    want, texts = _tensor_table(list(tensor_schema(spec, dtype)), start)
-    unplaced = lambda r: dict(r, byte_offset=0) if isinstance(r, dict) else r  # noqa: E731
-    for key in (unplaced, lambda r: r):
-        for k in range(max(len(got), len(want))):
-            if k >= min(len(got), len(want)) or _encode(key(got[k])) != _encode(key(want[k])):
-                held = _encode(got[k]) if k < len(got) else "nothing"
-                raise _refused(MalformedHeaderError, f"tensor record {k} is {held}, where "
-                               f"lemon writes {texts[k] if k < len(want) else 'nothing'}")
-    at = _PREFIX.size + len(os.path.commonprefix([text, _header_text(spec, texts)]))
+        spec = ModelSpec(**spec).validate()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _refused(MalformedHeaderError, f"invalid model spec: {exc}") from exc
+    k = text.rfind(_DTYPE_KEY) + len(_DTYPE_KEY)
+    # more records than the header has room for cannot match it: listing
+    # only those keeps the work within the header's size, whatever the spec
+    schema = list(itertools.islice(tensor_schema(spec, _DTYPES.get(text[k:k + 3], EPS_DTYPE)),
+                                   len(text) // _MIN_RECORD + 1))
+    parts = _record_parts(schema)
+    offsets, records = _placed(parts, _align(payload_start))
+    want = _header_text(_encode(dataclasses.asdict(spec)), records)
+    if text != want:
+        _refuse_header(text, want, records)
+    ends = [offset + length for offset, length in zip(offsets, parts[2])]
+    if ends[-1] > size:
+        raise TruncatedPayloadError("; ".join(str(Diagnostic(TruncatedPayloadError.code, (
+            f"{e.name}: span [{offset}, {end}) outside file of {size} bytes")))
+            for e, offset, end in zip(schema, offsets, ends) if end > size))
+    return spec, [{"name": e.name, "dtype": _DTYPE_NAMES[e.dtype], "shape": e.shape,
+                   "byte_offset": offset, "byte_length": length}
+                  for e, offset, length in zip(schema, offsets, parts[2])]
+
+
+def _refuse_header(text: str, want: str, records: list[str]) -> NoReturn:
+    """Raise the :class:`MalformedHeaderError` that names the first record of
+    ``text`` that is not in ``want``'s ``records``, else the first byte that differs."""
+    got = _parsed(text)[1]
+    for k in range(max(len(got), len(records))):
+        held = _encode(got[k]) if k < len(got) else "nothing"
+        if held != (records[k] if k < len(records) else "nothing"):
+            raise _refused(MalformedHeaderError, f"tensor record {k} is {held}, where lemon "
+                           f"writes {records[k] if k < len(records) else 'nothing'}")
+    at = _PREFIX.size + len(os.path.commonprefix([text, want]))
     raise _refused(MalformedHeaderError,
                    f"header differs from the one lemon writes for its spec at byte {at}")
 
@@ -496,34 +509,19 @@ def read_checkpoint(path) -> tuple[ModelWeights, ModelSpec]:
 # model-config JSON
 
 
-def _load_json(path) -> dict:
+def load_model_config(path) -> tuple[ModelSpec, np.dtype]:
+    """Read a model spec (plus optional ``dtype``) from JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise PlanError(f"{path}: expected a JSON object")
-    return data
-
-
-def _from_fields(cls, data: dict, path) -> object:
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
-    if unknown:
-        raise PlanError(f"{path}: unknown fields {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise PlanError(f"{path}: {exc}") from exc
-
-
-def load_model_config(path) -> tuple[ModelSpec, np.dtype]:
-    """Read a model spec (plus optional ``dtype``) from JSON."""
-    data = _load_json(path)
     name = data.pop("dtype", "float64")
     if name not in ("float32", "float64"):
         raise PlanError(f"{path}: unsupported dtype {name!r}")
-    spec = _from_fields(ModelSpec, data, path)
+    unknown = set(data) - {f.name for f in dataclasses.fields(ModelSpec)}
+    if unknown:
+        raise PlanError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        spec.validate()
-    except PlanError as exc:
+        return ModelSpec(**data).validate(), np.dtype(name)
+    except (TypeError, PlanError) as exc:
         raise PlanError(f"{path}: {exc}") from exc
-    return spec, np.dtype(name)

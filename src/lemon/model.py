@@ -116,8 +116,9 @@ class ModelSpec:
             raise PlanError(f"width {self.width} not a multiple of head_dim {self.head_dim}")
         if self.vocab_or_classes <= 0:
             raise PlanError("vocab_or_classes must be positive")
-        if not _finite(lambda: float(self.width)):
-            raise PlanError("width does not fit in a float")
+        for name in ("width", "vocab_or_classes", "patch_dim", "num_patches"):
+            if not _finite(lambda: float(getattr(self, name))):
+                raise PlanError(f"{name} does not fit in a float")
         if not _finite(lambda: self.mlp_ratio * self.width):
             raise PlanError("mlp_ratio must yield a finite hidden dim")
         if self.mlp_ratio <= 0 or self.hidden_dim <= 0:

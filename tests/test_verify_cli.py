@@ -381,6 +381,20 @@ class TestSymmetryCommand:
         assert out == "" and err.count("\n") == 1 and "utf-8" in err
         assert not (tmp_path / "x.lmn").exists()
 
+    @pytest.mark.parametrize("command", ["symmetry --map", "init-random --config"])
+    def test_json_nested_too_deeply_is_a_format_error(self, workdir, capsys, command):
+        tmp_path, _, small = workdir
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        argv = (["symmetry", "--ckpt", str(small), "--map", str(bad)]
+                if command.startswith("symmetry") else
+                ["init-random", "--config", str(bad), "--out", str(tmp_path / "x.lmn")])
+        capsys.readouterr()
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "recursion" in err
+        assert not (tmp_path / "x.lmn").exists()
+
 
 class TestOtherCommands:
     def test_schedule_explicit_flags(self, tmp_path):
@@ -829,6 +843,34 @@ class TestOneHeaderRule:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("error: [malformed_header] tensor record ")
             assert '"name":"blocks.0.ln1.nu"' in err and '"name":"blocks.0.ln1.mu"' in err
+
+    @pytest.mark.parametrize("change", [{"depth": 10**9}, {"width": 2**40, "head_dim": 1},
+                                        {"vocab_or_classes": 10**4000}],
+                             ids=["depth", "heads", "vocab"])
+    def test_a_huge_spec_is_refused_within_the_header_size(self, tmp_path, capsys,
+                                                            monkeypatch, change):
+        blob = _toy_pair()["small"]
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len])
+        header["model_spec"].update(change)
+        text = json.dumps(header, separators=(",", ":")).encode()
+        path = tmp_path / "huge.lmn"
+        path.write_bytes(_PREFIX.pack(b"LEMN", 2, len(text)) + text
+                         + blob[_PREFIX.size + header_len:])
+        tensor_schema = container.tensor_schema
+
+        def bounded_schema(spec, dtype):
+            # a header of n bytes holds fewer than n records: list no more
+            for k, entry in enumerate(tensor_schema(spec, dtype)):
+                assert k < len(text), "schema listed past the header's size"
+                yield entry
+        monkeypatch.setattr(container, "tensor_schema", bounded_schema)
+        for argv in _every_command(str(path), str(tmp_path)):
+            assert main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: [malformed_header] ")
+        assert validate_header(path.read_bytes())[0].code == "malformed_header"
 
     @pytest.mark.parametrize("fault", ["magic", "version", "truncated", "json"])
     def test_stderr_for_the_prefix_and_truncation_faults(self, tmp_path, capsys, fault):
